@@ -11,11 +11,14 @@ The layers, bottom to top:
                and Fourier-basis measurement
     weyl       symbolic Weyl-operator transport through teleportation
                gadgets, checked against dense conjugation
-    coherent   classically assisted coherent simulation of a network code
     geometry   compilation into a weighted graph-state geometry
-    mbqc       one-way execution: schedules, byproduct adjustment,
-               correction routing, exhaustive branch enumeration
-    cli        the qlnc command-line tool and its file formats
+    mbqc       one-way execution: the plan, byproduct adjustment,
+               correction routing, the single-run driver and the
+               branch walker
+    coherent   classically assisted coherent simulation of a network
+               code: the one-way plan run with cX embeddings and without
+               its auxiliary qudits
+    cli       the qlnc command-line tool and its file formats
 """
 
 from .bundled import butterfly_multicast, butterfly_swap, identity_wire

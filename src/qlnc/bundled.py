@@ -12,9 +12,7 @@ from importlib import resources
 from .network import CodingNetwork, NodeSpec
 from .ring import RingMatrix
 
-__all__ = ["butterfly_swap", "butterfly_multicast", "identity_wire", "bundled_path", "NAMES"]
-
-NAMES = ("butterfly_swap", "butterfly_multicast", "identity_wire")
+__all__ = ["butterfly_swap", "butterfly_multicast", "identity_wire", "bundled_path"]
 
 
 def butterfly_swap(d=2) -> CodingNetwork:
@@ -84,17 +82,6 @@ def identity_wire(d=2) -> CodingNetwork:
     return CodingNetwork(
         d, [NodeSpec("W", RingMatrix([[1]], d))], [], [("W", 0)], [("W", 0)]
     )
-
-
-_BUILDERS = {
-    "butterfly_swap": butterfly_swap,
-    "butterfly_multicast": butterfly_multicast,
-    "identity_wire": identity_wire,
-}
-
-
-def build(name, **kwargs) -> CodingNetwork:
-    return _BUILDERS[name](**kwargs)
 
 
 def bundled_path(name):

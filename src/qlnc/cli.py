@@ -26,12 +26,7 @@ import numpy as np
 from .coherent import exhaustive_coherent, run_coherent
 from .files import dump_json, load_input_state, load_network
 from .geometry import compile_network, resource_counts
-from .mbqc import (
-    branch_survey,
-    geometry_counts,
-    oracle_output_state,
-    run_mbqc,
-)
+from .mbqc import branch_survey, oracle_output_state, run_mbqc
 from .network import (
     InvalidNetworkError,
     UnsupportedNetworkError,
@@ -262,7 +257,7 @@ def _dispatch(args) -> int:
                 "mode": args.mode,
                 "branches": count,
                 "min_fidelity_vs_oracle": fid,
-                "resource_counts": geometry_counts(geometry),
+                "resource_counts": resource_counts(net, geometry).to_dict(),
                 "wall_time_ms": 1000 * (time.perf_counter() - t0) if args.timings else None,
             }
         else:
@@ -336,7 +331,7 @@ def _compare_doc(net, state, args):
             "mbqc_vs_oracle": fidelity(mout, oracle),
             "coherent_vs_mbqc": fidelity(choh, mout),
         },
-        "resource_counts": geometry_counts(geometry),
+        "resource_counts": resource_counts(net, geometry).to_dict(),
     }
 
 

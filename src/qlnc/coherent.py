@@ -9,6 +9,11 @@ the network (constrained mode: Z^tau with tau = V^T r at the producing node,
 walking the network against its direction, then a block-diagonal correction
 for the source measurements routed as a classical network code).
 
+This is the one-way plan of mbqc.build_schedule run without its auxiliary
+qudits: every node step is a cX embedding in place of the graph-state
+gadget, so the auxiliary measurements, their messages and the shift
+corrections they drive drop out, and the rest of the plan (measurement
+order, phase corrections, message ledger) is shared with the one-way path.
 Qudit labels match the one-way geometry of the same network (s*, m*, t*),
 so ledgers and reports from both execution paths line up side by side.
 """
@@ -17,12 +22,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import compile_network, label_sort_key
-from .mbqc import geometry_counts, oracle_output_state
-from .network import CodingNetwork, UnsupportedNetworkError
-from .report import CorrectionRecord, MessageRecord, OutcomeRecord, RunReport
-from .ring import RingMatrix, find_block_diagonal_B, left_inverse
-from .states import LabeledRegister, QuditState, fidelity
+from .geometry import compile_network
+from .mbqc import _exhaustive, _run, build_schedule
+from .network import CodingNetwork
+from .ring import RingMatrix
+from .states import QuditState
 
 __all__ = [
     "embed_node",
@@ -59,154 +63,15 @@ def node_phase_correction(outcomes, L: RingMatrix) -> np.ndarray:
     return (L.T.a @ r) % L.d
 
 
-class _CoherentPlan:
-    def __init__(self, net: CodingNetwork, mode):
-        if mode not in ("free", "constrained"):
-            raise ValueError(f"unknown mode {mode!r}")
-        self.mode = mode
-        self.geometry = compile_network(net)
-        g = self.geometry
-        self.d = g.d
-        self.M = RingMatrix(
-            np.asarray([g.depends[t] for t in g.outputs], dtype=np.int64), g.d
-        )
-        self.A = left_inverse(self.M)
-        if self.A is None:
-            raise UnsupportedNetworkError(
-                f"composite map is not injective over Z_{g.d}; "
-                "coherent simulation is not defined"
-            )
-        producer = {}
-        consumer = {}
-        source_node = {}
-        for gadget in g.gadgets:
-            for lab in gadget.out_labels:
-                producer[lab] = gadget.node_id
-            for lab in gadget.in_labels:
-                (source_node if lab in g.inputs else consumer)[lab] = gadget.node_id
-        self.producer, self.consumer, self.source_node = producer, consumer, source_node
-        self.link_labels = [f"m{i + 1}" for i in range(g.num_links)]
-        self.target_nodes = []
-        for t in g.outputs:
-            if producer[t] not in self.target_nodes:
-                self.target_nodes.append(producer[t])
-
-        self.requires_out_of_network = False
-        self.block_B = None
-        self.ops = []  # ("embed", gadget) | ("measure", label, stage) | ("zcorr", qudit, terms, stage)
-        self.final_corrections = []  # (qudit, terms, stage) all Z on outputs
-        self.sends = []  # (Send-like tuples resolved at materialization)
-
-        if mode == "free":
-            kappa = {
-                u: (self.A.T.a @ g.depends[u]) % g.d
-                for u in g.inputs + self.link_labels
-            }
-            for gadget in g.gadgets:
-                self.ops.append(("embed", gadget))
-                for lab in sorted(gadget.in_labels, key=label_sort_key):
-                    self.ops.append(("measure", lab, "measure"))
-            for h, t in enumerate(g.outputs):
-                terms = tuple(
-                    (u, int(kappa[u][h]), "raw")
-                    for u in sorted(kappa, key=label_sort_key)
-                    if kappa[u][h]
-                )
-                if terms:
-                    self.final_corrections.append((t, terms, "correct"))
-            self.measured = sorted(g.inputs + self.link_labels, key=label_sort_key)
-            for u in self.measured:
-                for nid in self.target_nodes:
-                    owner = source_node.get(u) or consumer[u]
-                    self.sends.append((owner, f"target {nid}", ("raw", u), False, False))
-        else:
-            for gadget in g.gadgets:
-                self.ops.append(("embed", gadget))
-            order = []
-            for gadget in reversed(g.gadgets):
-                V = gadget.matrix.a
-                for p, in_lab in enumerate(gadget.in_labels):
-                    terms = tuple(
-                        (out, int(V[q, p]), "raw")
-                        for q, out in enumerate(gadget.out_labels)
-                        if out in consumer and V[q, p]
-                    )
-                    if terms:
-                        self.ops.append(
-                            ("zcorr", in_lab, terms, f"z-correct {gadget.node_id}")
-                        )
-                link_ins = sorted(
-                    (lab for lab in gadget.in_labels if lab not in g.inputs),
-                    key=label_sort_key,
-                )
-                for lab in link_ins:
-                    stage = f"input-measure {gadget.node_id}"
-                    self.ops.append(("measure", lab, stage))
-                    order.append(lab)
-                    self.sends.append(
-                        (gadget.node_id, producer[lab], ("raw", lab), True, True)
-                    )
-            for s in sorted(g.inputs, key=label_sort_key):
-                self.ops.append(("measure", s, "source-measure"))
-                order.append(s)
-            self.measured = order
-
-            blocks_by_node = {}
-            for h, t in enumerate(g.outputs):
-                blocks_by_node.setdefault(producer[t], []).append(h)
-            blocks = [blocks_by_node[nid] for nid in self.target_nodes]
-            self.block_B = find_block_diagonal_B(self.M, blocks)
-            if self.block_B is not None:
-                C = (self.block_B.T.a @ self.M.a) % g.d
-                for lab in self.link_labels:
-                    self.sends.append(
-                        (producer[lab], consumer[lab], ("sigma-link", lab), True, False)
-                    )
-            else:
-                self.requires_out_of_network = True
-                C = self.A.T.a % g.d
-                snodes = []
-                for s in g.inputs:
-                    if source_node[s] not in snodes:
-                        snodes.append(source_node[s])
-                for snid in snodes:
-                    for tnid in self.target_nodes:
-                        self.sends.append(
-                            (snid, f"target {tnid}", ("sigma-share", snid), False, False)
-                        )
-            for h, t in enumerate(g.outputs):
-                terms = tuple(
-                    (s, int(C[h, j]), "raw")
-                    for j, s in enumerate(g.inputs)
-                    if C[h, j]
-                )
-                if terms:
-                    self.final_corrections.append((t, terms, "sigma-correct"))
-
-    def resolve_forced(self, forced):
-        if forced is None:
-            return None
-        if isinstance(forced, dict):
-            return dict(forced)
-        forced = list(forced)
-        if len(forced) != len(self.measured):
-            raise ValueError(
-                f"expected {len(self.measured)} forced outcomes, got {len(forced)}"
-            )
-        return dict(zip(self.measured, forced))
-
-
-def _embed_into(reg: LabeledRegister, gadget):
+def _embed(reg, gadget):
+    """The coherent node step: fresh |0> outputs, then |x>|0> -> |x>|Vx>."""
     reg.add(list(gadget.out_labels), fill="zero")
-    V = gadget.matrix.a
-    for j, out in enumerate(gadget.out_labels):
-        for k_, in_lab in enumerate(gadget.in_labels):
-            if V[j, k_]:
-                reg.apply_cx(in_lab, out, int(V[j, k_]))
-
-
-def _exponent(terms, raw, d):
-    return sum(c * raw[lab] for lab, c, _use in terms) % d
+    reg.state = embed_node(
+        reg.state,
+        gadget.matrix,
+        [reg.axis[lab] for lab in gadget.in_labels],
+        [reg.axis[lab] for lab in gadget.out_labels],
+    )
 
 
 def run_coherent(
@@ -221,143 +86,14 @@ def run_coherent(
     Returns (output QuditState on the target qudits in declaration order,
     RunReport).  Outcomes are sampled via `seed` or pinned via `forced`
     (dict by qudit label, or sequence in this mode's measurement order).
+    Raises MemoryError, before allocating, when the live register would not
+    fit in physical memory.
     """
-    plan = _CoherentPlan(net, mode)
-    g = plan.geometry
-    if input_state.d != g.d or input_state.n != len(g.inputs):
-        raise ValueError(
-            f"input state must have {len(g.inputs)} qudits of dimension {g.d}"
-        )
-    forced_map = plan.resolve_forced(forced)
-    rng = np.random.default_rng(seed) if seed is not None else None
-    if forced_map is None and rng is None:
-        raise ValueError("provide a seed for sampling or a forced outcome assignment")
-
-    reg = LabeledRegister(input_state, g.inputs)
-    raw = {}
-    ledger = []
-    corrections = []
-    for op in plan.ops:
-        if op[0] == "embed":
-            _embed_into(reg, op[1])
-        elif op[0] == "measure":
-            _, label, stage = op
-            force = forced_map.get(label) if forced_map is not None else None
-            r = reg.measure(label, rng=rng, force=force)
-            raw[label] = r
-            ledger.append(OutcomeRecord(label, r, r, stage))
-        else:
-            _, qudit, terms, stage = op
-            exp = _exponent(terms, raw, g.d)
-            if exp:
-                reg.apply_z(qudit, exp)
-            corrections.append(CorrectionRecord("Z", qudit, int(exp), stage))
-
-    for qudit, terms, stage in plan.final_corrections:
-        exp = _exponent(terms, raw, g.d)
-        if exp:
-            reg.apply_z(qudit, exp)
-        corrections.append(CorrectionRecord("Z", qudit, int(exp), stage))
-
-    output_state = reg.extract(g.outputs)
-    oracle = oracle_output_state(plan.M, input_state)
-
-    sigma_links = {}
-    if mode == "constrained" and plan.block_B is not None:
-        sigma_links = _classical_links_for_plan(plan, raw)
-    messages = []
-    for sender, receiver, payload, over_network, backward in plan.sends:
-        kind, label = payload
-        if kind == "raw":
-            text = f"outcome({label})={raw[label]}"
-        elif kind == "sigma-link":
-            text = f"sigma-share({label})={sigma_links.get(label, 0)}"
-        else:
-            text = f"sigma-contribution({label})"
-        messages.append(
-            MessageRecord(sender, receiver, text, over_network=over_network,
-                          backward=backward)
-        )
-
-    report = RunReport(
-        path="coherent",
-        d=g.d,
-        mode=mode,
-        seed=seed,
-        forced_outcomes=None
-        if forced_map is None
-        else [[lab, int(forced_map[lab])] for lab in plan.measured],
-        outcomes=ledger,
-        corrections=corrections,
-        messages=messages,
-        resource_counts=geometry_counts(g),
-        requires_out_of_network=plan.requires_out_of_network,
-        fidelity_vs_oracle=fidelity(output_state, oracle),
-        depends={lab: row for lab, row in g.depends.items()
-                 if not lab.endswith("'")},
-    )
-    return output_state, report
-
-
-def _classical_links_for_plan(plan, raw):
-    values = {lab: raw[lab] for lab in plan.geometry.inputs}
-    for gadget in plan.geometry.gadgets:
-        x = np.asarray([values[lab] for lab in gadget.in_labels], dtype=np.int64)
-        y = gadget.matrix.mul_vec(x)
-        for j, out in enumerate(gadget.out_labels):
-            values[out] = int(y[j])
-    return values
+    plan = build_schedule(compile_network(net), mode)
+    return _run(plan, input_state, seed, forced, embed=_embed)
 
 
 def exhaustive_coherent(net, input_state, mode="free", amp_limit=2**22):
     """Iterate (outcome dict, output QuditState) over every measurement branch."""
-    plan = _CoherentPlan(net, mode)
-    g = plan.geometry
-    if input_state.d != g.d or input_state.n != len(g.inputs):
-        raise ValueError(
-            f"input state must have {len(g.inputs)} qudits of dimension {g.d}"
-        )
-    d = g.d
-    ops = plan.ops
-
-    def walk(state, axis, idx, outcomes):
-        while idx < len(ops) and ops[idx][0] != "measure":
-            op = ops[idx]
-            if op[0] == "embed":
-                gadget = op[1]
-                if d ** (state.n + len(gadget.out_labels)) > amp_limit:
-                    raise MemoryError("live register above the enumeration limit")
-                live = [lab for lab, _ax in sorted(axis.items(), key=lambda kv: kv[1])]
-                reg = LabeledRegister(state, live)
-                _embed_into(reg, gadget)
-                state, axis = reg.state, reg.axis
-            else:
-                _, qudit, terms, _stage = op
-                exp = _exponent(terms, outcomes, d)
-                if exp:
-                    state = state.apply_z(axis[qudit], exp)
-            idx += 1
-        if idx == len(ops):
-            order = [axis[t] for t in g.outputs]
-            t = np.moveaxis(state._tensor(), order, range(len(order)))
-            out = QuditState(len(order), d, t, normalize_check=False)
-            for qudit, terms, _stage in plan.final_corrections:
-                exp = _exponent(terms, outcomes, d)
-                if exp:
-                    out = out.apply_z(g.outputs.index(qudit), exp)
-            yield dict(outcomes), out
-            return
-        _, label, _stage = ops[idx]
-        q = axis[label]
-        new_axis = {
-            lab: ax - 1 if ax > q else ax for lab, ax in axis.items() if lab != label
-        }
-        for r, (_p, child) in enumerate(state.fourier_branches(q)):
-            if child is None:
-                continue
-            outcomes[label] = r
-            yield from walk(child, new_axis, idx + 1, outcomes)
-            del outcomes[label]
-
-    start_axis = {lab: i for i, lab in enumerate(g.inputs)}
-    yield from walk(input_state, start_axis, 0, {})
+    plan = build_schedule(compile_network(net), mode)
+    yield from _exhaustive(plan, input_state, amp_limit, embed=_embed)

@@ -57,9 +57,9 @@ def network_from_dict(doc: dict) -> CodingNetwork:
         links = [tuple(l) for l in doc["links"]]
         inputs = [tuple(p) for p in doc["inputs"]]
         outputs = [tuple(p) for p in doc["outputs"]]
+        return CodingNetwork(d, nodes, links, inputs, outputs)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed network document: {exc}") from exc
-    return CodingNetwork(d, nodes, links, inputs, outputs)
 
 
 def load_network(path) -> CodingNetwork:

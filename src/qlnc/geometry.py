@@ -61,17 +61,10 @@ class MbqcGeometry:
     gadgets: list = field(default_factory=list)  # NodeGadget in topological order
     num_links: int = 0
 
-    @property
-    def kind(self):
-        return dict(self.qudits)
-
     def measured_labels(self):
         """Every qudit that the one-way procedure measures (all but outputs)."""
         outs = set(self.outputs)
         return [lab for lab, _ in self.qudits if lab not in outs]
-
-    def aux_labels(self):
-        return [lab for lab, kind in self.qudits if kind == "auxiliary"]
 
     def message_like_labels(self):
         """Input and internal message qudits (the kappa-corrected measurements)."""
@@ -183,12 +176,18 @@ def resource_counts(net: CodingNetwork, geometry: MbqcGeometry) -> ResourceCount
     qudits = k + 2*l + 2*m for k inputs, l outputs, m internal links.  The
     one-way form needs 2(m+l) more entangling operations than the original
     protocol has controlled-shift gates, and 2(m+l) additional classical
-    messages, one pair per auxiliary qudit.
+    messages, one pair per auxiliary qudit.  The tally is read off `geometry`,
+    compiled from `net`, so run reports, which hold only the geometry, carry
+    the same numbers.
     """
-    k = net.num_inputs
-    ell = net.num_outputs
-    m = len(net.links)
-    nnz = sum(n.matrix.nnz() for n in net.nodes)
+    return _tally(geometry)
+
+
+def _tally(geometry: MbqcGeometry) -> ResourceCounts:
+    k = len(geometry.inputs)
+    ell = len(geometry.outputs)
+    m = geometry.num_links
+    nnz = sum(g.matrix.nnz() for g in geometry.gadgets)
     counts = ResourceCounts(
         qudits=k + 2 * ell + 2 * m,
         entangling_ops=nnz + 2 * (m + ell),

@@ -4,6 +4,14 @@ The procedure is: entangle the input state into the graph state, measure
 every non-output qudit in the Fourier basis under a mode-dependent schedule,
 and remove the byproducts with classically controlled corrections.
 
+build_schedule makes the one plan both execution paths run.  The coherent
+path (coherent.py) is this plan without its auxiliary qudits: each node step
+is a cX embedding instead of a graph-state gadget, and the auxiliary
+measurements, their messages and the shift corrections they drive are
+skipped.  One single-run driver executes either path, and one branch walker
+enumerates the branches of either path for exhaustive_mbqc, branch_survey
+and coherent.exhaustive_coherent.
+
 Two communication regimes are supported.
 
 free:        all measurements share one logical step; measurement results go
@@ -33,15 +41,16 @@ subtracting the negated matrix row.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import MbqcGeometry, label_sort_key
+from .geometry import MbqcGeometry, _tally, label_sort_key
 from .network import UnsupportedNetworkError
 from .report import CorrectionRecord, MessageRecord, OutcomeRecord, RunReport
 from .ring import RingMatrix, find_block_diagonal_B, left_inverse
-from .states import LabeledRegister, QuditState, fidelity
+from .states import IMPOSSIBLE_TOL, LabeledRegister, QuditState, fidelity, fourier_matrix
 
 __all__ = [
     "Measure",
@@ -124,19 +133,13 @@ class Schedule:
 class _Plan:
     geometry: MbqcGeometry
     mode: str
-    local_aux: bool
     schedule: Schedule
     physical: list  # ("intro", gadget_idx) | ("measure", label, stage) | ("corr", Correct, stage)
     final_corrections: list  # (Correct, stage)
     adjust_terms: dict
-    stage_of: dict
     matrix: RingMatrix
     block_B: RingMatrix | None
     requires_out_of_network: bool
-    producer_node: dict
-    consumer_node: dict
-    source_node: dict
-    link_of_message: dict
 
 
 def _geometry_tables(geometry: MbqcGeometry):
@@ -157,19 +160,6 @@ def _geometry_tables(geometry: MbqcGeometry):
 def composite_of_geometry(geometry: MbqcGeometry) -> RingMatrix:
     rows = [geometry.depends[t] for t in geometry.outputs]
     return RingMatrix(np.asarray(rows, dtype=np.int64), geometry.d)
-
-
-def geometry_counts(geometry: MbqcGeometry):
-    k = len(geometry.inputs)
-    ell = len(geometry.outputs)
-    m = geometry.num_links
-    nnz = sum(g.matrix.nnz() for g in geometry.gadgets)
-    return {
-        "qudits": k + 2 * ell + 2 * m,
-        "entangling_ops": nnz + 2 * (m + ell),
-        "classical_messages_extra": 2 * (m + ell),
-        "cx_count_reference": nnz,
-    }
 
 
 def adjust_outcome(ledger, qudit, raw, upstream, terms, d, stage="adjust"):
@@ -228,7 +218,8 @@ def build_schedule(geometry: MbqcGeometry, mode, local_aux=False):
     A = left_inverse(M)
     if A is None:
         raise UnsupportedNetworkError(
-            f"composite map is not injective over Z_{d}; cannot run the one-way protocol"
+            f"composite map is not injective over Z_{d}; "
+            "neither the coherent nor the one-way protocol is defined"
         )
 
     adjust_terms = _aux_adjust_terms(geometry, local_aux)
@@ -241,7 +232,6 @@ def build_schedule(geometry: MbqcGeometry, mode, local_aux=False):
     stages = []
     physical = []
     final_corrections = []
-    stage_of = {}
     requires_oon = False
     block_B = None
 
@@ -257,8 +247,6 @@ def build_schedule(geometry: MbqcGeometry, mode, local_aux=False):
     if mode == "free":
         measured = sorted(geometry.measured_labels(), key=label_sort_key)
         stages.append(Stage("measure", [Measure(q) for q in measured]))
-        for q in measured:
-            stage_of[q] = "measure"
         adjusts = []
         for gadget in geometry.gadgets:
             for aux in gadget.aux_labels:
@@ -273,15 +261,11 @@ def build_schedule(geometry: MbqcGeometry, mode, local_aux=False):
 
         corrections = []
         kappa = {}
-        for u in geometry.message_like_labels():
+        for u in sorted(geometry.message_like_labels(), key=label_sort_key):
             kappa[u] = (A.T.a @ geometry.depends[u]) % d
         for h, t in enumerate(geometry.outputs):
             corrections.append(Correct("X", t, ((t + "'", 1, "adjusted"),)))
-            zterms = tuple(
-                (u, int(kappa[u][h]), "raw")
-                for u in sorted(kappa, key=label_sort_key)
-                if kappa[u][h]
-            )
+            zterms = tuple((u, int(kappa[u][h]), "raw") for u in kappa if kappa[u][h])
             if zterms:
                 corrections.append(Correct("Z", t, zterms))
         stages.append(Stage("correct", corrections))
@@ -302,8 +286,6 @@ def build_schedule(geometry: MbqcGeometry, mode, local_aux=False):
             name = f"aux-measure {nid}"
             auxs = sorted(gadget.aux_labels, key=label_sort_key)
             stages.append(Stage(name, [Measure(q) for q in auxs]))
-            for q in auxs:
-                stage_of[q] = name
             stages.append(
                 Stage(f"aux-adjust {nid}", [Adjust(a, adjust_terms[a]) for a in auxs])
             )
@@ -363,7 +345,6 @@ def build_schedule(geometry: MbqcGeometry, mode, local_aux=False):
                 stages.append(Stage(name, [Measure(q) for q in link_ins]))
                 sends = []
                 for q in link_ins:
-                    stage_of[q] = name
                     physical.append(("measure", q, name))
                     sends.append(
                         Send(nid, producer_node[q], ("raw", q), over_network=True,
@@ -376,7 +357,6 @@ def build_schedule(geometry: MbqcGeometry, mode, local_aux=False):
         src = sorted(geometry.inputs, key=label_sort_key)
         stages.append(Stage(name, [Measure(q) for q in src]))
         for q in src:
-            stage_of[q] = name
             physical.append(("measure", q, name))
 
         by_node = {}
@@ -420,23 +400,16 @@ def build_schedule(geometry: MbqcGeometry, mode, local_aux=False):
                 final_corrections.append((corr, "sigma-correct"))
         stages.append(Stage("sigma-correct", steps))
 
-    schedule = Schedule(mode, stages)
     return _Plan(
         geometry=geometry,
         mode=mode,
-        local_aux=local_aux,
-        schedule=schedule,
+        schedule=Schedule(mode, stages),
         physical=physical,
         final_corrections=final_corrections,
         adjust_terms=adjust_terms,
-        stage_of=stage_of,
         matrix=M,
         block_B=block_B,
         requires_out_of_network=requires_oon,
-        producer_node=producer_node,
-        consumer_node=consumer_node,
-        source_node=source_node,
-        link_of_message=link_of_message,
     )
 
 
@@ -450,35 +423,27 @@ def prepare_graph_state(geometry: MbqcGeometry, input_state: QuditState) -> Qudi
     Non-input qudits start in |+> and every edge contributes one cZ^weight.
     The returned register is ordered like geometry.qudits.
     """
-    reg = _prepare_register(geometry, input_state, geometry.gadgets)
+    _validate_input(geometry, input_state)
+    reg = LabeledRegister(input_state, geometry.inputs)
+    for gadget in geometry.gadgets:
+        _introduce(reg, gadget)
     return reg.extract([lab for lab, _ in geometry.qudits])
 
 
-def _prepare_register(geometry, input_state, gadgets):
-    if input_state.d != geometry.d or input_state.n != len(geometry.inputs):
-        raise ValueError(
-            f"input state must have {len(geometry.inputs)} qudits of dimension {geometry.d}"
-        )
-    reg = LabeledRegister(input_state, geometry.inputs)
-    for gadget in gadgets:
-        _introduce(reg, geometry, gadget)
-    return reg
-
-
-def _introduce(reg, geometry, gadget):
-    """Add one node's auxiliary and outgoing message qudits, fully entangled."""
+def _introduce(reg, gadget):
+    """The one-way node step: add the node's auxiliary and outgoing message
+    qudits in |+> and entangle them with its inputs."""
     fresh = []
     for j, out in enumerate(gadget.out_labels):
         fresh.append(gadget.aux_labels[j])
         fresh.append(out)
     reg.add(fresh, fill="plus")
     V = gadget.matrix.a
-    d = geometry.d
     for j, aux in enumerate(gadget.aux_labels):
         for k_, in_lab in enumerate(gadget.in_labels):
             if V[j, k_]:
                 reg.apply_cz(in_lab, aux, int(V[j, k_]))
-        reg.apply_cz(aux, gadget.out_labels[j], d - 1)
+        reg.apply_cz(aux, gadget.out_labels[j], reg.d - 1)
 
 
 class _Outcomes:
@@ -510,12 +475,73 @@ class _Outcomes:
         return sum(c * self.value(lab, use) for lab, c, use in correct.terms) % d
 
 
-def _resolve_forced(plan, forced):
+def _is_aux(label):
+    return label.endswith("'")
+
+
+def _reads_aux(correct: Correct):
+    return any(_is_aux(lab) for lab, _c, _use in correct.terms)
+
+
+def _steps(plan, coherent):
+    """The physical ops, final corrections and forced-outcome order of a path.
+
+    The coherent path is the one-way plan without its auxiliary qudits: a
+    node step embeds the node's map with controlled shifts instead of
+    teleporting through a gadget, so the auxiliary measurements and the
+    shift corrections that read them drop out.
+    """
+    ops, finals = plan.physical, plan.final_corrections
+    order = plan.schedule.measurement_order()
+    if coherent:
+        ops = [
+            op for op in ops
+            if not (op[0] == "measure" and _is_aux(op[1]))
+            and not (op[0] == "corr" and _reads_aux(op[1]))
+        ]
+        finals = [(c, stage) for c, stage in finals if not _reads_aux(c)]
+        order = [q for q in order if not _is_aux(q)]
+    return ops, finals, order
+
+
+def _peak_live(plan, ops, coherent):
+    """Most qudits live at once over `ops`.  A node step adds one qudit per
+    out-port on the coherent path and two (auxiliary and message) on the
+    one-way path; a measurement removes one."""
+    per_port = 1 if coherent else 2
+    live = peak = len(plan.geometry.inputs)
+    for op in ops:
+        if op[0] == "intro":
+            live += per_port * len(plan.geometry.gadgets[op[1]].out_labels)
+            peak = max(peak, live)
+        elif op[0] == "measure":
+            live -= 1
+    return peak
+
+
+def _check_memory(d, live):
+    """Refuse, before allocating, a run whose peak register cannot fit in
+    physical memory.  A gate or measurement holds about three registers at
+    once (its input, its result, and the collapsed branches of a
+    measurement): a run peaking at 15 qudits of dimension 3 reaches 3.0
+    times the 219 MiB register in resident memory."""
+    try:
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return  # the platform does not report its physical memory
+    need = 3 * 16 * d**live  # complex128 amplitudes
+    if need > have:
+        raise MemoryError(
+            f"the live register peaks at {live} qudits of dimension {d}: "
+            f"{need} bytes of working memory, above the {have} bytes of physical memory"
+        )
+
+
+def _resolve_forced(order, forced):
     if forced is None:
         return None
     if isinstance(forced, dict):
         return dict(forced)
-    order = plan.schedule.measurement_order()
     forced = list(forced)
     if len(forced) != len(order):
         raise ValueError(
@@ -534,13 +560,15 @@ def _apply_correction(reg_or_state, outcomes, correct, stage, corrections):
     corrections.append(CorrectionRecord(correct.op, correct.qudit, int(exp), stage))
 
 
-def _materialize_messages(plan, outcomes, sigma_link_values):
+def _materialize_messages(plan, outcomes, sigma_link_values, coherent):
     messages = []
     for stage in plan.schedule.stages:
         for step in stage.steps:
             if not isinstance(step, Send):
                 continue
             kind, label = step.payload
+            if coherent and kind in ("raw", "adjusted") and _is_aux(label):
+                continue
             if kind == "raw":
                 text = f"outcome({label})={outcomes.raw[label]}"
             elif kind == "adjusted":
@@ -559,7 +587,6 @@ def _materialize_messages(plan, outcomes, sigma_link_values):
 def _classical_link_values(plan, s_values):
     """Forward run of the underlying classical code on the outcome vector s."""
     geometry = plan.geometry
-    d = geometry.d
     values = {lab: int(s_values[lab]) for lab in geometry.inputs}
     for gadget in geometry.gadgets:
         x = np.asarray([values[lab] for lab in gadget.in_labels], dtype=np.int64)
@@ -596,6 +623,66 @@ def _validate_input(geometry, input_state):
         )
 
 
+def _run(plan, input_state, seed, forced, embed=None):
+    """The single-run driver behind run_mbqc and run_coherent.
+
+    Without `embed`, each node step prepares and entangles the node's
+    graph-state gadget.  With it, `embed(register, gadget)` is the node step
+    and the run is the coherent path: the plan without its auxiliary qudits.
+    """
+    geometry = plan.geometry
+    coherent = embed is not None
+    _validate_input(geometry, input_state)
+    ops, finals, order = _steps(plan, coherent)
+    forced_map = _resolve_forced(order, forced)
+    rng = np.random.default_rng(seed) if seed is not None else None
+    if forced_map is None and rng is None:
+        raise ValueError("provide a seed for sampling or a forced outcome assignment")
+    _check_memory(geometry.d, _peak_live(plan, ops, coherent))
+
+    node_step = embed or _introduce
+    reg = LabeledRegister(input_state, geometry.inputs)
+    outcomes = _Outcomes(plan)
+    corrections = []
+    for op in ops:
+        if op[0] == "intro":
+            node_step(reg, geometry.gadgets[op[1]])
+        elif op[0] == "measure":
+            _, label, stage = op
+            force = forced_map.get(label) if forced_map is not None else None
+            r = reg.measure(label, rng=rng, force=force)
+            outcomes.record(label, r, stage)
+        else:
+            _, correct, stage = op
+            _apply_correction(reg, outcomes, correct, stage, corrections)
+    for correct, stage in finals:
+        _apply_correction(reg, outcomes, correct, stage, corrections)
+
+    sigma_link_values = {}
+    if plan.mode == "constrained" and plan.block_B is not None:
+        sigma_link_values = _classical_link_values(plan, outcomes.raw)
+    output_state = reg.extract(geometry.outputs)
+    oracle = oracle_output_state(plan.matrix, input_state)
+    report = RunReport(
+        path="coherent" if coherent else "mbqc",
+        d=geometry.d,
+        mode=plan.mode,
+        seed=seed,
+        forced_outcomes=None
+        if forced_map is None
+        else [[lab, int(forced_map[lab])] for lab in order],
+        outcomes=outcomes.ledger,
+        corrections=corrections,
+        messages=_materialize_messages(plan, outcomes, sigma_link_values, coherent),
+        resource_counts=_tally(geometry).to_dict(),
+        requires_out_of_network=plan.requires_out_of_network,
+        fidelity_vs_oracle=fidelity(output_state, oracle),
+        depends={lab: row for lab, row in geometry.depends.items()
+                 if not (coherent and _is_aux(lab))},
+    )
+    return output_state, report
+
+
 def run_mbqc(
     geometry: MbqcGeometry,
     input_state: QuditState,
@@ -609,129 +696,25 @@ def run_mbqc(
     Outcomes are sampled with `seed` unless `forced` pins them (a dict keyed
     by qudit label, or a sequence in schedule measurement order).  The output
     state is delivered on the geometry's outputs, in declaration order.
+    Raises MemoryError, before allocating, when the live register would not
+    fit in physical memory.
     """
-    _validate_input(geometry, input_state)
     plan = build_schedule(geometry, mode, local_aux=local_aux)
-    forced_map = _resolve_forced(plan, forced)
-    rng = np.random.default_rng(seed) if seed is not None else None
-    if forced_map is None and rng is None:
-        raise ValueError("provide a seed for sampling or a forced outcome assignment")
-
-    reg = LabeledRegister(input_state, plan.geometry.inputs)
-    outcomes = _Outcomes(plan)
-    corrections = []
-    for op in plan.physical:
-        if op[0] == "intro":
-            _introduce(reg, plan.geometry, plan.geometry.gadgets[op[1]])
-        elif op[0] == "measure":
-            _, label, stage = op
-            force = forced_map.get(label) if forced_map is not None else None
-            r = reg.measure(label, rng=rng, force=force)
-            outcomes.record(label, r, stage)
-        else:
-            _, correct, stage = op
-            _apply_correction(reg, outcomes, correct, stage, corrections)
-
-    sigma_link_values = {}
-    if plan.mode == "constrained" and plan.block_B is not None:
-        sigma_link_values = _classical_link_values(
-            plan, {s: outcomes.raw[s] for s in plan.geometry.inputs}
-        )
-    for correct, stage in plan.final_corrections:
-        _apply_correction(reg, outcomes, correct, stage, corrections)
-
-    output_state = reg.extract(plan.geometry.outputs)
-    oracle = oracle_output_state(plan.matrix, input_state)
-
-    report = RunReport(
-        path="mbqc",
-        d=plan.geometry.d,
-        mode=mode,
-        seed=seed,
-        forced_outcomes=None
-        if forced_map is None
-        else [[lab, int(forced_map[lab])] for lab in plan.schedule.measurement_order()],
-        outcomes=outcomes.ledger,
-        corrections=corrections,
-        messages=_materialize_messages(plan, outcomes, sigma_link_values),
-        resource_counts=geometry_counts(plan.geometry),
-        requires_out_of_network=plan.requires_out_of_network,
-        fidelity_vs_oracle=fidelity(output_state, oracle),
-        depends={lab: row for lab, row in plan.geometry.depends.items()},
-    )
+    output_state, report = _run(plan, input_state, seed, forced)
     report.extra["local_aux"] = local_aux
     return output_state, report
 
 
-def exhaustive_mbqc(
-    geometry: MbqcGeometry,
-    input_state: QuditState,
-    mode="free",
-    local_aux=False,
-    amp_limit=2**22,
-):
-    """Iterate (outcome dict, output QuditState) over every measurement branch.
-
-    Branches share prefix work: the walk introduces each node's qudits in
-    protocol order and splits the live state into its d collapsed children at
-    every measurement, so cost is near-linear in the number of branches and
-    memory follows the live frontier, not the full qudit roster.  Branches
-    whose probability underflows the impossible-outcome tolerance are skipped.
-    """
-    _validate_input(geometry, input_state)
-    plan = build_schedule(geometry, mode, local_aux=local_aux)
-    d = geometry.d
-    ops = plan.physical
-
-    def walk(state, axis, idx, outcomes):
-        while idx < len(ops) and ops[idx][0] != "measure":
-            op = ops[idx]
-            if op[0] == "intro":
-                gadget = geometry.gadgets[op[1]]
-                grow = 2 * len(gadget.out_labels)
-                if d ** (state.n + grow) > amp_limit:
-                    raise MemoryError(
-                        f"live register would need d^{state.n + grow} amplitudes, "
-                        "above the enumeration limit"
-                    )
-                live = [lab for lab, _ax in sorted(axis.items(), key=lambda kv: kv[1])]
-                reg = LabeledRegister(state, live)
-                _introduce(reg, geometry, gadget)
-                state, axis = reg.state, reg.axis
-            else:
-                _, correct, _stage = op
-                exp = _branch_exponent(plan, correct, outcomes)
-                if exp:
-                    q = axis[correct.qudit]
-                    state = (
-                        state.apply_z(q, exp) if correct.op == "Z" else state.apply_x(q, exp)
-                    )
-            idx += 1
-        if idx == len(ops):
-            yield from _finish_branch(plan, state, axis, outcomes)
-            return
-        _, label, _stage = ops[idx]
-        q = axis[label]
-        new_axis = {
-            lab: ax - 1 if ax > q else ax for lab, ax in axis.items() if lab != label
-        }
-        for r, (_p, child) in enumerate(state.fourier_branches(q)):
-            if child is None:
-                continue
-            outcomes[label] = r
-            yield from walk(child, new_axis, idx + 1, outcomes)
-            del outcomes[label]
-
-    start_axis = {lab: i for i, lab in enumerate(geometry.inputs)}
-    yield from walk(input_state, start_axis, 0, {})
-
+# ----------------------------------------------------------------------
+# branch enumeration
+# ----------------------------------------------------------------------
 
 def _raw_coefficient_rows(plan, order):
     """Correction exponents as integer rows over the raw-outcome vector.
 
     The adjusted-outcome cascade is linear, so every correction exponent is a
     fixed integer combination of raw outcomes; expanding it once lets the
-    branch scanner evaluate corrections with a dot product.
+    branch walker evaluate corrections with a dot product.
     """
     d = plan.geometry.d
     pos = {lab: i for i, lab in enumerate(order)}
@@ -739,6 +722,8 @@ def _raw_coefficient_rows(plan, order):
     adj_rows = {}
     for gadget in plan.geometry.gadgets:
         for aux in gadget.aux_labels:
+            if aux not in pos:  # the coherent path measures no auxiliary
+                continue
             row = np.zeros(n, dtype=np.int64)
             row[pos[aux]] = 1
             for lab, coeff in plan.adjust_terms[aux]:
@@ -757,6 +742,122 @@ def _raw_coefficient_rows(plan, order):
     return row_of
 
 
+def _branches(plan, input_state, amp_limit, embed=None, normalize=False):
+    """Walk every measurement branch of a path depth first, on bare arrays.
+
+    Branches share prefix work: each node step runs once per prefix and each
+    measurement splits the live tensor into its d children, so memory follows
+    the live frontier, and corrections are dot products of precomputed rows
+    with the outcome vector.  A child whose squared norm is below
+    IMPOSSIBLE_TOL of its parent's is skipped; with `normalize` every child
+    is rescaled to norm 1.  `embed` selects the coherent path as in `_run`.
+
+    Yields (outcome vector in physical measurement order, output tensor in
+    declaration order with the final corrections applied, its squared norm).
+    The outcome vector is one buffer, overwritten by later branches.
+    """
+    geometry = plan.geometry
+    coherent = embed is not None
+    _validate_input(geometry, input_state)
+    d = geometry.d
+    ops, finals, _order = _steps(plan, coherent)
+    peak = _peak_live(plan, ops, coherent)
+    if d**peak > amp_limit:
+        raise MemoryError(
+            f"live register would need {d}^{peak} amplitudes, above the enumeration limit"
+        )
+    order = [op[1] for op in ops if op[0] == "measure"]
+    row_of = _raw_coefficient_rows(plan, order)
+    program = []
+    for op in ops:
+        if op[0] == "intro":
+            program.append(("intro", geometry.gadgets[op[1]]))
+        elif op[0] == "measure":
+            program.append(("measure", op[1], order.index(op[1])))
+        else:
+            program.append(("corr", op[1].op, op[1].qudit, row_of(op[1])))
+    outputs = geometry.outputs
+    finals = [(c.op, outputs.index(c.qudit), row_of(c)) for c, _stage in finals]
+    Finv = fourier_matrix_cached(d)
+    plus_cache = {}
+    rvec = np.zeros(len(order), dtype=np.int64)
+
+    start_axis = {lab: i for i, lab in enumerate(geometry.inputs)}
+    stack = [(0, None, 0, input_state._tensor(), start_axis, 1.0)]
+    while stack:
+        idx, p, r, arr, axis, nrm2 = stack.pop()
+        if p is not None:
+            rvec[p] = r
+        while idx < len(program) and program[idx][0] != "measure":
+            op = program[idx]
+            if op[0] == "intro" and embed is None:
+                arr, axis = _intro_array(arr, axis, op[1], d, plus_cache)
+            elif op[0] == "intro":
+                live = sorted(axis, key=axis.get)
+                reg = LabeledRegister(QuditState(len(live), d, arr, normalize_check=False), live)
+                embed(reg, op[1])
+                arr, axis = reg.state._tensor(), reg.axis
+            else:
+                exp = int(op[3] @ rvec) % d
+                if exp:
+                    arr = _weyl(arr, op[1], axis[op[2]], exp, d)
+            idx += 1
+        if idx == len(program):
+            t = np.moveaxis(arr, [axis[lab] for lab in outputs], range(len(outputs)))
+            for opname, h, row in finals:
+                exp = int(row @ rvec) % d
+                if exp:
+                    t = _weyl(t, opname, h, exp, d)
+            yield rvec, t, nrm2
+            continue
+        _, label, p = program[idx]
+        q = axis[label]
+        branches = np.tensordot(Finv, arr, axes=([1], [q]))
+        child_axis = {
+            lab: ax - 1 if ax > q else ax for lab, ax in axis.items() if lab != label
+        }
+        children = []
+        for r in range(d):
+            child = branches[r]
+            child_nrm2 = float(np.vdot(child, child).real)
+            if child_nrm2 < nrm2 * IMPOSSIBLE_TOL:
+                continue
+            if normalize:
+                child, child_nrm2 = child / np.sqrt(child_nrm2), 1.0
+            children.append((idx + 1, p, r, child, child_axis, child_nrm2))
+        stack.extend(reversed(children))
+
+
+def _exhaustive(plan, input_state, amp_limit, embed=None):
+    """(outcome dict, normalized output QuditState) for every branch."""
+    ops = _steps(plan, embed is not None)[0]
+    order = [op[1] for op in ops if op[0] == "measure"]
+    d = plan.geometry.d
+    for r, t, _nrm2 in _branches(plan, input_state, amp_limit, embed, normalize=True):
+        yield dict(zip(order, r.tolist())), QuditState(t.ndim, d, t, normalize_check=False)
+
+
+def exhaustive_mbqc(
+    geometry: MbqcGeometry,
+    input_state: QuditState,
+    mode="free",
+    local_aux=False,
+    amp_limit=2**22,
+):
+    """Iterate (outcome dict, output QuditState) over every measurement branch.
+
+    Branches share prefix work: the walk introduces each node's qudits in
+    protocol order and splits the live state into its d collapsed children at
+    every measurement, so cost is near-linear in the number of branches and
+    memory follows the live frontier, not the full qudit roster.  Branches
+    whose probability underflows the impossible-outcome tolerance are skipped.
+    Raises MemoryError up front when the live register would exceed
+    `amp_limit` amplitudes.
+    """
+    plan = build_schedule(geometry, mode, local_aux=local_aux)
+    yield from _exhaustive(plan, input_state, amp_limit)
+
+
 def branch_survey(
     geometry: MbqcGeometry,
     input_state: QuditState,
@@ -767,103 +868,23 @@ def branch_survey(
 ):
     """Fidelity of every measurement branch against a reference state.
 
-    Walks the full branch tree like exhaustive_mbqc but on bare arrays with
-    correction exponents reduced to precomputed dot products, which keeps the
-    per-branch overhead small enough to sweep millions of branches.  Returns
-    (branch_count, min_fidelity); `reference` defaults to the oracle image of
-    the input state.
+    Walks the same branch tree as exhaustive_mbqc without building a state
+    object per branch, which keeps the per-branch overhead small enough to
+    sweep millions of branches.  Returns (branch_count, min_fidelity);
+    `reference` defaults to the oracle image of the input state.
     """
     _validate_input(geometry, input_state)
     plan = build_schedule(geometry, mode, local_aux=local_aux)
-    d = geometry.d
     if reference is None:
         reference = oracle_output_state(plan.matrix, input_state)
-    ref = reference.psi.reshape((d,) * len(geometry.outputs))
-
-    order = [op[1] for op in plan.physical if op[0] == "measure"]
-    pos = {lab: i for i, lab in enumerate(order)}
-    row_of = _raw_coefficient_rows(plan, order)
-    ops = []
-    for op in plan.physical:
-        if op[0] == "intro":
-            ops.append(("intro", geometry.gadgets[op[1]]))
-        elif op[0] == "measure":
-            ops.append(("measure", op[1]))
-        else:
-            correct = op[1]
-            ops.append(("corr", correct.op, correct.qudit, row_of(correct)))
-    finals = [
-        (correct.op, correct.qudit, row_of(correct))
-        for correct, _stage in plan.final_corrections
-    ]
-    out_labels = geometry.outputs
-    Finv = fourier_matrix_cached(d)
-    plus_cache = {}
-    rvec = np.zeros(len(order), dtype=np.int64)
-    stats = {"count": 0, "min_fid": 1.0}
-
-    def leaf(arr, axis, nrm2):
-        perm = [axis[t] for t in out_labels]
-        t = np.moveaxis(arr, perm, range(len(perm)))
-        for opname, qudit, row in finals:
-            exp = int(row @ rvec) % d
-            if not exp:
-                continue
-            h = out_labels.index(qudit)
-            if opname == "X":
-                t = np.roll(t, exp, axis=h)
-            else:
-                shape = [d if i == h else 1 for i in range(len(out_labels))]
-                t = t * _z_phases(d, exp).reshape(shape)
+    ref = reference.psi.reshape((geometry.d,) * len(geometry.outputs))
+    count, worst = 0, 1.0
+    for _r, t, nrm2 in _branches(plan, input_state, amp_limit):
         fid = abs(np.vdot(ref, t)) / np.sqrt(nrm2)
-        stats["count"] += 1
-        if fid < stats["min_fid"]:
-            stats["min_fid"] = fid
-
-    def walk(arr, axis, nrm2, idx):
-        while idx < len(ops):
-            op = ops[idx]
-            if op[0] == "measure":
-                label = op[1]
-                q = axis[label]
-                branches = np.tensordot(Finv, arr, axes=([1], [q]))
-                new_axis = {
-                    lab: ax - 1 if ax > q else ax
-                    for lab, ax in axis.items()
-                    if lab != label
-                }
-                p = pos[label]
-                for r in range(d):
-                    child = branches[r]
-                    child_nrm2 = float(np.vdot(child, child).real)
-                    if child_nrm2 <= nrm2 * 1e-24:
-                        continue
-                    rvec[p] = r
-                    walk(child, new_axis, child_nrm2, idx + 1)
-                return
-            if op[0] == "intro":
-                gadget = op[1]
-                grow = 2 * len(gadget.out_labels)
-                if d ** (arr.ndim + grow) > amp_limit:
-                    raise MemoryError("live register above the enumeration limit")
-                arr, axis = _intro_array(arr, axis, gadget, d, plus_cache)
-            else:
-                _, opname, qudit, row = op
-                exp = int(row @ rvec) % d
-                if exp:
-                    q = axis[qudit]
-                    if opname == "X":
-                        arr = np.roll(arr, exp, axis=q)
-                    else:
-                        shape = [d if i == q else 1 for i in range(arr.ndim)]
-                        arr = arr * _z_phases(d, exp).reshape(shape)
-            idx += 1
-        leaf(arr, axis, nrm2)
-
-    start_axis = {lab: i for i, lab in enumerate(geometry.inputs)}
-    arr = input_state.psi.reshape((d,) * input_state.n)
-    walk(arr, start_axis, 1.0, 0)
-    return stats["count"], stats["min_fid"]
+        count += 1
+        if fid < worst:
+            worst = fid
+    return count, worst
 
 
 _Z_PHASE_CACHE = {}
@@ -877,16 +898,25 @@ def _z_phases(d, exp):
     return _Z_PHASE_CACHE[key]
 
 
+def _weyl(arr, op, axis, exp, d):
+    """X^exp or Z^exp on one axis of a bare amplitude tensor."""
+    if op == "X":
+        return np.roll(arr, exp, axis=axis)
+    shape = [d if i == axis else 1 for i in range(arr.ndim)]
+    return arr * _z_phases(d, exp).reshape(shape)
+
+
 def fourier_matrix_cached(d):
     if d not in _F_CACHE:
-        from .states import fourier_matrix
-
         _F_CACHE[d] = fourier_matrix(d, inverse=True)
     return _F_CACHE[d]
 
 
 def _intro_array(arr, axis, gadget, d, plus_cache):
-    """Adjoin one gadget's |+> qudits to a bare array and entangle its edges."""
+    """The one-way node step on a bare array: adjoin the gadget's |+> qudits
+    and entangle its edges.  It stays apart from `_introduce` because its
+    |+> amplitude d**(-n/2) and the register's (1/sqrt(d))**n differ in the
+    last bit, and each keeps the results of its callers unchanged."""
     grow = 2 * len(gadget.out_labels)
     if grow not in plus_cache:
         plus_cache[grow] = np.full((d,) * grow, d ** (-grow / 2), dtype=np.complex128)
@@ -911,38 +941,3 @@ def _cz_table(d, w, a, b, ndim):
     table = np.exp(2j * np.pi * (w % d) * np.outer(vals, vals) / d)
     shape = [d if i in (a, b) else 1 for i in range(ndim)]
     return table.reshape(shape)
-
-
-def _branch_exponent(plan, correct, outcomes):
-    d = plan.geometry.d
-    adjusted_cache = {}
-
-    def adjusted(label):
-        if label in adjusted_cache:
-            return adjusted_cache[label]
-        acc = outcomes[label]
-        for lab, coeff in plan.adjust_terms.get(label, ()):
-            acc -= coeff * adjusted(lab)
-        adjusted_cache[label] = acc % d
-        return adjusted_cache[label]
-
-    total = 0
-    for lab, coeff, use in correct.terms:
-        total += coeff * (outcomes[lab] if use == "raw" else adjusted(lab))
-    return total % d
-
-
-def _finish_branch(plan, state, axis, outcomes):
-    d = plan.geometry.d
-    outs = plan.geometry.outputs
-    order = [axis[t] for t in outs]
-    t = np.moveaxis(state._tensor(), order, range(len(order)))
-    out_state = QuditState(len(outs), d, t, normalize_check=False)
-    for correct, _stage in plan.final_corrections:
-        exp = _branch_exponent(plan, correct, outcomes)
-        if exp:
-            q = outs.index(correct.qudit)
-            out_state = (
-                out_state.apply_z(q, exp) if correct.op == "Z" else out_state.apply_x(q, exp)
-            )
-    yield dict(outcomes), out_state

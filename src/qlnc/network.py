@@ -103,8 +103,6 @@ class Wiring:
 
     in_feed: dict = field(default_factory=dict)
     out_feed: dict = field(default_factory=dict)
-    in_degree: dict = field(default_factory=dict)
-    out_degree: dict = field(default_factory=dict)
     topo_order: list = field(default_factory=list)
 
 
@@ -209,9 +207,6 @@ def wiring(net: CodingNetwork) -> Wiring:
         w.in_feed[key] = ("source", j)
     for j, key in enumerate(net.target_outputs):
         w.out_feed[key] = ("target", j)
-    for n in net.nodes:
-        w.in_degree[n.id] = n.matrix.cols
-        w.out_degree[n.id] = n.matrix.rows
     w.topo_order = _topological_order(net)
     return w
 

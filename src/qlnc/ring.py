@@ -128,11 +128,6 @@ class RingMatrix:
         return self.a.tolist()
 
 
-def mat_mul(a: RingMatrix, b: RingMatrix) -> RingMatrix:
-    """Product of two matrices over the same Z_d."""
-    return a @ b
-
-
 def smith_normal_form(matrix):
     """Smith normal form of an integer matrix, with transforms.
 

@@ -247,9 +247,6 @@ class LabeledRegister:
     def d(self):
         return self.state.d
 
-    def labels(self):
-        return sorted(self.axis, key=self.axis.get)
-
     def add(self, labels, fill):
         labels = list(labels)
         base = self.state.n

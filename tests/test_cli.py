@@ -168,6 +168,21 @@ def test_non_injective_exits_2(tmp_path):
     assert run_cli("run-mbqc", "--network", str(path), "--input", "0,0") == 2
 
 
+def test_malformed_link_exits_1(tmp_path, capsys):
+    doc = {
+        "version": 1,
+        "d": 2,
+        "nodes": [{"id": "W", "matrix": [[1]]}],
+        "links": [["W", 0, "W"]],
+        "inputs": [["W", 0]],
+        "outputs": [["W", 0]],
+    }
+    path = tmp_path / "short_link.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli("validate", "--network", str(path)) == 1
+    assert "error: cannot load network" in capsys.readouterr().err
+
+
 def test_impossible_outcome_exits_3(monkeypatch):
     def boom(*_a, **_k):
         raise ImpossibleOutcomeError("forced outcome has probability 0")

@@ -130,6 +130,27 @@ def test_swap_bell_all_branches():
             assert fidelity(out, bell) >= 1 - 1e-9
 
 
+def test_exhaustive_branches_match_forced_runs():
+    # every exhaustive_coherent branch is the forced run_coherent on its outcomes
+    nodes = [NodeSpec("S", RingMatrix([[1], [1]], 3)), NodeSpec("T", RingMatrix([[1, 1]], 3))]
+    diamond = CodingNetwork(
+        3, nodes, [("S", 0, "T", 0), ("S", 1, "T", 1)], [("S", 0)], [("T", 0)]
+    )
+    rng = np.random.default_rng(21)
+    for net in (diamond, no_block_network()):
+        psi = QuditState.haar_random(net.d, net.num_inputs, rng)
+        measured = net.num_inputs + len(net.links)
+        for mode in ("free", "constrained"):
+            branches = {
+                tuple(sorted(outs.items())): state
+                for outs, state in exhaustive_coherent(net, psi, mode=mode)
+            }
+            assert len(branches) == net.d**measured
+            for key, state in branches.items():
+                out, _rep = run_coherent(net, psi, mode=mode, forced=dict(key))
+                assert np.allclose(out.psi, state.psi, rtol=0, atol=1e-12)
+
+
 def test_multicast_basis_states_d3():
     net = butterfly_multicast(3)
     for s1, s2 in ((0, 0), (1, 2), (2, 1)):

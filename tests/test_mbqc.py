@@ -1,5 +1,8 @@
 """One-way execution: schedules, byproduct adjustment, correction routing."""
 
+import os
+import time
+
 import numpy as np
 import pytest
 
@@ -322,6 +325,22 @@ def test_exhaustive_respects_amplitude_limit():
     geo = compile_network(butterfly_swap(2))
     with pytest.raises(MemoryError):
         list(exhaustive_mbqc(geo, QuditState.basis(2, [0, 0]), amp_limit=2**4))
+
+
+def test_single_runs_refuse_registers_beyond_physical_memory():
+    # constrained swap keeps 12 qudits live on the one-way path (7^12
+    # amplitudes, 206 GiB) and 11 on the coherent path (13^11, 26 TiB)
+    need = 3 * 16 * 7**12
+    if os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") >= need:
+        pytest.skip("this machine could hold the register")
+    t0 = time.perf_counter()
+    with pytest.raises(MemoryError, match="physical memory"):
+        run_mbqc(compile_network(butterfly_swap(7)), QuditState.basis(7, [0, 0]),
+                 mode="constrained", seed=0)
+    with pytest.raises(MemoryError, match="physical memory"):
+        run_coherent(butterfly_swap(13), QuditState.basis(13, [0, 0]),
+                     mode="constrained", seed=0)
+    assert time.perf_counter() - t0 < 5
 
 
 def test_constrained_no_block_solution_flagged():
