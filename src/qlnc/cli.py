@@ -191,6 +191,9 @@ def main(argv=None) -> int:
     except InvalidNetworkError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except ValueError as exc:  # a flag combination the library rejects
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def _dispatch(args) -> int:

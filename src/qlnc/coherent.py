@@ -2,12 +2,14 @@
 
 Each node's map V becomes the embedding |x>|0> -> |x>|Vx>, realized as a
 product of controlled shifts cX^(V[j,k]) from its input qudits onto freshly
-prepared |0> outputs.  Input qudits are then decoupled by Fourier
-measurements, whose phases are erased either at the targets (free classical
-communication, exponents r * kappa_u with kappa_u = A^T lambda_u) or inside
-the network (constrained mode: Z^tau with tau = V^T r at the producing node,
-walking the network against its direction, then a block-diagonal correction
-for the source measurements routed as a classical network code).
+prepared |0> outputs (embed_node); the simulator moves the amplitudes of
+that permutation directly, which gives the same values.  Input qudits are
+then decoupled by Fourier measurements, whose phases are erased either at
+the targets (free classical communication, exponents r * kappa_u with
+kappa_u = A^T lambda_u) or inside the network (constrained mode: Z^tau with
+tau = V^T r at the producing node, walking the network against its
+direction, then a block-diagonal correction for the source measurements
+routed as a classical network code).
 
 This is the one-way plan of mbqc.build_schedule run without its auxiliary
 qudits: every node step is a cX embedding in place of the graph-state
@@ -63,15 +65,29 @@ def node_phase_correction(outcomes, L: RingMatrix) -> np.ndarray:
     return (L.T.a @ r) % L.d
 
 
+def _embed_array(arr, axis, gadget, d):
+    """The coherent node step on a bare amplitude tensor: fresh |0> outputs
+    appended after the live axes, then |x>|0> -> |x>|Vx>.  The map only
+    moves amplitudes, so it gives the same values as the cX^(V[j,k])
+    product of embed_node."""
+    ins = [axis[lab] for lab in gadget.in_labels]
+    k = len(ins)
+    src = np.moveaxis(arr, ins, range(k))
+    out = np.zeros(src.shape + (d,) * len(gadget.out_labels), dtype=np.complex128)
+    V = gadget.matrix.a
+    for x in np.ndindex(*src.shape[:k]):
+        y = (V @ np.asarray(x, dtype=np.int64)) % d
+        out[x + (Ellipsis,) + tuple(y.tolist())] = src[x]
+    axis = dict(axis)
+    for j, lab in enumerate(gadget.out_labels):
+        axis[lab] = arr.ndim + j
+    return np.moveaxis(out, range(k), ins), axis
+
+
 def _embed(reg, gadget):
-    """The coherent node step: fresh |0> outputs, then |x>|0> -> |x>|Vx>."""
-    reg.add(list(gadget.out_labels), fill="zero")
-    reg.state = embed_node(
-        reg.state,
-        gadget.matrix,
-        [reg.axis[lab] for lab in gadget.in_labels],
-        [reg.axis[lab] for lab in gadget.out_labels],
-    )
+    """The coherent node step on a labelled register."""
+    arr, reg.axis = _embed_array(reg.state._tensor(), reg.axis, gadget, reg.d)
+    reg.state = QuditState(arr.ndim, reg.d, arr, normalize_check=False)
 
 
 def run_coherent(
@@ -96,4 +112,4 @@ def run_coherent(
 def exhaustive_coherent(net, input_state, mode="free", amp_limit=2**22):
     """Iterate (outcome dict, output QuditState) over every measurement branch."""
     plan = build_schedule(compile_network(net), mode)
-    yield from _exhaustive(plan, input_state, amp_limit, embed=_embed)
+    yield from _exhaustive(plan, input_state, amp_limit, embed=_embed_array)

@@ -29,7 +29,20 @@ constrained: classical data stays on the network.  Auxiliary qudits are
              are measured and the residual phase is removed through a
              block-diagonal solution of M^T B M = 1 routed as a classical
              network code (or flagged as out-of-network traffic when no
-             such B exists).
+             such B exists).  Reports list outcomes, corrections and
+             messages in this order.
+
+Both modes are simulated in one frontier order: each node step is followed
+by the node's auxiliary measurements, its --local-aux shift corrections and
+the measurements of its inputs, so a qudit stays live only while a later
+step acts on it.  Fourier measurements on different qudits commute, and a
+Z^tau applied right before a Fourier measurement only relabels its outcome
+(signal shifting in the measurement calculus of Danos, Kashefi and
+Panangaden): measuring Z^tau psi gives r exactly when measuring psi gives
+r - tau, and leaves the same state.  So the simulation drops each such Z
+step of the constrained mode and adds tau to the simulated outcome
+afterwards, evaluating tau in report order; a forced outcome r is drawn as
+r - tau, with tau read off the forced outcomes.
 
 Sign conventions follow states.py: a Fourier outcome r on a qudit holding
 basis value v multiplies the branch by w^(-r v), auxiliary outcomes leave a
@@ -50,7 +63,14 @@ from .geometry import MbqcGeometry, _tally, label_sort_key
 from .network import UnsupportedNetworkError
 from .report import CorrectionRecord, MessageRecord, OutcomeRecord, RunReport
 from .ring import RingMatrix, find_block_diagonal_B, left_inverse
-from .states import IMPOSSIBLE_TOL, LabeledRegister, QuditState, fidelity, fourier_matrix
+from .states import (
+    IMPOSSIBLE_TOL,
+    ImpossibleOutcomeError,
+    LabeledRegister,
+    QuditState,
+    fidelity,
+    fourier_matrix,
+)
 
 __all__ = [
     "Measure",
@@ -135,6 +155,8 @@ class _Plan:
     mode: str
     schedule: Schedule
     physical: list  # ("intro", gadget_idx) | ("measure", label, stage) | ("corr", Correct, stage)
+    report_order: list  # ("measure", label, stage) | ("corr", Correct, stage)
+    shifts: dict  # measured label -> the Z step right before its measurement
     final_corrections: list  # (Correct, stage)
     adjust_terms: dict
     matrix: RingMatrix
@@ -230,7 +252,9 @@ def build_schedule(geometry: MbqcGeometry, mode, local_aux=False):
             target_nodes.append(nid)
 
     stages = []
-    physical = []
+    report_order = []
+    shifts = {}
+    node_corrections = {}  # gadget index -> its --local-aux X steps
     final_corrections = []
     requires_oon = False
     block_B = None
@@ -270,14 +294,7 @@ def build_schedule(geometry: MbqcGeometry, mode, local_aux=False):
                 corrections.append(Correct("Z", t, zterms))
         stages.append(Stage("correct", corrections))
         final_corrections = [(c, "correct") for c in corrections]
-
-        # physical order: frontier sweep, measuring as soon as a qudit is idle
-        for i, gadget in enumerate(geometry.gadgets):
-            physical.append(("intro", i))
-            for aux in sorted(gadget.aux_labels, key=label_sort_key):
-                physical.append(("measure", aux, "measure"))
-            for lab in sorted(gadget.in_labels, key=label_sort_key):
-                physical.append(("measure", lab, "measure"))
+        measure_stage = dict.fromkeys(measured, "measure")
 
     else:
         # phase A: auxiliary measurements in topological node order
@@ -289,16 +306,16 @@ def build_schedule(geometry: MbqcGeometry, mode, local_aux=False):
             stages.append(
                 Stage(f"aux-adjust {nid}", [Adjust(a, adjust_terms[a]) for a in auxs])
             )
-            physical.append(("intro", i))
             for q in auxs:
-                physical.append(("measure", q, name))
+                report_order.append(("measure", q, name))
             if local_aux:
                 name_x = f"x-correct {nid}"
-                steps = []
-                for j, out in enumerate(gadget.out_labels):
-                    corr = Correct("X", out, ((gadget.aux_labels[j], 1, "adjusted"),))
-                    steps.append(corr)
-                    physical.append(("corr", corr, name_x))
+                steps = [
+                    Correct("X", out, ((gadget.aux_labels[j], 1, "adjusted"),))
+                    for j, out in enumerate(gadget.out_labels)
+                ]
+                node_corrections[i] = [("corr", corr, name_x) for corr in steps]
+                report_order.extend(node_corrections[i])
                 stages.append(Stage(name_x, steps))
             else:
                 sends = []
@@ -333,7 +350,8 @@ def build_schedule(geometry: MbqcGeometry, mode, local_aux=False):
                 if terms:
                     corr = Correct("Z", in_lab, terms)
                     zsteps.append(corr)
-                    physical.append(("corr", corr, f"z-correct {nid}"))
+                    shifts[in_lab] = corr
+                    report_order.append(("corr", corr, f"z-correct {nid}"))
             if zsteps:
                 stages.append(Stage(f"z-correct {nid}", zsteps))
             link_ins = sorted(
@@ -345,7 +363,7 @@ def build_schedule(geometry: MbqcGeometry, mode, local_aux=False):
                 stages.append(Stage(name, [Measure(q) for q in link_ins]))
                 sends = []
                 for q in link_ins:
-                    physical.append(("measure", q, name))
+                    report_order.append(("measure", q, name))
                     sends.append(
                         Send(nid, producer_node[q], ("raw", q), over_network=True,
                              backward=True)
@@ -357,7 +375,7 @@ def build_schedule(geometry: MbqcGeometry, mode, local_aux=False):
         src = sorted(geometry.inputs, key=label_sort_key)
         stages.append(Stage(name, [Measure(q) for q in src]))
         for q in src:
-            physical.append(("measure", q, name))
+            report_order.append(("measure", q, name))
 
         by_node = {}
         for h, t in enumerate(geometry.outputs):
@@ -399,12 +417,30 @@ def build_schedule(geometry: MbqcGeometry, mode, local_aux=False):
                 steps.append(corr)
                 final_corrections.append((corr, "sigma-correct"))
         stages.append(Stage("sigma-correct", steps))
+        measure_stage = {lab: st for kind, lab, st in report_order if kind == "measure"}
+
+    # The simulation order is one frontier sweep for both modes: a node's
+    # step, its auxiliary measurements, its --local-aux X steps, then its
+    # inputs, each measured once no later step touches it.  The Z steps in
+    # `shifts` are not simulated: each relabels the outcome it precedes.
+    physical = []
+    for i, gadget in enumerate(geometry.gadgets):
+        physical.append(("intro", i))
+        for lab in sorted(gadget.aux_labels, key=label_sort_key):
+            physical.append(("measure", lab, measure_stage[lab]))
+        physical.extend(node_corrections.get(i, ()))
+        for lab in sorted(gadget.in_labels, key=label_sort_key):
+            physical.append(("measure", lab, measure_stage[lab]))
+    if mode == "free":
+        report_order = [op for op in physical if op[0] != "intro"]
 
     return _Plan(
         geometry=geometry,
         mode=mode,
         schedule=Schedule(mode, stages),
         physical=physical,
+        report_order=report_order,
+        shifts=shifts,
         final_corrections=final_corrections,
         adjust_terms=adjust_terms,
         matrix=M,
@@ -484,24 +520,26 @@ def _reads_aux(correct: Correct):
 
 
 def _steps(plan, coherent):
-    """The physical ops, final corrections and forced-outcome order of a path.
+    """The simulated ops, report order, final corrections and forced-outcome
+    order of a path.
 
     The coherent path is the one-way plan without its auxiliary qudits: a
     node step embeds the node's map with controlled shifts instead of
     teleporting through a gadget, so the auxiliary measurements and the
     shift corrections that read them drop out.
     """
-    ops, finals = plan.physical, plan.final_corrections
+    ops, report_ops, finals = plan.physical, plan.report_order, plan.final_corrections
     order = plan.schedule.measurement_order()
     if coherent:
-        ops = [
-            op for op in ops
-            if not (op[0] == "measure" and _is_aux(op[1]))
-            and not (op[0] == "corr" and _reads_aux(op[1]))
-        ]
+        def keep(op):
+            return not (op[0] == "measure" and _is_aux(op[1])) and not (
+                op[0] == "corr" and _reads_aux(op[1]))
+
+        ops = [op for op in ops if keep(op)]
+        report_ops = [op for op in report_ops if keep(op)]
         finals = [(c, stage) for c, stage in finals if not _reads_aux(c)]
         order = [q for q in order if not _is_aux(q)]
-    return ops, finals, order
+    return ops, report_ops, finals, order
 
 
 def _peak_live(plan, ops, coherent):
@@ -522,9 +560,10 @@ def _peak_live(plan, ops, coherent):
 def _check_memory(d, live):
     """Refuse, before allocating, a run whose peak register cannot fit in
     physical memory.  A gate or measurement holds about three registers at
-    once (its input, its result, and the collapsed branches of a
-    measurement): a run peaking at 15 qudits of dimension 3 reaches 3.0
-    times the 219 MiB register in resident memory."""
+    once; a Fourier measurement holds its input, the transposed copy that
+    np.tensordot makes of it, and the transformed result.  A one-way run of
+    butterfly_swap(11), 7 qudits live at its peak in either mode, reaches 3.0
+    times its 297 MiB register in resident memory."""
     try:
         have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
@@ -548,6 +587,62 @@ def _resolve_forced(order, forced):
             f"expected {len(order)} forced outcomes (one per measured qudit), got {len(forced)}"
         )
     return dict(zip(order, forced))
+
+
+def _simulated_forced(plan, forced_map):
+    """Forced outcomes as the simulation draws them.  A shifted qudit is
+    measured without its Z^tau, so forcing r on it forces r - tau, where tau
+    reads the forced outcomes of the qudits its Z step names."""
+    if forced_map is None:
+        return None
+    d = plan.geometry.d
+    simulated = dict(forced_map)
+    for label, shift in plan.shifts.items():
+        if label not in forced_map:
+            continue
+        tau = 0
+        for src, coeff, _use in shift.terms:
+            if src not in forced_map:
+                raise ValueError(
+                    f"the forced outcome of {label} is shifted by the outcome of {src}, "
+                    "which is not forced"
+                )
+            tau += coeff * int(forced_map[src])
+        simulated[label] = (int(forced_map[label]) - tau) % d
+    return simulated
+
+
+def _measure(reg, label, rng, forced_map, simulated_forced):
+    if simulated_forced is None or label not in simulated_forced:
+        return reg.measure(label, rng=rng)
+    try:
+        return reg.measure(label, force=simulated_forced[label])
+    except ImpossibleOutcomeError:
+        r = int(forced_map[label]) % reg.d
+        raise ImpossibleOutcomeError(
+            f"forced outcome {r} on {label} has probability below {IMPOSSIBLE_TOL}"
+        ) from None
+
+
+def _replay(plan, report_ops, simulated):
+    """Outcomes and correction records in report order.  A shifted qudit's
+    outcome is its simulated one plus the exponent tau of its Z step, which
+    reads outcomes that come before it in report order."""
+    d = plan.geometry.d
+    outcomes = _Outcomes(plan)
+    corrections = []
+    for kind, item, stage in report_ops:
+        if kind == "measure":
+            r = simulated[item]
+            shift = plan.shifts.get(item)
+            if shift is not None:
+                r = (r + outcomes.exponent(shift)) % d
+            outcomes.record(item, r, stage)
+        else:
+            corrections.append(
+                CorrectionRecord(item.op, item.qudit, int(outcomes.exponent(item)), stage)
+            )
+    return outcomes, corrections
 
 
 def _apply_correction(reg_or_state, outcomes, correct, stage, corrections):
@@ -633,28 +728,30 @@ def _run(plan, input_state, seed, forced, embed=None):
     geometry = plan.geometry
     coherent = embed is not None
     _validate_input(geometry, input_state)
-    ops, finals, order = _steps(plan, coherent)
+    ops, report_ops, finals, order = _steps(plan, coherent)
     forced_map = _resolve_forced(order, forced)
     rng = np.random.default_rng(seed) if seed is not None else None
     if forced_map is None and rng is None:
         raise ValueError("provide a seed for sampling or a forced outcome assignment")
+    simulated_forced = _simulated_forced(plan, forced_map)
     _check_memory(geometry.d, _peak_live(plan, ops, coherent))
 
     node_step = embed or _introduce
     reg = LabeledRegister(input_state, geometry.inputs)
-    outcomes = _Outcomes(plan)
-    corrections = []
+    simulated = _Outcomes(plan)
     for op in ops:
         if op[0] == "intro":
             node_step(reg, geometry.gadgets[op[1]])
         elif op[0] == "measure":
             _, label, stage = op
-            force = forced_map.get(label) if forced_map is not None else None
-            r = reg.measure(label, rng=rng, force=force)
-            outcomes.record(label, r, stage)
+            r = _measure(reg, label, rng, forced_map, simulated_forced)
+            simulated.record(label, r, stage)
         else:
+            # an X step of --local-aux; it reads auxiliary outcomes, which no
+            # shift touches, so the simulated ones are the reported ones
             _, correct, stage = op
-            _apply_correction(reg, outcomes, correct, stage, corrections)
+            _apply_correction(reg, simulated, correct, stage, [])
+    outcomes, corrections = _replay(plan, report_ops, simulated.raw)
     for correct, stage in finals:
         _apply_correction(reg, outcomes, correct, stage, corrections)
 
@@ -742,6 +839,26 @@ def _raw_coefficient_rows(plan, order):
     return row_of
 
 
+def _outcome_map(plan, coherent):
+    """The simulated measurement order of a path and the unitriangular map
+    T with r = T r' mod d from its simulated outcomes r' to the raw ones r.
+
+    A shifted qudit's raw outcome is its simulated one plus its Z step's
+    exponent, which reads raw outcomes reported before it (see _replay).
+    """
+    ops, report_ops, _finals, _order = _steps(plan, coherent)
+    order = [op[1] for op in ops if op[0] == "measure"]
+    pos = {lab: i for i, lab in enumerate(order)}
+    d = plan.geometry.d
+    T = np.eye(len(order), dtype=np.int64)
+    for kind, label, _stage in report_ops:
+        shift = plan.shifts.get(label) if kind == "measure" else None
+        if shift is not None:
+            for src, coeff, _use in shift.terms:
+                T[pos[label]] = (T[pos[label]] + coeff * T[pos[src]]) % d
+    return order, T
+
+
 def _branches(plan, input_state, amp_limit, embed=None, normalize=False):
     """Walk every measurement branch of a path depth first, on bare arrays.
 
@@ -750,24 +867,30 @@ def _branches(plan, input_state, amp_limit, embed=None, normalize=False):
     the live frontier, and corrections are dot products of precomputed rows
     with the outcome vector.  A child whose squared norm is below
     IMPOSSIBLE_TOL of its parent's is skipped; with `normalize` every child
-    is rescaled to norm 1.  `embed` selects the coherent path as in `_run`.
+    is rescaled to norm 1.  With `embed(array, axis, gadget, d)` as the node
+    step, the walk is the coherent path, as in `_run`.
 
-    Yields (outcome vector in physical measurement order, output tensor in
-    declaration order with the final corrections applied, its squared norm).
-    The outcome vector is one buffer, overwritten by later branches.
+    Yields (simulated outcome vector r' in physical measurement order, output
+    tensor in declaration order with the final corrections applied, its
+    squared norm); the raw outcomes are T r' mod d (see _outcome_map).  The
+    outcome vector is one buffer, overwritten by later branches.
     """
     geometry = plan.geometry
     coherent = embed is not None
     _validate_input(geometry, input_state)
     d = geometry.d
-    ops, finals, _order = _steps(plan, coherent)
+    ops, _report_ops, finals, _order = _steps(plan, coherent)
     peak = _peak_live(plan, ops, coherent)
     if d**peak > amp_limit:
         raise MemoryError(
             f"live register would need {d}^{peak} amplitudes, above the enumeration limit"
         )
-    order = [op[1] for op in ops if op[0] == "measure"]
+    order, T = _outcome_map(plan, coherent)
     row_of = _raw_coefficient_rows(plan, order)
+
+    def simulated_row(correct):
+        return (row_of(correct) @ T) % d
+
     program = []
     for op in ops:
         if op[0] == "intro":
@@ -775,9 +898,9 @@ def _branches(plan, input_state, amp_limit, embed=None, normalize=False):
         elif op[0] == "measure":
             program.append(("measure", op[1], order.index(op[1])))
         else:
-            program.append(("corr", op[1].op, op[1].qudit, row_of(op[1])))
+            program.append(("corr", op[1].op, op[1].qudit, simulated_row(op[1])))
     outputs = geometry.outputs
-    finals = [(c.op, outputs.index(c.qudit), row_of(c)) for c, _stage in finals]
+    finals = [(c.op, outputs.index(c.qudit), simulated_row(c)) for c, _stage in finals]
     Finv = fourier_matrix_cached(d)
     plus_cache = {}
     rvec = np.zeros(len(order), dtype=np.int64)
@@ -793,10 +916,7 @@ def _branches(plan, input_state, amp_limit, embed=None, normalize=False):
             if op[0] == "intro" and embed is None:
                 arr, axis = _intro_array(arr, axis, op[1], d, plus_cache)
             elif op[0] == "intro":
-                live = sorted(axis, key=axis.get)
-                reg = LabeledRegister(QuditState(len(live), d, arr, normalize_check=False), live)
-                embed(reg, op[1])
-                arr, axis = reg.state._tensor(), reg.axis
+                arr, axis = embed(arr, axis, op[1], d)
             else:
                 exp = int(op[3] @ rvec) % d
                 if exp:
@@ -830,11 +950,11 @@ def _branches(plan, input_state, amp_limit, embed=None, normalize=False):
 
 def _exhaustive(plan, input_state, amp_limit, embed=None):
     """(outcome dict, normalized output QuditState) for every branch."""
-    ops = _steps(plan, embed is not None)[0]
-    order = [op[1] for op in ops if op[0] == "measure"]
+    order, T = _outcome_map(plan, embed is not None)
     d = plan.geometry.d
     for r, t, _nrm2 in _branches(plan, input_state, amp_limit, embed, normalize=True):
-        yield dict(zip(order, r.tolist())), QuditState(t.ndim, d, t, normalize_check=False)
+        raw = (T @ r) % d
+        yield dict(zip(order, raw.tolist())), QuditState(t.ndim, d, t, normalize_check=False)
 
 
 def exhaustive_mbqc(

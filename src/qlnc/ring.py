@@ -77,7 +77,7 @@ class RingMatrix:
             raise ShapeError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        return RingMatrix(self.a @ other.a, self.d)
+        return RingMatrix(_matmul_mod(self.a, other.a, self.d), self.d)
 
     def __add__(self, other):
         if not isinstance(other, RingMatrix):
@@ -114,7 +114,7 @@ class RingMatrix:
         v = np.asarray(v, dtype=np.int64) % self.d
         if v.shape != (self.cols,):
             raise ShapeError(f"vector length {v.shape} does not match cols {self.cols}")
-        return (self.a @ v) % self.d
+        return _matmul_mod(self.a, v, self.d)
 
     def is_identity(self):
         return self.rows == self.cols and bool(
@@ -126,6 +126,17 @@ class RingMatrix:
 
     def tolist(self):
         return self.a.tolist()
+
+
+_INT64_MAX = np.iinfo(np.int64).max
+
+
+def _matmul_mod(a, b, d):
+    """a @ b mod d; in Python integers when an int64 sum of products of
+    entries in [0, d) could overflow, so the result is never wrapped."""
+    if (d - 1) ** 2 * a.shape[-1] > _INT64_MAX:
+        return ((a.astype(object) @ b.astype(object)) % d).astype(np.int64)
+    return (a @ b) % d
 
 
 def smith_normal_form(matrix):

@@ -172,6 +172,14 @@ class QuditState:
         )
         return self.tensor(extra)
 
+    def _fourier_outcomes(self, q):
+        """The register with qudit q in the Fourier basis, outcome axis first,
+        and the probability of each of its d outcomes."""
+        self._check_index(q)
+        Finv = fourier_matrix(self.d, inverse=True)
+        t = np.tensordot(Finv, self._tensor(), axes=([1], [q]))  # (r, ...rest)
+        return t, [float(np.vdot(t[r], t[r]).real) for r in range(self.d)]
+
     def fourier_branches(self, q):
         """All d outcome branches of a Fourier measurement on qudit q.
 
@@ -179,18 +187,14 @@ class QuditState:
         collapsed states are normalized and have qudit q removed.  The sum of
         probabilities is 1 up to numerical error.
         """
-        self._check_index(q)
-        Finv = fourier_matrix(self.d, inverse=True)
-        t = np.tensordot(Finv, self._tensor(), axes=([1], [q]))  # (r, ...rest)
+        t, probs = self._fourier_outcomes(q)
         branches = []
-        for r in range(self.d):
-            amp = t[r]
-            p = float(np.vdot(amp, amp).real)
+        for r, p in enumerate(probs):
             if p < IMPOSSIBLE_TOL:
                 branches.append((p, None))
             else:
                 collapsed = QuditState(
-                    self.n - 1, self.d, amp / np.sqrt(p), normalize_check=False
+                    self.n - 1, self.d, t[r] / np.sqrt(p), normalize_check=False
                 )
                 branches.append((p, collapsed))
         return branches
@@ -200,23 +204,23 @@ class QuditState:
 
         Outcome selection is either sampled from `rng` (numpy Generator) or
         forced to `force`.  The measured qudit is removed from the register
-        and the residual state renormalized.  Returns (r, new_state).
+        and the residual state renormalized.  Returns (r, new_state).  Only
+        the chosen outcome's slice is renormalized.
         """
-        branches = self.fourier_branches(q)
+        t, probs = self._fourier_outcomes(q)
         if force is not None:
             r = int(force) % self.d
-            p, state = branches[r]
-            if state is None:
+            if probs[r] < IMPOSSIBLE_TOL:
                 raise ImpossibleOutcomeError(
-                    f"forced outcome {r} has probability {p:.3e}"
+                    f"forced outcome {r} has probability {probs[r]:.3e}"
                 )
-            return r, state
-        if rng is None:
+        elif rng is None:
             raise ValueError("measure_fourier needs an rng or a forced outcome")
-        probs = np.asarray([b[0] for b in branches])
-        probs = probs / probs.sum()
-        r = int(rng.choice(self.d, p=probs))
-        return r, branches[r][1]
+        else:
+            p = np.asarray(probs)
+            r = int(rng.choice(self.d, p=p / p.sum()))
+        collapsed = t[r] / np.sqrt(probs[r])
+        return r, QuditState(self.n - 1, self.d, collapsed, normalize_check=False)
 
     def norm(self):
         return float(np.linalg.norm(self.psi))

@@ -198,6 +198,15 @@ def test_usage_error_exits_64(capsys):
     capsys.readouterr()
 
 
+def test_library_value_error_exits_64(capsys):
+    # 9 qudits are measured on the coherent swap; --local-aux needs constrained
+    assert run_cli("run-coherent", "--network", BUTTERFLY, "--force-outcomes", "0,0,0") == 64
+    assert capsys.readouterr().err.startswith("error: expected 9 forced outcomes")
+    assert run_cli("run-mbqc", "--network", WIRE, "--local-aux", "--mode", "free") == 64
+    err = capsys.readouterr().err
+    assert err == "error: local auxiliary corrections only exist in constrained mode\n"
+
+
 def test_text_format(capsys):
     assert run_cli("counts", "--network", WIRE, "--format", "text") == 0
     out = capsys.readouterr().out

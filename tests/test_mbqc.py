@@ -9,9 +9,19 @@ import pytest
 from qlnc.bundled import butterfly_multicast, butterfly_swap, identity_wire
 from qlnc.coherent import run_coherent
 from qlnc.geometry import compile_network, label_sort_key
+from qlnc.coherent import _embed, _embed_array, embed_node
 from qlnc.mbqc import (
     Correct,
     Measure,
+    _apply_correction,
+    _classical_link_values,
+    _exhaustive,
+    _introduce,
+    _materialize_messages,
+    _Outcomes,
+    _peak_live,
+    _run,
+    _steps,
     adjust_outcome,
     branch_survey,
     build_schedule,
@@ -22,7 +32,7 @@ from qlnc.mbqc import (
 )
 from qlnc.network import CodingNetwork, NodeSpec, UnsupportedNetworkError, composite_map
 from qlnc.ring import RingMatrix, left_inverse
-from qlnc.states import QuditState, fidelity
+from qlnc.states import ImpossibleOutcomeError, LabeledRegister, QuditState, fidelity
 
 from helpers import random_network
 from test_coherent import bell_pair, no_block_network
@@ -328,19 +338,176 @@ def test_exhaustive_respects_amplitude_limit():
 
 
 def test_single_runs_refuse_registers_beyond_physical_memory():
-    # constrained swap keeps 12 qudits live on the one-way path (7^12
-    # amplitudes, 206 GiB) and 11 on the coherent path (13^11, 26 TiB)
-    need = 3 * 16 * 7**12
+    # both modes simulate in frontier order: swap keeps 7 qudits live on the
+    # one-way path (31^7 amplitudes, 1.3 TB of working memory) and 5 on the
+    # coherent path (101^5, 0.5 TB)
+    mbqc_plan = build_schedule(compile_network(butterfly_swap(31)), "constrained")
+    coh_plan = build_schedule(compile_network(butterfly_swap(101)), "constrained")
+    mbqc_peak = _peak_live(mbqc_plan, _steps(mbqc_plan, False)[0], False)
+    coh_peak = _peak_live(coh_plan, _steps(coh_plan, True)[0], True)
+    assert (mbqc_peak, coh_peak) == (7, 5)
+    need = 3 * 16 * min(31**mbqc_peak, 101**coh_peak)
     if os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") >= need:
         pytest.skip("this machine could hold the register")
     t0 = time.perf_counter()
     with pytest.raises(MemoryError, match="physical memory"):
-        run_mbqc(compile_network(butterfly_swap(7)), QuditState.basis(7, [0, 0]),
+        run_mbqc(compile_network(butterfly_swap(31)), QuditState.basis(31, [0, 0]),
                  mode="constrained", seed=0)
     with pytest.raises(MemoryError, match="physical memory"):
-        run_coherent(butterfly_swap(13), QuditState.basis(13, [0, 0]),
+        run_coherent(butterfly_swap(101), QuditState.basis(101, [0, 0]),
                      mode="constrained", seed=0)
     assert time.perf_counter() - t0 < 5
+
+
+def test_constrained_swap_d7_runs_at_free_mode_size():
+    net = butterfly_swap(7)
+    psi = QuditState.basis(7, [3, 5])
+    out, rep = run_mbqc(compile_network(net), psi, mode="constrained", seed=0)
+    assert fidelity(out, oracle_output_state(composite_map(net), psi)) >= 1 - 1e-9
+    assert rep.fidelity_vs_oracle >= 1 - 1e-9
+
+
+def test_constrained_peak_live_equals_free():
+    nets = [butterfly_swap(2), butterfly_multicast(3), identity_wire(2)]
+    rng = np.random.default_rng(404)
+    for i in range(20):
+        nets.append(random_network(rng, 2 + i % 5, require_injective=True, max_nodes=5,
+                                   max_links=6, size_cap=7))
+    for net in nets:
+        geo = compile_network(net)
+        for coherent in (False, True):
+            peaks = []
+            for mode in ("free", "constrained"):
+                plan = build_schedule(geo, mode)
+                peaks.append(_peak_live(plan, _steps(plan, coherent)[0], coherent))
+            assert peaks[0] == peaks[1]
+
+
+def _cx_embed(reg, gadget):
+    """The coherent node step as a product of cX gates on fresh |0> outputs."""
+    reg.add(list(gadget.out_labels), fill="zero")
+    reg.state = embed_node(reg.state, gadget.matrix,
+                           [reg.axis[lab] for lab in gadget.in_labels],
+                           [reg.axis[lab] for lab in gadget.out_labels])
+
+
+def _reverse_topological_reference(geo, psi, forced, local_aux, coherent):
+    """A constrained run in the logical schedule's order: each node step at
+    its auxiliary-measurement stage, each Z step applied and its qudit then
+    measured in reverse topological order, and the final corrections last."""
+    plan = build_schedule(geo, "constrained", local_aux=local_aux)
+    skip = (lambda q: q.endswith("'")) if coherent else (lambda q: False)
+    gadgets = {g.node_id: g for g in geo.gadgets}
+    reg = LabeledRegister(psi, geo.inputs)
+    finals = [(c, stage) for c, stage in plan.final_corrections
+              if not any(skip(lab) for lab, _c, _u in c.terms)]
+    outcomes, corrections = _Outcomes(plan), []
+    for stage in plan.schedule.stages:
+        if stage.name.startswith("aux-measure "):
+            (_cx_embed if coherent else _introduce)(reg, gadgets[stage.name.split()[1]])
+        for step in stage.steps:
+            if isinstance(step, Measure) and not skip(step.qudit):
+                r = reg.measure(step.qudit, force=forced[step.qudit])
+                outcomes.record(step.qudit, r, stage.name)
+            elif (isinstance(step, Correct)
+                  and step not in [c for c, _stage in plan.final_corrections]
+                  and not any(skip(lab) for lab, _c, _u in step.terms)):
+                _apply_correction(reg, outcomes, step, stage.name, corrections)
+    for correct, stage in finals:
+        _apply_correction(reg, outcomes, correct, stage, corrections)
+    links = _classical_link_values(plan, outcomes.raw) if plan.block_B is not None else {}
+    messages = _materialize_messages(plan, outcomes, links, coherent)
+    return reg.extract(geo.outputs), outcomes.ledger, corrections, messages
+
+
+def _diamond(d):
+    """The source duplicates, the target sums: composite [[2]]."""
+    nodes = [NodeSpec("S", RingMatrix([[1], [1]], d)), NodeSpec("T", RingMatrix([[1, 1]], d))]
+    return CodingNetwork(d, nodes, [("S", 0, "T", 0), ("S", 1, "T", 1)], [("S", 0)], [("T", 0)])
+
+
+def _shifted_networks(rng):
+    """Random injective networks over d = 3..6 whose plans shift some outcome."""
+    nets = []
+    for d, cap in ((3, 6), (4, 5), (5, 5), (6, 5)):
+        while True:
+            net = random_network(rng, d, require_injective=True, max_nodes=4, max_links=4,
+                                 size_cap=cap)
+            if build_schedule(compile_network(net), "constrained").shifts:
+                nets.append(net)
+                break
+    return nets
+
+
+def test_forced_constrained_runs_match_reverse_topological_reference():
+    rng = np.random.default_rng(505)
+    nets = [butterfly_swap(2), butterfly_swap(3), identity_wire(3), no_block_network(),
+            _diamond(5)] + _shifted_networks(rng)
+    for net in nets:
+        geo = compile_network(net)
+        psi = QuditState.haar_random(net.d, net.num_inputs, rng)
+        for coherent, local_aux in ((False, False), (False, True), (True, False)):
+            plan = build_schedule(geo, "constrained", local_aux=local_aux)
+            forced = {lab: int(rng.integers(0, net.d)) for lab in _steps(plan, coherent)[3]}
+            if coherent:
+                out, rep = run_coherent(net, psi, mode="constrained", forced=forced)
+            else:
+                out, rep = run_mbqc(geo, psi, mode="constrained", forced=forced,
+                                    local_aux=local_aux)
+            ref_out, ledger, corrections, messages = _reverse_topological_reference(
+                geo, psi, forced, local_aux, coherent)
+            assert rep.outcomes == ledger
+            assert rep.corrections == corrections
+            assert rep.messages == messages
+            assert fidelity(out, ref_out) >= 1 - 1e-12
+
+
+def test_exhaustive_outcomes_label_the_simulated_branch():
+    # without final corrections a branch's output still carries its outcomes,
+    # so a forced run on an exhaustive outcome dict must land on that branch
+    rng = np.random.default_rng(606)
+    # a chain S -> V -> T also shifts the outcomes of S's outgoing messages
+    nodes = [NodeSpec("S", RingMatrix([[1], [1]], 2)), NodeSpec("V", RingMatrix.identity(2, 2)),
+             NodeSpec("T", RingMatrix([[0, 1]], 2))]
+    links = [("S", 0, "V", 0), ("S", 1, "V", 1), ("V", 0, "T", 0), ("V", 1, "T", 1)]
+    chain = CodingNetwork(2, nodes, links, [("S", 0)], [("T", 0)])
+    for net in (_diamond(3), chain):
+        geo = compile_network(net)
+        psi = QuditState.haar_random(net.d, net.num_inputs, rng)
+        for embed, node_step, local_aux in ((None, None, False), (None, None, True),
+                                            (_embed_array, _embed, False)):
+            plan = build_schedule(geo, "constrained", local_aux=local_aux)
+            plan.final_corrections = []
+            assert plan.shifts
+            branches = list(_exhaustive(plan, psi, 2**16, embed=embed))
+            assert len(branches) == net.d ** len(branches[0][0])
+            for p in rng.choice(len(branches), size=6, replace=False):
+                outcomes, state = branches[p]
+                out, _rep = _run(plan, psi, None, outcomes, embed=node_step)
+                assert fidelity(out, state) >= 1 - 1e-9
+
+
+def test_partial_forced_outcome_needs_its_shift_forced():
+    # the Z step on s1 reads the outcomes of S1's outgoing messages
+    geo = compile_network(butterfly_swap(2))
+    plan = build_schedule(geo, "constrained")
+    assert {lab for lab, _c, _u in plan.shifts["s1"].terms} == {"m1", "m3"}
+    order = plan.schedule.measurement_order()
+    forced = {lab: 0 for lab in order if lab != "m3"}
+    with pytest.raises(ValueError, match="forced outcome of s1 .* outcome of m3"):
+        run_mbqc(geo, QuditState.basis(2, [0, 0]), mode="constrained", forced=forced, seed=0)
+
+
+def test_impossible_outcome_reports_the_forced_value():
+    # every outcome of the zero vector is impossible; the coherent path
+    # measures the shifted s1 first, and reports the value asked for
+    net = butterfly_swap(3)
+    plan = build_schedule(compile_network(net), "constrained")
+    forced = {lab: 0 for lab in _steps(plan, True)[3]}
+    forced["m1"], forced["s1"] = 1, 2  # the simulation draws s1 = 2 - 1 = 1
+    zero = QuditState(2, 3, np.zeros(9), normalize_check=False)
+    with pytest.raises(ImpossibleOutcomeError, match="forced outcome 2 on s1"):
+        run_coherent(net, zero, mode="constrained", forced=forced)
 
 
 def test_constrained_no_block_solution_flagged():

@@ -39,6 +39,14 @@ def test_mat_mul_hand_example_d3():
     assert (t1 @ v2).tolist() == [[1], [0]]
 
 
+def test_mat_mul_exact_for_moduli_beyond_int64_products():
+    d = 2**40 + 15  # (d-1)**2 overflows int64
+    a = RingMatrix([[d - 1, d - 2]], d)
+    b = RingMatrix([[d - 1], [d - 3]], d)
+    assert (a @ b).tolist() == [[7]]
+    assert a.mul_vec([d - 1, d - 3]).tolist() == [7]
+
+
 def test_mat_mul_shape_and_modulus_errors():
     with pytest.raises(ShapeError):
         RingMatrix.identity(2, 3) @ RingMatrix.identity(3, 3)
