@@ -49,8 +49,9 @@ print(
 
 # %%
 # Exhaustive sweep: all 2^18 forced-outcome branches of the free-mode swap.
-# Shared prefixes make this near-linear in the branch count; every branch
-# must land on the swapped state exactly.
+# The walker carries the branches as the rows of one array, so each node step
+# and measurement runs once per chunk of branches; every branch must land on
+# the swapped state exactly.
 count, worst = branch_survey(geo, psi, mode="free")
 print(f"swept {count} branches, worst fidelity {worst:.12f}")
 

@@ -11,7 +11,9 @@ Subcommands:
     counts        resource tally of the one-way compilation
 
 Exit codes: 0 success, 1 validation failure, 2 unsupported network
-(non-injective composite map), 3 impossible forced outcome, 64 usage error.
+(non-injective composite map), 3 impossible forced outcome, 4 the live
+register would not fit in memory (physical memory for one run, the
+enumeration limit for --exhaustive), 64 usage error.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_UNSUPPORTED = 2
 EXIT_IMPOSSIBLE = 3
+EXIT_MEMORY = 4
 EXIT_USAGE = 64
 
 
@@ -55,7 +58,7 @@ def _build_parser():
     parser = _Parser(prog="qlnc", description=__doc__.strip().splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, quantum=False):
+    def common(p, quantum=False, runs=False):
         p.add_argument("--network", required=True, help="network JSON file")
         p.add_argument("--out", help="write the report to this file")
         p.add_argument("--format", choices=("json", "text"), default="json")
@@ -65,16 +68,18 @@ def _build_parser():
             p.add_argument("--mode", choices=("free", "constrained"), default="free")
             p.add_argument("--seed", type=int, default=0, help="sampling seed")
             p.add_argument(
+                "--timings", action="store_true", help="include wall time in the report"
+            )
+        if runs:
+            branches = p.add_mutually_exclusive_group()
+            branches.add_argument(
                 "--force-outcomes",
                 help="comma-separated outcomes in schedule measurement order",
             )
-            p.add_argument(
+            branches.add_argument(
                 "--exhaustive",
                 action="store_true",
                 help="sweep every forced-outcome branch instead of one run",
-            )
-            p.add_argument(
-                "--timings", action="store_true", help="include wall time in the report"
             )
 
     common(sub.add_parser("validate", help="check the network file"))
@@ -83,9 +88,9 @@ def _build_parser():
     p.add_argument("--input", required=True, help="input vector, e.g. '1,0'")
 
     p = sub.add_parser("run-coherent", help="coherent simulation")
-    common(p, quantum=True)
+    common(p, quantum=True, runs=True)
     p = sub.add_parser("run-mbqc", help="one-way (graph state) execution")
-    common(p, quantum=True)
+    common(p, quantum=True, runs=True)
     p.add_argument(
         "--local-aux",
         action="store_true",
@@ -191,6 +196,9 @@ def main(argv=None) -> int:
     except InvalidNetworkError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except MemoryError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_MEMORY
     except ValueError as exc:  # a flag combination the library rejects
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -542,19 +542,25 @@ def _steps(plan, coherent):
     return ops, report_ops, finals, order
 
 
-def _peak_live(plan, ops, coherent):
-    """Most qudits live at once over `ops`.  A node step adds one qudit per
-    out-port on the coherent path and two (auxiliary and message) on the
-    one-way path; a measurement removes one."""
+def _live_counts(plan, ops, coherent):
+    """Qudits live before any of `ops`, then after each.  A node step adds
+    one qudit per out-port on the coherent path and two (auxiliary and
+    message) on the one-way path; a measurement removes one."""
     per_port = 1 if coherent else 2
-    live = peak = len(plan.geometry.inputs)
+    counts = [len(plan.geometry.inputs)]
     for op in ops:
+        live = counts[-1]
         if op[0] == "intro":
             live += per_port * len(plan.geometry.gadgets[op[1]].out_labels)
-            peak = max(peak, live)
         elif op[0] == "measure":
             live -= 1
-    return peak
+        counts.append(live)
+    return counts
+
+
+def _peak_live(plan, ops, coherent):
+    """Most qudits live at once over `ops`."""
+    return max(_live_counts(plan, ops, coherent))
 
 
 def _check_memory(d, live):
@@ -860,27 +866,36 @@ def _outcome_map(plan, coherent):
 
 
 def _branches(plan, input_state, amp_limit, embed=None, normalize=False):
-    """Walk every measurement branch of a path depth first, on bare arrays.
+    """Walk every measurement branch of a path depth first, in batches.
 
-    Branches share prefix work: each node step runs once per prefix and each
-    measurement splits the live tensor into its d children, so memory follows
-    the live frontier, and corrections are dot products of precomputed rows
-    with the outcome vector.  A child whose squared norm is below
-    IMPOSSIBLE_TOL of its parent's is skipped; with `normalize` every child
-    is rescaled to norm 1.  With `embed(array, axis, gadget, d)` as the node
-    step, the walk is the coherent path, as in `_run`.
+    A batch holds branches at one program position as the rows of one
+    array: axis 0 indexes the branch, the other axes the live qudits.  Node
+    steps act on the whole batch; a measurement contracts the measured axis
+    of every row and flattens (row, outcome) row-major into the children, so
+    branches stay in lexicographic outcome order; a correction raises each
+    row to its own exponent, the dot product of a precomputed row with that
+    branch's outcome vector.  A batch is taken in row ranges of at most
+    _CHUNK_AMPS // d**n rows, n the qudits live at the next measurement, the
+    rest staying on the stack as a view, so a chunk stays within _CHUNK_AMPS
+    amplitudes and each measurement level keeps at most one parent batch
+    alive.  A child whose squared norm is below IMPOSSIBLE_TOL of its
+    parent's is dropped; with `normalize` every child is rescaled to norm 1.
+    With `embed(array, axis, gadget, d)` as the node step, the walk is the
+    coherent path, as in `_run`.
 
-    Yields (simulated outcome vector r' in physical measurement order, output
-    tensor in declaration order with the final corrections applied, its
-    squared norm); the raw outcomes are T r' mod d (see _outcome_map).  The
-    outcome vector is one buffer, overwritten by later branches.
+    Yields batches (R, t, nrm2): the simulated outcome vectors r' in
+    physical measurement order as the rows of R, the output tensors in
+    declaration order with the final corrections applied as the rows of t,
+    and their squared norms; the raw outcomes are T r' mod d (see
+    _outcome_map).
     """
     geometry = plan.geometry
     coherent = embed is not None
     _validate_input(geometry, input_state)
     d = geometry.d
     ops, _report_ops, finals, _order = _steps(plan, coherent)
-    peak = _peak_live(plan, ops, coherent)
+    live = _live_counts(plan, ops, coherent)
+    peak = max(live)
     if d**peak > amp_limit:
         raise MemoryError(
             f"live register would need {d}^{peak} amplitudes, above the enumeration limit"
@@ -891,70 +906,73 @@ def _branches(plan, input_state, amp_limit, embed=None, normalize=False):
     def simulated_row(correct):
         return (row_of(correct) @ T) % d
 
-    program = []
-    for op in ops:
+    # The program as segments: the node and correction steps up to a
+    # measurement, the label it measures (None for the last segment) and the
+    # rows of a chunk, whose amplitudes stay within _CHUNK_AMPS at the most
+    # qudits the segment keeps live, those live just before its measurement.
+    segments, steps = [], []
+    for op, before in zip(ops, live):
         if op[0] == "intro":
-            program.append(("intro", geometry.gadgets[op[1]]))
-        elif op[0] == "measure":
-            program.append(("measure", op[1], order.index(op[1])))
+            steps.append(("intro", geometry.gadgets[op[1]]))
+        elif op[0] == "corr":
+            steps.append(("corr", op[1].op, op[1].qudit, simulated_row(op[1])))
         else:
-            program.append(("corr", op[1].op, op[1].qudit, simulated_row(op[1])))
+            segments.append((steps, op[1], max(1, _CHUNK_AMPS // d**before)))
+            steps = []
+    segments.append((steps, None, max(1, _CHUNK_AMPS // d**live[-1])))
     outputs = geometry.outputs
-    finals = [(c.op, outputs.index(c.qudit), simulated_row(c)) for c, _stage in finals]
+    finals = [(c.op, 1 + outputs.index(c.qudit), simulated_row(c)) for c, _stage in finals]
     Finv = fourier_matrix_cached(d)
     plus_cache = {}
-    rvec = np.zeros(len(order), dtype=np.int64)
 
-    start_axis = {lab: i for i, lab in enumerate(geometry.inputs)}
-    stack = [(0, None, 0, input_state._tensor(), start_axis, 1.0)]
+    start_axis = {lab: 1 + i for i, lab in enumerate(geometry.inputs)}
+    outcomes = np.zeros((1, len(order)), dtype=np.int64)
+    stack = [(0, input_state._tensor()[None], outcomes, np.ones(1), start_axis)]
     while stack:
-        idx, p, r, arr, axis, nrm2 = stack.pop()
-        if p is not None:
-            rvec[p] = r
-        while idx < len(program) and program[idx][0] != "measure":
-            op = program[idx]
-            if op[0] == "intro" and embed is None:
-                arr, axis = _intro_array(arr, axis, op[1], d, plus_cache)
-            elif op[0] == "intro":
-                arr, axis = embed(arr, axis, op[1], d)
+        s, arr, R, nrm2, axis = stack.pop()
+        steps, label, rows = segments[s]
+        if len(arr) > rows:
+            stack.append((s, arr[rows:], R[rows:], nrm2[rows:], axis))
+            arr, R, nrm2 = arr[:rows], R[:rows], nrm2[:rows]
+        for step in steps:
+            if step[0] == "intro" and embed is None:
+                arr, axis = _intro_array(arr, axis, step[1], d, plus_cache)
+            elif step[0] == "intro":
+                arr, axis = embed(arr, axis, step[1], d)
             else:
-                exp = int(op[3] @ rvec) % d
-                if exp:
-                    arr = _weyl(arr, op[1], axis[op[2]], exp, d)
-            idx += 1
-        if idx == len(program):
-            t = np.moveaxis(arr, [axis[lab] for lab in outputs], range(len(outputs)))
+                arr = _weyl_rows(arr, step[1], axis[step[2]], (R @ step[3]) % d, d)
+        if label is None:
+            t = np.moveaxis(arr, [axis[lab] for lab in outputs], range(1, 1 + len(outputs)))
             for opname, h, row in finals:
-                exp = int(row @ rvec) % d
-                if exp:
-                    t = _weyl(t, opname, h, exp, d)
-            yield rvec, t, nrm2
+                t = _weyl_rows(t, opname, h, (R @ row) % d, d)
+            yield R, t, nrm2
             continue
-        _, label, p = program[idx]
         q = axis[label]
-        branches = np.tensordot(Finv, arr, axes=([1], [q]))
+        children = np.moveaxis(np.tensordot(Finv, arr, axes=([1], [q])), 0, 1)
+        children = children.reshape((len(arr) * d,) + children.shape[2:])
+        flat = children.reshape(len(children), -1).view(np.float64)  # (re, im) pairs
+        child_nrm2 = np.einsum("ij,ij->i", flat, flat)
+        R = np.repeat(R, d, axis=0)
+        R[:, order.index(label)] = np.tile(np.arange(d), len(arr))
+        keep = child_nrm2 >= np.repeat(nrm2, d) * IMPOSSIBLE_TOL
+        if not keep.all():
+            children, R, child_nrm2 = children[keep], R[keep], child_nrm2[keep]
+        if normalize:
+            children /= np.sqrt(child_nrm2).reshape((-1,) + (1,) * (children.ndim - 1))
+            child_nrm2 = np.ones(len(children))
         child_axis = {
             lab: ax - 1 if ax > q else ax for lab, ax in axis.items() if lab != label
         }
-        children = []
-        for r in range(d):
-            child = branches[r]
-            child_nrm2 = float(np.vdot(child, child).real)
-            if child_nrm2 < nrm2 * IMPOSSIBLE_TOL:
-                continue
-            if normalize:
-                child, child_nrm2 = child / np.sqrt(child_nrm2), 1.0
-            children.append((idx + 1, p, r, child, child_axis, child_nrm2))
-        stack.extend(reversed(children))
+        stack.append((s + 1, children, R, child_nrm2, child_axis))
 
 
 def _exhaustive(plan, input_state, amp_limit, embed=None):
     """(outcome dict, normalized output QuditState) for every branch."""
     order, T = _outcome_map(plan, embed is not None)
     d = plan.geometry.d
-    for r, t, _nrm2 in _branches(plan, input_state, amp_limit, embed, normalize=True):
-        raw = (T @ r) % d
-        yield dict(zip(order, raw.tolist())), QuditState(t.ndim, d, t, normalize_check=False)
+    for R, t, _nrm2 in _branches(plan, input_state, amp_limit, embed, normalize=True):
+        for raw, amps in zip(((R @ T.T) % d).tolist(), t):
+            yield dict(zip(order, raw)), QuditState(amps.ndim, d, amps, normalize_check=False)
 
 
 def exhaustive_mbqc(
@@ -966,11 +984,12 @@ def exhaustive_mbqc(
 ):
     """Iterate (outcome dict, output QuditState) over every measurement branch.
 
-    Branches share prefix work: the walk introduces each node's qudits in
-    protocol order and splits the live state into its d collapsed children at
-    every measurement, so cost is near-linear in the number of branches and
-    memory follows the live frontier, not the full qudit roster.  Branches
-    whose probability underflows the impossible-outcome tolerance are skipped.
+    Branches share prefix work and are swept in batches: the walk introduces
+    each node's qudits in protocol order and splits every branch of a batch
+    into its d collapsed children at each measurement, so memory follows the
+    live frontier within a fixed amplitude budget per batch.  Branches come
+    in lexicographic order of the simulated outcomes; those whose
+    probability underflows the impossible-outcome tolerance are skipped.
     Raises MemoryError up front when the live register would exceed
     `amp_limit` amplitudes.
     """
@@ -989,41 +1008,43 @@ def branch_survey(
     """Fidelity of every measurement branch against a reference state.
 
     Walks the same branch tree as exhaustive_mbqc without building a state
-    object per branch, which keeps the per-branch overhead small enough to
-    sweep millions of branches.  Returns (branch_count, min_fidelity);
+    object per branch: a batch takes one product with the conjugate
+    reference, which keeps the per-branch cost small enough to sweep
+    millions of branches.  Returns (branch_count, min_fidelity);
     `reference` defaults to the oracle image of the input state.
     """
     _validate_input(geometry, input_state)
     plan = build_schedule(geometry, mode, local_aux=local_aux)
     if reference is None:
         reference = oracle_output_state(plan.matrix, input_state)
-    ref = reference.psi.reshape((geometry.d,) * len(geometry.outputs))
+    ref = reference.psi.conj()
     count, worst = 0, 1.0
-    for _r, t, nrm2 in _branches(plan, input_state, amp_limit):
-        fid = abs(np.vdot(ref, t)) / np.sqrt(nrm2)
-        count += 1
-        if fid < worst:
-            worst = fid
+    for _R, t, nrm2 in _branches(plan, input_state, amp_limit):
+        fids = np.abs(t.reshape(len(t), -1) @ ref) / np.sqrt(nrm2)
+        count += len(t)
+        worst = min(worst, float(fids.min()))
     return count, worst
 
 
-_Z_PHASE_CACHE = {}
+# Amplitudes a chunk of branches may reach before a measurement; the branch
+# walker transforms a batch in row ranges of _CHUNK_AMPS // d**live.
+_CHUNK_AMPS = 2**15
+
+_Z_TABLE_CACHE = {}
 _F_CACHE = {}
 
 
-def _z_phases(d, exp):
-    key = (d, exp % d)
-    if key not in _Z_PHASE_CACHE:
-        _Z_PHASE_CACHE[key] = np.exp(2j * np.pi * (exp % d) * np.arange(d) / d)
-    return _Z_PHASE_CACHE[key]
-
-
-def _weyl(arr, op, axis, exp, d):
-    """X^exp or Z^exp on one axis of a bare amplitude tensor."""
+def _weyl_rows(arr, op, axis, exps, d):
+    """X^e or Z^e on one axis of a batch, with exponent e = exps[b] on row b."""
     if op == "X":
-        return np.roll(arr, exp, axis=axis)
-    shape = [d if i == axis else 1 for i in range(arr.ndim)]
-    return arr * _z_phases(d, exp).reshape(shape)
+        view = arr.reshape(len(arr), -1, d, int(np.prod(arr.shape[axis + 1:])))
+        index = (np.arange(d) - exps[:, None]) % d
+        return np.take_along_axis(view, index[:, None, :, None], axis=2).reshape(arr.shape)
+    shape = [1] * arr.ndim
+    shape[0], shape[axis] = len(exps), d
+    if d not in _Z_TABLE_CACHE:
+        _Z_TABLE_CACHE[d] = np.exp(2j * np.pi * np.arange(d)[:, None] * np.arange(d) / d)
+    return arr * _Z_TABLE_CACHE[d][exps].reshape(shape)
 
 
 def fourier_matrix_cached(d):

@@ -1,11 +1,12 @@
 """Command-line surface: subcommands, file formats, exit codes, determinism."""
 
 import json
+import os
 
 import pytest
 
 import qlnc.cli as cli
-from qlnc.bundled import bundled_path
+from qlnc.bundled import bundled_path, butterfly_swap
 from qlnc.files import dump_json, load_input_state, load_network, network_to_dict
 from qlnc.states import ImpossibleOutcomeError
 
@@ -240,3 +241,39 @@ def test_network_roundtrip():
     text1 = dump_json(network_to_dict(load_network(BUTTERFLY)))
     text2 = dump_json(network_to_dict(load_network(BUTTERFLY)))
     assert text1 == text2
+
+
+def _swap31(tmp_path):
+    # swap over Z_31 keeps 7 qudits live on the one-way path: 31^7 amplitudes,
+    # 1.3 TB of working memory for one run, far above the enumeration limit
+    path = tmp_path / "swap31.json"
+    dump_json(network_to_dict(butterfly_swap(31)), str(path))
+    return str(path)
+
+
+def test_register_beyond_memory_exits_4(tmp_path, capsys):
+    path = _swap31(tmp_path)
+    if os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") >= 3 * 16 * 31**7:
+        pytest.skip("this machine could hold the register")
+    assert run_cli("run-mbqc", "--network", path) == 4
+    assert capsys.readouterr().err.startswith("error: the live register peaks at 7 qudits")
+
+
+def test_exhaustive_beyond_enumeration_limit_exits_4(tmp_path, capsys):
+    assert run_cli("run-mbqc", "--network", _swap31(tmp_path), "--exhaustive") == 4
+    err = capsys.readouterr().err
+    assert err == "error: live register would need 31^7 amplitudes, above the enumeration limit\n"
+
+
+def test_exhaustive_with_forced_outcomes_exits_64(capsys):
+    for command in ("run-coherent", "run-mbqc"):
+        argv = [command, "--network", BUTTERFLY, "--exhaustive", "--force-outcomes", "0,0,0"]
+        assert run_cli(*argv) == 64
+        assert "not allowed with argument" in capsys.readouterr().err
+
+
+def test_compare_takes_no_branch_flags(capsys):
+    assert run_cli("compare", "--network", WIRE, "--exhaustive") == 64
+    assert "unrecognized arguments: --exhaustive" in capsys.readouterr().err
+    assert run_cli("compare", "--network", WIRE, "--force-outcomes", "0") == 64
+    assert "unrecognized arguments: --force-outcomes" in capsys.readouterr().err

@@ -2,12 +2,13 @@
 
 import os
 import time
+from itertools import islice
 
 import numpy as np
 import pytest
 
 from qlnc.bundled import butterfly_multicast, butterfly_swap, identity_wire
-from qlnc.coherent import run_coherent
+from qlnc.coherent import exhaustive_coherent, run_coherent
 from qlnc.geometry import compile_network, label_sort_key
 from qlnc.coherent import _embed, _embed_array, embed_node
 from qlnc.mbqc import (
@@ -335,6 +336,79 @@ def test_exhaustive_respects_amplitude_limit():
     geo = compile_network(butterfly_swap(2))
     with pytest.raises(MemoryError):
         list(exhaustive_mbqc(geo, QuditState.basis(2, [0, 0]), amp_limit=2**4))
+
+
+def test_every_walker_respects_amplitude_limit():
+    # swap over Z_2 keeps 7 qudits live on the one-way path and 5 coherently
+    psi = QuditState.basis(2, [0, 0])
+    with pytest.raises(MemoryError, match="enumeration limit"):
+        list(exhaustive_coherent(butterfly_swap(2), psi, amp_limit=2**4))
+    with pytest.raises(MemoryError, match="enumeration limit"):
+        branch_survey(compile_network(butterfly_swap(2)), psi, amp_limit=2**6)
+
+
+def _generated(net, psi, mode, local_aux, limit=None):
+    """The first `limit` branches of both exhaustive generators, as ordered
+    outcome dicts and amplitude vectors."""
+    one_way = exhaustive_mbqc(compile_network(net), psi, mode=mode, local_aux=local_aux)
+    coherent = [] if local_aux else exhaustive_coherent(net, psi, mode=mode)
+    return [[(outs, state.psi) for outs, state in islice(gen, limit)]
+            for gen in (one_way, coherent)]
+
+
+def _survey(net, psi, mode, local_aux):
+    return branch_survey(compile_network(net), psi, mode=mode, local_aux=local_aux)
+
+
+def _assert_same_branches(got, want):
+    for branches, expected in zip(got, want):
+        assert [outs for outs, _ in branches] == [outs for outs, _ in expected]
+        for (_, amps), (_, ref) in zip(branches, expected):
+            assert np.abs(amps - ref).max() <= 1e-12
+
+
+def _chunk_cases():
+    modes = (("free", False), ("constrained", False), ("constrained", True))
+    rng = np.random.default_rng(2024)
+    swap_psi = QuditState.haar_random(2, 2, rng)
+    swap = [(butterfly_swap(2), swap_psi, mode, local) for mode, local in modes]
+    nets = []
+    for i in range(20):
+        d = 2 + i % 5
+        net = random_network(rng, d, require_injective=True, max_nodes=3, max_links=3,
+                             size_cap=5)
+        nets.append((net, QuditState.haar_random(d, net.num_inputs, rng), *modes[i % 3]))
+    return swap, nets
+
+
+def test_chunked_walks_keep_branch_order(monkeypatch):
+    # one row per chunk: every batch of two or more branches is split, and the
+    # rows left on the stack must come back in order after their children.
+    # The 2^18 one-way swap branches are compared on a prefix, which splits
+    # every measurement level; the coherent swap has 2^6 branches at most.
+    swap, nets = _chunk_cases()
+    want = [(_generated(*case), _survey(*case)) for case in nets]
+    swap_want = [_generated(*case, limit=1500) for case in swap]
+    monkeypatch.setattr("qlnc.mbqc._CHUNK_AMPS", 1)
+    for case, (branches, (count, worst)) in zip(nets, want):
+        _assert_same_branches(_generated(*case), branches)
+        got_count, got_worst = _survey(*case)
+        assert got_count == count
+        assert abs(got_worst - worst) <= 1e-12
+    for case, branches in zip(swap, swap_want):
+        _assert_same_branches(_generated(*case, limit=1500), branches)
+
+
+def test_chunked_swap_survey_matches_unchunked(monkeypatch):
+    # chunks of 251 rows where the one-way swap keeps its peak of 7 qudits
+    # live, so chunk boundaries there fall inside the children of one parent
+    swap, _nets = _chunk_cases()
+    want = [_survey(*case) for case in swap]
+    monkeypatch.setattr("qlnc.mbqc._CHUNK_AMPS", 251 * 2**7)
+    for case, (count, worst) in zip(swap, want):
+        got_count, got_worst = _survey(*case)
+        assert got_count == count == 2**18
+        assert abs(got_worst - worst) <= 1e-12
 
 
 def test_single_runs_refuse_registers_beyond_physical_memory():
