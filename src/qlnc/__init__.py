@@ -3,8 +3,8 @@ one-way (measurement-based) procedures on weighted graph states.
 
 The layers, bottom to top:
 
-    ring       exact Z_d linear algebra (Smith form, left inverses,
-               block-diagonal solutions of M^T B M = 1)
+    ring       exact Z_d linear algebra (diagonalization over Z_d, left
+               inverses, block-diagonal solutions of M^T B M = 1)
     network    DAG coding networks: validation, classical execution,
                composite map extraction
     states     dense n-qudit state vectors with the X/Z/F/cX/cZ gate set

@@ -1,10 +1,14 @@
 """Exact linear algebra over the cyclic ring Z_d.
 
 Matrices are stored with entries reduced into [0, d).  Because Z_d has zero
-divisors for composite d, rank questions are settled through the Smith
-normal form of the integer lift rather than Gaussian elimination: a map is
-injective mod d exactly when it has full column rank over the integers and
-every invariant factor is a unit mod d.
+divisors for composite d, rank questions are settled by diagonalizing over
+Z_d itself rather than by Gaussian elimination over a field: invertible row
+and column operations (extended-gcd steps where a pivot does not divide an
+entry) bring a matrix to diagonal form with every entry kept in [0, d), and
+a map is injective mod d exactly when it has at least as many rows as
+columns and its first `cols` diagonal entries are units mod d.
+`smith_normal_form` over the integers stays available but is not used by
+the solvers.
 
 All values are immutable after construction and all operations are pure.
 """
@@ -241,42 +245,131 @@ def smith_normal_form(matrix):
     return U, D, V
 
 
-def _invariant_factors(matrix):
-    _, D, _ = smith_normal_form(matrix)
-    k = min(len(D), len(D[0]) if D else 0)
-    return [D[i][i] for i in range(k) if D[i][i] != 0]
+def _divide(a, b, d):
+    """Some q with a*q == b mod d, or None if a does not divide b in Z_d."""
+    g = gcd(a, d)
+    if b % g:
+        return None
+    dd = d // g
+    return (b // g) * pow(a // g, -1, dd) % dd
+
+
+def _eliminator(a, b, d):
+    """Coefficients (s, t, u, v) of a 2x2 transform of determinant 1 that
+    takes (a, b) to (g, 0) mod d; a in [1, d) is the pivot."""
+    q = _divide(a, b, d)
+    if q is not None:
+        return 1, 0, -q % d, 1
+    # a does not divide b in Z_d, so g = gcd(a, b) shares strictly fewer
+    # factors with d than a does; at most log2(d) such steps per pivot
+    g = gcd(a, b)
+    s = pow(a // g, -1, b // g)  # s*a + t*b == g
+    t = (g - s * a) // b
+    return s % d, t % d, -(b // g) % d, (a // g) % d
+
+
+def _mix(x, y, s, t, u, v, d):
+    """The pair of lines (s x + t y, u x + v y) mod d."""
+    if (s, t, v) == (1, 0, 1):
+        return x, [(q + u * p) % d for p, q in zip(x, y)]
+    return (
+        [(s * p + t * q) % d for p, q in zip(x, y)],
+        [(u * p + v * q) % d for p, q in zip(x, y)],
+    )
+
+
+def _pivot(A, t, d):
+    """Position of the trailing entry sharing the fewest factors with d."""
+    best, at = d, None
+    for i in range(t, len(A)):
+        for j in range(t, len(A[i])):
+            x = A[i][j]
+            if x:
+                g = gcd(x, d)
+                if g < best:
+                    best, at = g, (i, j)
+                    if g == 1:
+                        return at
+    return at
+
+
+def _diagonalize(a, d):
+    """(U, D, V) with U @ a @ V == D mod d, U and V invertible mod d and D
+    diagonal, as lists of rows of Python ints in [0, d).
+
+    Elimination over the principal ideal ring Z_d itself (as in the Howell
+    form, Storjohann & Mulders 1998): every entry stays in [0, d) at every
+    step, so nothing grows or overflows at any size or modulus.  A pivot
+    that divides an entry in Z_d clears it with one subtraction; otherwise
+    a determinant-1 extended-gcd transform does.  At prime d every pivot
+    is a unit and this is Gaussian elimination.  The diagonal carries no
+    divisibility chain; only which of its entries are units is used.
+    """
+    n, m = a.shape
+    A = (np.asarray(a) % d).tolist()
+    U = [[int(i == j) for j in range(n)] for i in range(n)]
+    Vt = [[int(i == j) for j in range(m)] for i in range(m)]  # columns of V
+    for t in range(min(n, m)):
+        at = _pivot(A, t, d)
+        if at is None:
+            break
+        i, j = at
+        A[t], A[i] = A[i], A[t]
+        U[t], U[i] = U[i], U[t]
+        for row in A:
+            row[t], row[j] = row[j], row[t]
+        Vt[t], Vt[j] = Vt[j], Vt[t]
+        while True:
+            for i in range(t + 1, n):
+                if A[i][t]:
+                    k = _eliminator(A[t][t], A[i][t], d)
+                    A[t], A[i] = _mix(A[t], A[i], *k, d)
+                    U[t], U[i] = _mix(U[t], U[i], *k, d)
+            for j in range(t + 1, m):
+                if A[t][j]:
+                    k = _eliminator(A[t][t], A[t][j], d)
+                    col_t, col_j = _mix([r[t] for r in A], [r[j] for r in A], *k, d)
+                    for r, x, y in zip(A, col_t, col_j):
+                        r[t], r[j] = x, y
+                    Vt[t], Vt[j] = _mix(Vt[t], Vt[j], *k, d)
+            # a gcd step on the columns can refill the pivot's column
+            if not any(A[i][t] for i in range(t + 1, n)):
+                break
+    return U, A, [list(col) for col in zip(*Vt)]
 
 
 def is_injective(m: RingMatrix) -> bool:
-    """True iff m @ x = m @ y implies x = y over Z_d^cols."""
+    """True iff m @ x = m @ y implies x = y over Z_d^cols.
+
+    That holds exactly when m has at least as many rows as columns and
+    the first `cols` diagonal entries of its diagonalization over Z_d are
+    units.
+    """
     if m.cols == 0:
         return True
-    factors = _invariant_factors(m.a)
-    if len(factors) < m.cols:
+    if m.rows < m.cols:
         return False
-    return all(gcd(f, m.d) == 1 for f in factors)
+    _, D, _ = _diagonalize(m.a, m.d)
+    return all(gcd(D[i][i], m.d) == 1 for i in range(m.cols))
 
 
 def left_inverse(m: RingMatrix):
     """A left inverse A with A @ m == identity mod d, or None.
 
-    Built from the Smith decomposition of the integer lift: with
-    U m V = D and every invariant factor a unit mod d, the matrix
-    V D⁺ U reduced mod d inverts m from the left.  The result is
-    re-verified by multiplication before being returned.
+    From the diagonalization U m V = D over Z_d: when the first `cols`
+    diagonal entries are units, A = V D⁺ U with D⁺ their inverses inverts
+    m from the left.  The result is re-verified by multiplication before
+    being returned.
     """
-    d = m.d
-    U, D, V = smith_normal_form(m.a)
-    k = min(m.rows, m.cols)
-    diag = [D[i][i] for i in range(k)]
-    if len(diag) < m.cols or any(gcd(x, d) != 1 for x in diag[: m.cols]):
+    d, r, c = m.d, m.rows, m.cols
+    if r < c:
         return None
-    pinv = np.zeros((m.cols, m.rows), dtype=np.int64)
-    for i in range(m.cols):
-        pinv[i, i] = pow(diag[i] % d, -1, d)
-    Va = np.asarray(V, dtype=np.int64) % d
-    Ua = np.asarray(U, dtype=np.int64) % d
-    A = RingMatrix((Va @ pinv % d) @ Ua, d)
+    U, D, V = _diagonalize(m.a, d)
+    if any(gcd(D[i][i], d) != 1 for i in range(c)):
+        return None
+    inv = [pow(D[i][i], -1, d) for i in range(c)]
+    A = [[sum(v * x * u[j] for v, x, u in zip(row, inv, U)) % d for j in range(r)] for row in V]
+    A = RingMatrix(np.asarray(A, dtype=np.int64).reshape(c, r), d)
     if not (A @ m).is_identity():
         return None
     return A
@@ -285,31 +378,24 @@ def left_inverse(m: RingMatrix):
 def solve_modular(A: RingMatrix, b) -> np.ndarray | None:
     """One solution x of A @ x = b over Z_d, or None if unsolvable.
 
-    Diagonalizes the integer lift (U A V = D) and solves each scalar
-    congruence D_ii * y_i = (U b)_i mod d.
+    Diagonalizes A over Z_d (U A V = D) and solves each scalar congruence
+    D_ii * y_i = (U b)_i mod d; then x = V y.
     """
     d = A.d
     b = np.asarray(b, dtype=np.int64) % d
     if b.shape != (A.rows,):
         raise ShapeError(f"rhs length {b.shape} does not match rows {A.rows}")
-    U, D, V = smith_normal_form(A.a)
-    Ub = (np.asarray(U, dtype=np.int64) @ b) % d
-    y = np.zeros(A.cols, dtype=np.int64)
+    U, D, V = _diagonalize(A.a, d)
+    b = b.tolist()
     k = min(A.rows, A.cols)
-    for i in range(A.rows):
-        s = D[i][i] % d if i < k else 0
-        c = int(Ub[i])
-        if s == 0:
-            if c % d != 0:
-                return None
-            continue
-        g = gcd(s, d)
-        if c % g != 0:
+    y = [0] * A.cols
+    for i, row in enumerate(U):
+        q = _divide(D[i][i] if i < k else 0, sum(u * x for u, x in zip(row, b)) % d, d)
+        if q is None:
             return None
-        dd = d // g
-        y[i] = (c // g) * pow((s // g) % dd, -1, dd) % dd if dd > 1 else 0
-    x = (np.asarray(V, dtype=np.int64) @ y) % d
-    return x
+        if i < k:
+            y[i] = q
+    return np.asarray([sum(v * x for v, x in zip(row, y)) % d for row in V], dtype=np.int64)
 
 
 def find_block_diagonal_B(m: RingMatrix, blocks):

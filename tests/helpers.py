@@ -1,7 +1,7 @@
 """Shared test utilities: brute-force oracles and a random network generator.
 
-The brute-force routines deliberately avoid the library's Smith-form code
-paths so they can serve as independent cross-checks at small sizes.
+The brute-force and rank-mod-p routines deliberately avoid the library's
+ring solvers so they can serve as independent cross-checks.
 """
 
 from __future__ import annotations
@@ -36,6 +36,41 @@ def brute_left_inverse_1x1(m: RingMatrix):
         if (a * int(m.a[0, 0])) % m.d == 1:
             return RingMatrix([[a]], m.d)
     return None
+
+
+def prime_factors(d):
+    ps, p = [], 2
+    while p * p <= d:
+        if d % p == 0:
+            ps.append(p)
+            while d % p == 0:
+                d //= p
+        p += 1
+    return ps + [d] if d > 1 else ps
+
+
+def full_column_rank_mod_p(rows, p):
+    """Whether the integer matrix `rows` has full column rank over GF(p),
+    by Gaussian elimination in Python ints."""
+    a = [[x % p for x in row] for row in rows]
+    cols = len(a[0]) if a else 0
+    for c in range(cols):
+        piv = next((r for r in range(c, len(a)) if a[r][c]), None)
+        if piv is None:
+            return False
+        a[c], a[piv] = a[piv], a[c]
+        inv = pow(a[c][c], -1, p)
+        for r in range(c + 1, len(a)):
+            if a[r][c]:
+                f = a[r][c] * inv % p
+                a[r] = [(x - f * y) % p for x, y in zip(a[r], a[c])]
+    return True
+
+
+def injective_by_rank(m: RingMatrix) -> bool:
+    """m is injective over Z_d iff it has full column rank mod every prime p | d."""
+    rows = m.a.tolist()
+    return all(full_column_rank_mod_p(rows, p) for p in prime_factors(m.d))
 
 
 def dense_f(d, inverse=False):

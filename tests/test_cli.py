@@ -96,6 +96,36 @@ def test_bundled_networks_pass_compare(network, mode, capsys):
         assert v >= 1 - 1e-9
 
 
+def test_compare_layered_composite_modulus(tmp_path, capsys):
+    # 4 wide, 2 deep, d = 6: the constrained plan's block system is where
+    # integer-lift transforms overflowed int64
+    doc = {
+        "version": 1,
+        "d": 6,
+        "nodes": [
+            {"id": "L0N0", "matrix": [[5, 4], [5, 3]]},
+            {"id": "L0N1", "matrix": [[1, 3], [4, 1]]},
+            {"id": "L1N0", "matrix": [[4, 5], [1, 3]]},
+            {"id": "L1N1", "matrix": [[0, 1], [5, 4]]},
+        ],
+        "links": [
+            ["L0N1", 0, "L1N0", 0],
+            ["L0N0", 0, "L1N0", 1],
+            ["L0N0", 1, "L1N1", 0],
+            ["L0N1", 1, "L1N1", 1],
+        ],
+        "inputs": [["L0N0", 0], ["L0N0", 1], ["L0N1", 0], ["L0N1", 1]],
+        "outputs": [["L1N0", 0], ["L1N0", 1], ["L1N1", 0], ["L1N1", 1]],
+    }
+    path = tmp_path / "layered_d6.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli("compare", "--network", str(path), "--mode", "constrained") == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["classical_matches_composite"] is True
+    for v in out["fidelities"].values():
+        assert v == pytest.approx(1.0, abs=1e-12)
+
+
 def test_run_mbqc_report_fields(capsys):
     assert (
         run_cli(

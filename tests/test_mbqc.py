@@ -317,6 +317,48 @@ def test_composite_modulus_end_to_end(d, cap):
             assert fidelity(cout, oracle) >= 1 - 1e-9
 
 
+def _free_left_inverse(plan, k, l):
+    """A read back from the free plan's output Z corrections: the Z on t_h
+    carries kappa_u[h] r_u with kappa_u = A^T lambda_u, and lambda = e_j for
+    the input s_j, so the coefficient of s_j there is A[j][h]."""
+    A = np.zeros((k, l), dtype=np.int64)
+    for stage in plan.schedule.stages:
+        for step in stage.steps:
+            if isinstance(step, Correct) and step.op == "Z" and step.qudit.startswith("t"):
+                for label, coeff, _use in step.terms:
+                    if label.startswith("s"):
+                        A[int(label[1:]) - 1, int(step.qudit[1:]) - 1] = coeff
+    return RingMatrix(A, plan.matrix.d)
+
+
+def test_build_schedule_exact_on_300_random_composite_networks():
+    # composite d and up to 10 nodes, where integer-lift solvers overflowed
+    rng = np.random.default_rng(2)
+    planned = 0
+    for _ in range(300):
+        d = int(rng.choice([4, 6, 12, 30]))
+        net = random_network(rng, d, max_nodes=10, max_links=16, max_ports=3, size_cap=99)
+        geo = compile_network(net)
+        try:
+            free = build_schedule(geo, "free")
+        except UnsupportedNetworkError:
+            continue
+        planned += 1
+        M = free.matrix
+        assert (_free_left_inverse(free, M.cols, M.rows) @ M).is_identity()
+        plan = build_schedule(geo, "constrained")
+        B = plan.block_B
+        if B is None:
+            assert plan.requires_out_of_network
+            continue
+        assert not plan.requires_out_of_network
+        assert (M.T @ B @ M).is_identity()
+        producer = [node for node, _port in net.target_outputs]
+        for i, j in zip(*np.nonzero(B.a)):
+            assert producer[i] == producer[j]
+    assert planned >= 50
+
+
 def test_no_block_fallback_every_branch():
     # when no block-diagonal B exists, the direct-communication fallback must
     # still close every single branch, in both auxiliary-handling variants

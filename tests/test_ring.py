@@ -1,5 +1,8 @@
 """Exact Z_d linear algebra, cross-checked against brute force."""
 
+import itertools
+from math import gcd
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,8 +16,14 @@ from qlnc.ring import (
     smith_normal_form,
     solve_modular,
 )
+from qlnc.ring import _diagonalize
 
-from helpers import brute_injective, brute_left_inverse_1x1, random_ring_matrix
+from helpers import (
+    brute_injective,
+    brute_left_inverse_1x1,
+    injective_by_rank,
+    random_ring_matrix,
+)
 
 
 def test_entries_reduced_on_construction():
@@ -179,6 +188,78 @@ def test_solve_modular_roundtrip():
             sol = solve_modular(A, b)
             assert sol is not None
             assert np.array_equal(A.mul_vec(sol), b)
+
+
+def test_solvers_exact_on_1000_random_composite_systems():
+    # sizes and moduli at which integer-lift transforms outgrow 64 bits
+    rng = np.random.default_rng(6006)
+    bad = []
+    for trial in range(1000):
+        d = int(rng.choice([4, 6, 9, 10, 12, 30]))
+        rows, cols = int(rng.integers(4, 13)), int(rng.integers(3, 13))
+        A = random_ring_matrix(rng, rows, cols, d)
+        b = A.mul_vec(rng.integers(0, d, size=cols))
+        x = solve_modular(A, b)
+        if x is None or not np.array_equal(A.mul_vec(x), b):
+            bad.append((trial, "solve", d, A.tolist(), b.tolist()))
+        injective = injective_by_rank(A)
+        if is_injective(A) != injective:
+            bad.append((trial, "is_injective", d, A.tolist()))
+        L = left_inverse(A)
+        if (L is not None) != injective or (L is not None and not (L @ A).is_identity()):
+            bad.append((trial, "left_inverse", d, A.tolist()))
+    assert not bad, bad[:3]
+
+
+def test_diagonalize_is_exact_and_invertible():
+    rng = np.random.default_rng(77)
+    for _ in range(200):
+        d = int(rng.choice([2, 4, 6, 9, 12, 30, 2**61 - 1]))
+        rows, cols = (int(v) for v in rng.integers(1, 9, size=2))
+        a = np.array(
+            [[int(rng.integers(0, 2**62)) % d for _ in range(cols)] for _ in range(rows)],
+            dtype=object,
+        )
+        U, D, V = _diagonalize(a, d)
+        assert ((np.array(U, dtype=object) @ a @ np.array(V, dtype=object)) % d
+                == np.array(D, dtype=object)).all()
+        assert all(D[i][j] == 0 for i in range(rows) for j in range(cols) if i != j)
+        assert all(0 <= x < d for M in (U, D, V) for row in M for x in row)
+        for T in (U, V):
+            assert gcd(_det(T), d) == 1
+
+
+def _det(rows):
+    """Integer determinant by fraction-free (Bareiss) elimination."""
+    a = [list(r) for r in rows]
+    n, sign, prev = len(a), 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1]
+
+
+def test_solve_modular_none_iff_brute_force_finds_no_solution():
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        d = int(rng.choice([4, 6, 8, 9, 12]))
+        rows, cols = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        A = random_ring_matrix(rng, rows, cols, d)
+        b = rng.integers(0, d, size=rows)
+        reach = {tuple(A.mul_vec(np.asarray(v)).tolist())
+                 for v in itertools.product(range(d), repeat=cols)}
+        x = solve_modular(A, b)
+        assert (x is not None) == (tuple(b.tolist()) in reach)
+        if x is not None:
+            assert np.array_equal(A.mul_vec(x), b)
 
 
 def test_solve_modular_unsolvable():
