@@ -245,9 +245,7 @@ def _dispatch(args) -> int:
         if args.exhaustive:
             doc = _exhaustive_coherent_doc(net, state, args)
         else:
-            _out, report = run_coherent(
-                net, state, mode=args.mode, seed=args.seed, forced=forced
-            )
+            _out, report = run_coherent(net, state, mode=args.mode, seed=args.seed, forced=forced)
             report.seed = None if forced else args.seed
             if args.timings:
                 report.wall_time_ms = 1000 * (time.perf_counter() - t0)
@@ -272,14 +270,8 @@ def _dispatch(args) -> int:
                 "wall_time_ms": 1000 * (time.perf_counter() - t0) if args.timings else None,
             }
         else:
-            _out, report = run_mbqc(
-                geometry,
-                state,
-                mode=args.mode,
-                seed=args.seed,
-                forced=forced,
-                local_aux=args.local_aux,
-            )
+            _out, report = run_mbqc(geometry, state, mode=args.mode, seed=args.seed,
+                                    forced=forced, local_aux=args.local_aux)
             report.seed = None if forced else args.seed
             if args.timings:
                 report.wall_time_ms = 1000 * (time.perf_counter() - t0)

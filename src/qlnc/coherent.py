@@ -66,28 +66,26 @@ def node_phase_correction(outcomes, L: RingMatrix) -> np.ndarray:
 
 
 def _embed_array(arr, axis, gadget, d):
-    """The coherent node step on a bare amplitude tensor: fresh |0> outputs
-    appended after the live axes, then |x>|0> -> |x>|Vx>.  The map only
-    moves amplitudes, so it gives the same values as the cX^(V[j,k])
-    product of embed_node."""
+    """The coherent node step of single runs and the walker: |x>|0> -> |x>|Vx>
+    with fresh outputs after the live axes, written into a contiguous array
+    in final axis order.  It only moves amplitudes, so it gives the values
+    of embed_node's cX^(V[j,k]) product."""
     ins = [axis[lab] for lab in gadget.in_labels]
-    k = len(ins)
-    src = np.moveaxis(arr, ins, range(k))
-    out = np.zeros(src.shape + (d,) * len(gadget.out_labels), dtype=np.complex128)
+    out = np.zeros(arr.shape + (d,) * len(gadget.out_labels), dtype=np.complex128)
     V = gadget.matrix.a
-    for x in np.ndindex(*src.shape[:k]):
+    index = [slice(None)] * arr.ndim
+    for x in np.ndindex(*(d,) * len(ins)):
+        for ax, v in zip(ins, x):
+            index[ax] = v
         y = (V @ np.asarray(x, dtype=np.int64)) % d
-        out[x + (Ellipsis,) + tuple(y.tolist())] = src[x]
+        out[tuple(index) + tuple(y.tolist())] = arr[tuple(index)]
     axis = dict(axis)
     for j, lab in enumerate(gadget.out_labels):
         axis[lab] = arr.ndim + j
-    return np.moveaxis(out, range(k), ins), axis
+    return out, axis
 
 
-def _embed(reg, gadget):
-    """The coherent node step on a labelled register."""
-    arr, reg.axis = _embed_array(reg.state._tensor(), reg.axis, gadget, reg.d)
-    reg.state = QuditState(arr.ndim, reg.d, arr, normalize_check=False)
+_embed = _embed_array  # the node step `_run` takes for the coherent path
 
 
 def run_coherent(

@@ -10,7 +10,10 @@ is a cX embedding instead of a graph-state gadget, and the auxiliary
 measurements, their messages and the shift corrections they drive are
 skipped.  One single-run driver executes either path, and one branch walker
 enumerates the branches of either path for exhaustive_mbqc, branch_survey
-and coherent.exhaustive_coherent.
+and coherent.exhaustive_coherent.  Both step bare arrays, axis 0 indexing
+branches, with one kernel set (_intro_array, coherent._embed_array,
+_weyl_rows, the tables of states._table); a single run is a batch of one row
+that keeps one outcome per measurement, at two registers of memory.
 
 Two communication regimes are supported.
 
@@ -54,6 +57,7 @@ subtracting the negated matrix row.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -68,8 +72,8 @@ from .states import (
     ImpossibleOutcomeError,
     LabeledRegister,
     QuditState,
+    _table,
     fidelity,
-    fourier_matrix,
 )
 
 __all__ = [
@@ -503,12 +507,9 @@ class _Outcomes:
                 self.ledger, label, r, self.adjusted, terms, d, stage
             )
 
-    def value(self, label, use):
-        return self.raw[label] if use == "raw" else self.adjusted[label]
-
     def exponent(self, correct: Correct):
-        d = self.plan.geometry.d
-        return sum(c * self.value(lab, use) for lab, c, use in correct.terms) % d
+        return sum(c * (self.raw if use == "raw" else self.adjusted)[lab]
+                   for lab, c, use in correct.terms) % self.plan.geometry.d
 
 
 def _is_aux(label):
@@ -564,17 +565,15 @@ def _peak_live(plan, ops, coherent):
 
 
 def _check_memory(d, live):
-    """Refuse, before allocating, a run whose peak register cannot fit in
-    physical memory.  A gate or measurement holds about three registers at
-    once; a Fourier measurement holds its input, the transposed copy that
-    np.tensordot makes of it, and the transformed result.  A one-way run of
-    butterfly_swap(11), 7 qudits live at its peak in either mode, reaches 3.0
-    times its 297 MiB register in resident memory."""
+    """Refuse, before allocating, a run whose two registers (a measurement's
+    input and transform) cannot fit in physical memory.  By ru_maxrss above
+    baseline, one-way butterfly_swap(11) (7 qudits live, 297 MiB) peaks at
+    2.11 registers and coherent butterfly_swap(29) (5 live, 313 MiB) at 2.06."""
     try:
         have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
         return  # the platform does not report its physical memory
-    need = 3 * 16 * d**live  # complex128 amplitudes
+    need = 2 * 16 * d**live  # complex128 amplitudes
     if need > have:
         raise MemoryError(
             f"the live register peaks at {live} qudits of dimension {d}: "
@@ -600,7 +599,7 @@ def _simulated_forced(plan, forced_map):
     measured without its Z^tau, so forcing r on it forces r - tau, where tau
     reads the forced outcomes of the qudits its Z step names."""
     if forced_map is None:
-        return None
+        return {}
     d = plan.geometry.d
     simulated = dict(forced_map)
     for label, shift in plan.shifts.items():
@@ -616,18 +615,6 @@ def _simulated_forced(plan, forced_map):
             tau += coeff * int(forced_map[src])
         simulated[label] = (int(forced_map[label]) - tau) % d
     return simulated
-
-
-def _measure(reg, label, rng, forced_map, simulated_forced):
-    if simulated_forced is None or label not in simulated_forced:
-        return reg.measure(label, rng=rng)
-    try:
-        return reg.measure(label, force=simulated_forced[label])
-    except ImpossibleOutcomeError:
-        r = int(forced_map[label]) % reg.d
-        raise ImpossibleOutcomeError(
-            f"forced outcome {r} on {label} has probability below {IMPOSSIBLE_TOL}"
-        ) from None
 
 
 def _replay(plan, report_ops, simulated):
@@ -649,16 +636,6 @@ def _replay(plan, report_ops, simulated):
                 CorrectionRecord(item.op, item.qudit, int(outcomes.exponent(item)), stage)
             )
     return outcomes, corrections
-
-
-def _apply_correction(reg_or_state, outcomes, correct, stage, corrections):
-    exp = outcomes.exponent(correct)
-    if exp:
-        if correct.op == "X":
-            reg_or_state.apply_x(correct.qudit, exp)
-        else:
-            reg_or_state.apply_z(correct.qudit, exp)
-    corrections.append(CorrectionRecord(correct.op, correct.qudit, int(exp), stage))
 
 
 def _materialize_messages(plan, outcomes, sigma_link_values, coherent):
@@ -727,48 +704,69 @@ def _validate_input(geometry, input_state):
 def _run(plan, input_state, seed, forced, embed=None):
     """The single-run driver behind run_mbqc and run_coherent.
 
-    Without `embed`, each node step prepares and entangles the node's
-    graph-state gadget.  With it, `embed(register, gadget)` is the node step
-    and the run is the coherent path: the plan without its auxiliary qudits.
+    It steps a batch of one row with the walker's kernels, keeping at each
+    measurement the forced outcome or one drawn by rng.choice.  Without
+    `embed` each node step is _intro_array; with it, `embed(array, axis,
+    gadget, d)` is the node step and the run is the coherent path.
     """
     geometry = plan.geometry
+    d = geometry.d
     coherent = embed is not None
     _validate_input(geometry, input_state)
     ops, report_ops, finals, order = _steps(plan, coherent)
     forced_map = _resolve_forced(order, forced)
+    unset = [op[1] for op in ops if op[0] == "measure" and op[1] not in (forced_map or {})]
+    if seed is None and unset:
+        raise ValueError(f"the outcome of {unset[0]} is neither forced nor sampled: "
+                         "provide a seed for sampling or force it")
     rng = np.random.default_rng(seed) if seed is not None else None
-    if forced_map is None and rng is None:
-        raise ValueError("provide a seed for sampling or a forced outcome assignment")
     simulated_forced = _simulated_forced(plan, forced_map)
-    _check_memory(geometry.d, _peak_live(plan, ops, coherent))
+    _check_memory(d, _peak_live(plan, ops, coherent))
 
-    node_step = embed or _introduce
-    reg = LabeledRegister(input_state, geometry.inputs)
+    def choose(label, p):
+        if label not in simulated_forced:
+            return int(rng.choice(d, p=p / p.sum()))
+        r = int(simulated_forced[label]) % d
+        if p[r] < IMPOSSIBLE_TOL:
+            raise ImpossibleOutcomeError(f"forced outcome {int(forced_map[label]) % d} on "
+                                         f"{label} has probability below {IMPOSSIBLE_TOL}")
+        return r
+
+    node_step = embed or _intro_array
+    arr = input_state._tensor()[None]
+    axis = {lab: 1 + i for i, lab in enumerate(geometry.inputs)}
     simulated = _Outcomes(plan)
     for op in ops:
         if op[0] == "intro":
-            node_step(reg, geometry.gadgets[op[1]])
+            arr, axis = node_step(arr, axis, geometry.gadgets[op[1]], d)
         elif op[0] == "measure":
             _, label, stage = op
-            r = _measure(reg, label, rng, forced_map, simulated_forced)
+            q = axis.pop(label)
+            r, arr = _measure_row(arr, q, d, lambda p: choose(label, p))
+            axis = {lab: ax - 1 if ax > q else ax for lab, ax in axis.items()}
             simulated.record(label, r, stage)
         else:
             # an X step of --local-aux; it reads auxiliary outcomes, which no
             # shift touches, so the simulated ones are the reported ones
-            _, correct, stage = op
-            _apply_correction(reg, simulated, correct, stage, [])
-    outcomes, corrections = _replay(plan, report_ops, simulated.raw)
-    for correct, stage in finals:
-        _apply_correction(reg, outcomes, correct, stage, corrections)
+            exps = np.array([simulated.exponent(op[1])])
+            arr = _weyl_rows(arr, op[1].op, axis[op[1].qudit], exps, d)
+    outcomes, corrections = _replay(
+        plan, report_ops + [("corr", c, stage) for c, stage in finals], simulated.raw)
+    outputs = geometry.outputs
+    arr = np.moveaxis(arr, [axis[lab] for lab in outputs], range(1, 1 + len(outputs)))
+    for rec in corrections[len(corrections) - len(finals):]:
+        if rec.exponent:
+            exps = np.array([rec.exponent])
+            arr = _weyl_rows(arr, rec.op, 1 + outputs.index(rec.qudit), exps, d)
+    output_state = QuditState(len(outputs), d, arr[0], normalize_check=False)
 
     sigma_link_values = {}
     if plan.mode == "constrained" and plan.block_B is not None:
         sigma_link_values = _classical_link_values(plan, outcomes.raw)
-    output_state = reg.extract(geometry.outputs)
     oracle = oracle_output_state(plan.matrix, input_state)
     report = RunReport(
         path="coherent" if coherent else "mbqc",
-        d=geometry.d,
+        d=d,
         mode=plan.mode,
         seed=seed,
         forced_outcomes=None
@@ -922,8 +920,7 @@ def _branches(plan, input_state, amp_limit, embed=None, normalize=False):
     segments.append((steps, None, max(1, _CHUNK_AMPS // d**live[-1])))
     outputs = geometry.outputs
     finals = [(c.op, 1 + outputs.index(c.qudit), simulated_row(c)) for c, _stage in finals]
-    Finv = fourier_matrix_cached(d)
-    plus_cache = {}
+    node_step = embed or _intro_array
 
     start_axis = {lab: 1 + i for i, lab in enumerate(geometry.inputs)}
     outcomes = np.zeros((1, len(order)), dtype=np.int64)
@@ -935,10 +932,8 @@ def _branches(plan, input_state, amp_limit, embed=None, normalize=False):
             stack.append((s, arr[rows:], R[rows:], nrm2[rows:], axis))
             arr, R, nrm2 = arr[:rows], R[:rows], nrm2[:rows]
         for step in steps:
-            if step[0] == "intro" and embed is None:
-                arr, axis = _intro_array(arr, axis, step[1], d, plus_cache)
-            elif step[0] == "intro":
-                arr, axis = embed(arr, axis, step[1], d)
+            if step[0] == "intro":
+                arr, axis = node_step(arr, axis, step[1], d)
             else:
                 arr = _weyl_rows(arr, step[1], axis[step[2]], (R @ step[3]) % d, d)
         if label is None:
@@ -948,7 +943,7 @@ def _branches(plan, input_state, amp_limit, embed=None, normalize=False):
             yield R, t, nrm2
             continue
         q = axis[label]
-        children = np.moveaxis(np.tensordot(Finv, arr, axes=([1], [q])), 0, 1)
+        children = np.moveaxis(np.tensordot(_table("fourier", d), arr, axes=([1], [q])), 0, 1)
         children = children.reshape((len(arr) * d,) + children.shape[2:])
         flat = children.reshape(len(children), -1).view(np.float64)  # (re, im) pairs
         child_nrm2 = np.einsum("ij,ij->i", flat, flat)
@@ -1030,38 +1025,42 @@ def branch_survey(
 # walker transforms a batch in row ranges of _CHUNK_AMPS // d**live.
 _CHUNK_AMPS = 2**15
 
-_Z_TABLE_CACHE = {}
-_F_CACHE = {}
-
 
 def _weyl_rows(arr, op, axis, exps, d):
     """X^e or Z^e on one axis of a batch, with exponent e = exps[b] on row b."""
     if op == "X":
-        view = arr.reshape(len(arr), -1, d, int(np.prod(arr.shape[axis + 1:])))
+        view = arr.reshape(len(arr), -1, d, math.prod(arr.shape[axis + 1:]))
         index = (np.arange(d) - exps[:, None]) % d
         return np.take_along_axis(view, index[:, None, :, None], axis=2).reshape(arr.shape)
     shape = [1] * arr.ndim
     shape[0], shape[axis] = len(exps), d
-    if d not in _Z_TABLE_CACHE:
-        _Z_TABLE_CACHE[d] = np.exp(2j * np.pi * np.arange(d)[:, None] * np.arange(d) / d)
-    return arr * _Z_TABLE_CACHE[d][exps].reshape(shape)
+    return arr * _table("phase", d)[exps].reshape(shape)
 
 
-def fourier_matrix_cached(d):
-    if d not in _F_CACHE:
-        _F_CACHE[d] = fourier_matrix(d, inverse=True)
-    return _F_CACHE[d]
+def _measure_row(arr, q, d, choose):
+    """Fourier-measure axis q of a one-row batch; `choose(p)` picks outcome r
+    from the probabilities.  Returns r and the renormalized slice.  F^dagger
+    acts on the (before, d, after) view with no transposed copy, and the
+    transform is freed on return, so a run holds two registers at most."""
+    after = math.prod(arr.shape[q + 1:])
+    if d * after <= 64:
+        t = (arr.reshape(-1, d * after) @ _table("fourier", d, after)).reshape(-1, d, after)
+    else:
+        t = np.matmul(_table("fourier", d), arr.reshape(-1, d, after))
+    flat = t.view(np.float64)
+    p = np.einsum("brx,brx->r", flat, flat)
+    r = choose(p)
+    return r, (t[:, r] / np.sqrt(p[r])).reshape(arr.shape[:q] + arr.shape[q + 1:])
 
 
-def _intro_array(arr, axis, gadget, d, plus_cache):
-    """The one-way node step on a bare array: adjoin the gadget's |+> qudits
-    and entangle its edges.  It stays apart from `_introduce` because its
-    |+> amplitude d**(-n/2) and the register's (1/sqrt(d))**n differ in the
-    last bit, and each keeps the results of its callers unchanged."""
+def _intro_array(arr, axis, gadget, d):
+    """The one-way node step of single runs and the walker: adjoin the
+    gadget's |+> qudits after the live axes, entangle its edges in place.
+    Its |+> amplitude d**(-n/2) and the (1/sqrt(d))**n of `_introduce`, the
+    labelled-register step, differ in the last bit."""
     grow = 2 * len(gadget.out_labels)
-    if grow not in plus_cache:
-        plus_cache[grow] = np.full((d,) * grow, d ** (-grow / 2), dtype=np.complex128)
-    arr = np.multiply.outer(arr, plus_cache[grow])
+    plus = np.broadcast_to(np.complex128(d ** (-grow / 2)), (d,) * grow)
+    arr = np.multiply.outer(arr, plus)
     axis = dict(axis)
     base = arr.ndim - grow
     for j, out in enumerate(gadget.out_labels):
@@ -1069,16 +1068,10 @@ def _intro_array(arr, axis, gadget, d, plus_cache):
         axis[out] = base + 2 * j + 1
     V = gadget.matrix.a
     for j, aux in enumerate(gadget.aux_labels):
-        for k_, in_lab in enumerate(gadget.in_labels):
-            w = int(V[j, k_])
-            if w:
-                arr = arr * _cz_table(d, w, axis[in_lab], axis[aux], arr.ndim)
-        arr = arr * _cz_table(d, d - 1, axis[aux], axis[gadget.out_labels[j]], arr.ndim)
+        edges = [(in_lab, int(V[j, k_])) for k_, in_lab in enumerate(gadget.in_labels)]
+        for other, w in edges + [(gadget.out_labels[j], d - 1)]:
+            if w:  # cZ^w between `other` and the auxiliary qudit
+                ends = (axis[other], axis[aux])
+                shape = [d if i in ends else 1 for i in range(arr.ndim)]
+                arr *= _table("phase", d, w).reshape(shape)
     return arr, axis
-
-
-def _cz_table(d, w, a, b, ndim):
-    vals = np.arange(d)
-    table = np.exp(2j * np.pi * (w % d) * np.outer(vals, vals) / d)
-    shape = [d if i in (a, b) else 1 for i in range(ndim)]
-    return table.reshape(shape)

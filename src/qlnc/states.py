@@ -42,6 +42,26 @@ def fourier_matrix(d, inverse=False):
     return np.exp(sign * 2j * np.pi * x * r / d) / np.sqrt(d)
 
 
+_TABLES = {}
+
+
+def _table(kind, d, w=1):
+    """A read-only table shared by every kernel, built once per key.
+    ("phase", d, w): entries exp(2 pi i w a b / d), w taken mod d; the cZ^w
+    table, whose row e holds the phases of Z^(w e).  ("fourier", d, w):
+    F^dagger kron I_w; as F is symmetric, a (before, d * w) array times it
+    applies F^dagger to the axis of length d (w = 1: F^dagger itself)."""
+    key = (kind, d, w % d if kind == "phase" else w)
+    if key not in _TABLES:
+        if kind == "phase":
+            table = np.exp(2j * np.pi * key[2] * np.outer(np.arange(d), np.arange(d)) / d)
+        else:
+            table = np.kron(fourier_matrix(d, inverse=True), np.eye(w))
+        table.flags.writeable = False
+        _TABLES[key] = table
+    return _TABLES[key]
+
+
 class QuditState:
     """Pure state of n qudits of dimension d."""
 
@@ -88,9 +108,6 @@ class QuditState:
         v = rng.normal(size=d**n) + 1j * rng.normal(size=d**n)
         return cls(n, d, v / np.linalg.norm(v))
 
-    def copy(self):
-        return QuditState(self.n, self.d, self.psi.copy(), normalize_check=False)
-
     def _tensor(self):
         return self.psi.reshape((self.d,) * self.n)
 
@@ -109,10 +126,9 @@ class QuditState:
     def apply_z(self, q, power=1):
         """Phase w^(power * v) on basis value v of qudit q."""
         self._check_index(q)
-        phases = np.exp(2j * np.pi * (power % self.d) * np.arange(self.d) / self.d)
         shape = [1] * self.n
         shape[q] = self.d
-        out = self._tensor() * phases.reshape(shape)
+        out = self._tensor() * _table("phase", self.d, power)[1].reshape(shape)
         return QuditState(self.n, self.d, out, normalize_check=False)
 
     def apply_f(self, q, inverse=False):
@@ -147,10 +163,8 @@ class QuditState:
         self._check_index(b)
         if a == b:
             raise IndexError("cZ requires two distinct qudits")
-        vals = np.arange(self.d)
-        table = np.exp(2j * np.pi * (power % self.d) * np.outer(vals, vals) / self.d)
         shape = [self.d if i in (a, b) else 1 for i in range(self.n)]
-        out = self._tensor() * table.reshape(shape)
+        out = self._tensor() * _table("phase", self.d, power).reshape(shape)
         return QuditState(self.n, self.d, out, normalize_check=False)
 
     # -- composition and measurement ---------------------------------
@@ -176,8 +190,7 @@ class QuditState:
         """The register with qudit q in the Fourier basis, outcome axis first,
         and the probability of each of its d outcomes."""
         self._check_index(q)
-        Finv = fourier_matrix(self.d, inverse=True)
-        t = np.tensordot(Finv, self._tensor(), axes=([1], [q]))  # (r, ...rest)
+        t = np.tensordot(_table("fourier", self.d), self._tensor(), axes=([1], [q]))
         return t, [float(np.vdot(t[r], t[r]).real) for r in range(self.d)]
 
     def fourier_branches(self, q):

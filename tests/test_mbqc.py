@@ -1,6 +1,8 @@
 """One-way execution: schedules, byproduct adjustment, correction routing."""
 
 import os
+import subprocess
+import sys
 import time
 from itertools import islice
 
@@ -14,7 +16,6 @@ from qlnc.coherent import _embed, _embed_array, embed_node
 from qlnc.mbqc import (
     Correct,
     Measure,
-    _apply_correction,
     _classical_link_values,
     _exhaustive,
     _introduce,
@@ -32,6 +33,7 @@ from qlnc.mbqc import (
     target_z_correction,
 )
 from qlnc.network import CodingNetwork, NodeSpec, UnsupportedNetworkError, composite_map
+from qlnc.report import CorrectionRecord
 from qlnc.ring import RingMatrix, left_inverse
 from qlnc.states import ImpossibleOutcomeError, LabeledRegister, QuditState, fidelity
 
@@ -475,6 +477,88 @@ def test_single_runs_refuse_registers_beyond_physical_memory():
     assert time.perf_counter() - t0 < 5
 
 
+_PEAK_SCRIPT = """
+import resource
+from qlnc import QuditState, butterfly_swap, compile_network, run_mbqc
+geo = compile_network(butterfly_swap(9))
+psi = QuditState.basis(9, [1, 2])
+base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+_out, rep = run_mbqc(geo, psi, mode="free", seed=0)
+assert rep.fidelity_vs_oracle >= 1 - 1e-9
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - base)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
+def test_single_run_peaks_below_two_and_a_half_registers():
+    # a one-way run of butterfly_swap(9) keeps 7 qudits live: 9^7 amplitudes,
+    # a 73 MiB register; a measurement holds the register and its transform
+    plan = build_schedule(compile_network(butterfly_swap(9)), "free")
+    assert _peak_live(plan, _steps(plan, False)[0], False) == 7
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", _PEAK_SCRIPT], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    peak_registers = int(done.stdout) * 1024 / (16 * 9**7)
+    assert peak_registers < 2.5
+
+
+# Raw outcomes in ledger order of seeded runs on a Haar input, as sampled
+# before single runs moved onto the branch walker's kernels; a seed keeps
+# its outcomes across changes to the kernels.
+_PINNED_OUTCOMES = {
+    ("swap3", "mbqc-free"): ["100022121220202021", "120201211021020101", "002012000110121122"],
+    ("swap3", "mbqc-constrained"): ["100212220210202122", "122020201012022210",
+                                    "000101111222100011"],
+    ("swap3", "mbqc-local-aux"): ["100212220210202122", "122020201012022210",
+                                  "000101111222100011"],
+    ("swap3", "coherent-free"): ["100022121", "120201211", "002012000"],
+    ("swap3", "coherent-constrained"): ["212112221", "111200222", "002011202"],
+    ("multicast2", "mbqc-free"): ["10001111111010101100", "11010010101101000000",
+                                  "00101100011001011100"],
+    ("multicast2", "mbqc-constrained"): ["10011111011001001100", "11101010100000011010",
+                                         "00010110111000111100"],
+    ("multicast2", "mbqc-local-aux"): ["10011111011001001100", "11101010100000011010",
+                                       "00010110111000111100"],
+    ("multicast2", "coherent-free"): ["100011111", "110100101", "001011000"],
+    ("multicast2", "coherent-constrained"): ["111111110", "010100110", "001010111"],
+}
+
+
+def test_seeded_runs_keep_their_outcomes():
+    nets = {"swap3": butterfly_swap(3), "multicast2": butterfly_multicast(2)}
+    for (name, config), pinned in _PINNED_OUTCOMES.items():
+        net = nets[name]
+        geo = compile_network(net)
+        psi = QuditState.haar_random(net.d, net.num_inputs, np.random.default_rng(1307))
+        path, mode = config.split("-", 1)
+        got = []
+        for seed in (0, 1, 2):
+            if path == "coherent":
+                _out, rep = run_coherent(net, psi, mode=mode, seed=seed)
+            else:
+                _out, rep = run_mbqc(geo, psi, mode="free" if mode == "free" else "constrained",
+                                     seed=seed, local_aux=mode == "local-aux")
+            assert rep.fidelity_vs_oracle >= 1 - 1e-9
+            got.append("".join(str(rec.raw) for rec in rep.outcomes))
+        assert got == pinned, (name, config)
+
+
+def test_partial_forced_outcomes_without_seed_name_the_missing_qudit():
+    net = butterfly_swap(2)
+    geo = compile_network(net)
+    psi = QuditState.basis(2, [1, 0])
+    # the error names the first unforced qudit in simulation order: the
+    # auxiliary qudit of node S1 on the one-way path, the other source s2 on
+    # the coherent path, which measures s1 first
+    for mode in ("free", "constrained"):
+        with pytest.raises(ValueError, match="outcome of m1' is neither forced nor sampled"):
+            run_mbqc(geo, psi, mode=mode, forced={"s1": 0})
+        with pytest.raises(ValueError, match="outcome of s2 is neither forced nor sampled"):
+            run_coherent(net, psi, mode=mode, forced={"s1": 0})
+
+
 def test_constrained_swap_d7_runs_at_free_mode_size():
     net = butterfly_swap(7)
     psi = QuditState.basis(7, [3, 5])
@@ -497,6 +581,17 @@ def test_constrained_peak_live_equals_free():
                 plan = build_schedule(geo, mode)
                 peaks.append(_peak_live(plan, _steps(plan, coherent)[0], coherent))
             assert peaks[0] == peaks[1]
+
+
+def _apply_correction(reg, outcomes, correct, stage, corrections):
+    """A correction applied to a labelled register, with its record."""
+    exp = outcomes.exponent(correct)
+    if exp:
+        if correct.op == "X":
+            reg.apply_x(correct.qudit, exp)
+        else:
+            reg.apply_z(correct.qudit, exp)
+    corrections.append(CorrectionRecord(correct.op, correct.qudit, int(exp), stage))
 
 
 def _cx_embed(reg, gadget):
@@ -679,7 +774,7 @@ def test_deferred_full_preparation_equals_eager_driver():
     # the runtime interleaves commuting projections with preparation to keep
     # the live register small; preparing the whole graph state first and
     # measuring in logical schedule order must give the same branch states
-    from qlnc.mbqc import _Outcomes, _apply_correction, build_schedule, prepare_graph_state
+    from qlnc.mbqc import _Outcomes, build_schedule, prepare_graph_state
     from qlnc.states import LabeledRegister
 
     nodes = [NodeSpec("S", RingMatrix([[1], [1]], 3)), NodeSpec("T", RingMatrix([[1, 1]], 3))]
