@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .geometry import compile_network
-from .mbqc import _exhaustive, _run, build_schedule
+from .mbqc import _exhaustive, _plan_for, _run
 from .network import CodingNetwork
 from .ring import RingMatrix
 from .states import QuditState
@@ -65,27 +65,47 @@ def node_phase_correction(outcomes, L: RingMatrix) -> np.ndarray:
     return (L.T.a @ r) % L.d
 
 
-def _embed_array(arr, axis, gadget, d):
-    """The coherent node step of single runs and the walker: |x>|0> -> |x>|Vx>
-    with fresh outputs after the live axes, written into a contiguous array
-    in final axis order.  It only moves amplitudes, so it gives the values
-    of embed_node's cX^(V[j,k]) product."""
+def _embed_array(gadget, axis, d):
+    """The coherent node step for the live layout `axis` (label -> axis of a
+    batch): |x>|0> -> |x>|Vx> with fresh outputs after the live axes,
+    written into a contiguous array in final axis order by index pairs
+    worked out here once.  It only moves amplitudes, so it gives the values
+    of embed_node's cX^(V[j,k]) product.  Returns the step and the layout
+    after it."""
+    ndim = 1 + len(axis)
     ins = [axis[lab] for lab in gadget.in_labels]
-    out = np.zeros(arr.shape + (d,) * len(gadget.out_labels), dtype=np.complex128)
     V = gadget.matrix.a
-    index = [slice(None)] * arr.ndim
-    for x in np.ndindex(*(d,) * len(ins)):
+    xs = np.indices((d,) * len(ins)).reshape(len(ins), d ** len(ins)).T
+    moves = []  # (source index, target index) per value x of the inputs
+    for x, y in zip(xs.tolist(), ((xs @ V.T) % d).tolist()):
+        index = [slice(None)] * ndim
         for ax, v in zip(ins, x):
             index[ax] = v
-        y = (V @ np.asarray(x, dtype=np.int64)) % d
-        out[tuple(index) + tuple(y.tolist())] = arr[tuple(index)]
+        moves.append((tuple(index), tuple(index + y)))
+    grow = (d,) * len(gadget.out_labels)
+
+    def step(arr):
+        out = np.zeros(arr.shape + grow, dtype=np.complex128)
+        for source, target in moves:
+            out[target] = arr[source]
+        return out
+
     axis = dict(axis)
     for j, lab in enumerate(gadget.out_labels):
-        axis[lab] = arr.ndim + j
-    return out, axis
+        axis[lab] = ndim + j
+    return step, axis
 
 
-_embed = _embed_array  # the node step `_run` takes for the coherent path
+_embed = _embed_array  # the node-step resolver `_run` takes for the coherent path
+
+
+def _geometry_of(net: CodingNetwork):
+    """The geometry of `net` for the coherent entry points, compiled on
+    first use and kept on the network, so its plans stay on it too (see
+    mbqc._plan_for)."""
+    if net._geometry is None:
+        object.__setattr__(net, "_geometry", compile_network(net))
+    return net._geometry
 
 
 def run_coherent(
@@ -103,11 +123,10 @@ def run_coherent(
     Raises MemoryError, before allocating, when the live register would not
     fit in physical memory.
     """
-    plan = build_schedule(compile_network(net), mode)
-    return _run(plan, input_state, seed, forced, embed=_embed)
+    return _run(_plan_for(_geometry_of(net), mode), input_state, seed, forced, embed=_embed)
 
 
 def exhaustive_coherent(net, input_state, mode="free", amp_limit=2**22):
     """Iterate (outcome dict, output QuditState) over every measurement branch."""
-    plan = build_schedule(compile_network(net), mode)
-    yield from _exhaustive(plan, input_state, amp_limit, embed=_embed_array)
+    plan = _plan_for(_geometry_of(net), mode)
+    yield from _exhaustive(plan, input_state, amp_limit, embed=_embed)

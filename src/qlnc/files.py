@@ -21,6 +21,7 @@ normalized on load, with a warning when the input norm is off by more than
 from __future__ import annotations
 
 import json
+import math
 import warnings
 
 import numpy as np
@@ -92,10 +93,78 @@ def load_input_state(path, d, n) -> QuditState:
 
 
 def dump_json(doc, out=None):
-    """Deterministic JSON rendering; writes to `out` path or returns the text."""
-    text = json.dumps(doc, indent=2) + "\n"
+    """Deterministic JSON rendering; writes to `out` path or returns the text.
+
+    The text is json.dumps(doc, indent=2) plus a newline, made by _render,
+    which skips the generator-based encoder json.dumps falls back to when
+    it indents."""
+    text = _render(doc, "\n") + "\n"
     if out is None:
         return text
     with open(out, "w", encoding="utf-8") as fh:
         fh.write(text)
     return text
+
+
+_escape = json.encoder.encode_basestring_ascii
+
+
+def _float_text(x):
+    """json's rendering of a float, NaN and the infinities included."""
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _key_text(key):
+    if isinstance(key, str):
+        return _escape(key)
+    if isinstance(key, (int, float)) or key is None:
+        return _escape(json.dumps(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+# the rendering of each scalar type, looked up by exact type; subclasses
+# take _render's isinstance checks, in json's order
+_LEAF = {
+    str: _escape,
+    int: int.__repr__,
+    float: _float_text,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda _value: "null",
+}
+
+
+def _render(value, newline):
+    """`value` as json.dumps(value, indent=2) renders it, `newline` being the
+    line break and indent of the line that holds it."""
+    leaf = _LEAF.get(type(value))
+    if leaf is not None:
+        return leaf(value)
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [_LEAF[type(item)](item) if type(item) in _LEAF else _render(item, inner)
+                 for item in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [
+            (_escape(key) if type(key) is str else _key_text(key)) + ": "
+            + (_LEAF[type(item)](item) if type(item) in _LEAF else _render(item, inner))
+            for key, item in value.items()
+        ]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(value, str):
+        return _escape(value)
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float_text(value)
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")

@@ -60,6 +60,14 @@ class MbqcGeometry:
     origin: dict  # label -> human-readable back-reference into the network
     gadgets: list = field(default_factory=list)  # NodeGadget in topological order
     num_links: int = 0
+    # what mbqc keeps for this geometry: ("plan", mode, local_aux) -> its
+    # plan (mbqc._plan_for), ("node", path, gadget index, live layout) -> a
+    # node step and the layout after it (mbqc._program)
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __getstate__(self):
+        # the memo holds closures; a copy or an unpickled geometry plans afresh
+        return {**self.__dict__, "_memo": {}}
 
     def measured_labels(self):
         """Every qudit that the one-way procedure measures (all but outputs)."""

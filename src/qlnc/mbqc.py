@@ -8,12 +8,20 @@ build_schedule makes the one plan both execution paths run.  The coherent
 path (coherent.py) is this plan without its auxiliary qudits: each node step
 is a cX embedding instead of a graph-state gadget, and the auxiliary
 measurements, their messages and the shift corrections they drive are
-skipped.  One single-run driver executes either path, and one branch walker
-enumerates the branches of either path for exhaustive_mbqc, branch_survey
-and coherent.exhaustive_coherent.  Both step bare arrays, axis 0 indexing
-branches, with one kernel set (_intro_array, coherent._embed_array,
-_weyl_rows, the tables of states._table); a single run is a batch of one row
-that keeps one outcome per measurement, at two registers of memory.
+skipped.  The plan depends only on the geometry and the mode, so the entry
+points plan once (_plan_for): the plan is kept on the geometry, and the
+coherent entry points, which take a network, keep the geometry they compile
+on it (coherent._geometry_of).  On a path's first run the plan is resolved
+into one step program (_program): every node step, measurement and
+correction with its axis positions worked out, each one-way node step with
+its cZ phases as one table per out-port, each coherent node step with its
+index pairs; the modes of a geometry share these node steps.  One
+single-run driver and one branch walker interpret that program for
+run_mbqc, run_coherent, exhaustive_mbqc, branch_survey and
+coherent.exhaustive_coherent.  Both step bare arrays, axis 0 indexing
+branches, with one kernel set (the node steps, _weyl_rows, the tables of
+states._table); a single run is a batch of one row that keeps one outcome
+per measurement, at two registers of memory.
 
 Two communication regimes are supported.
 
@@ -59,14 +67,14 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .geometry import MbqcGeometry, _tally, label_sort_key
 from .network import UnsupportedNetworkError
 from .report import CorrectionRecord, MessageRecord, OutcomeRecord, RunReport
-from .ring import RingMatrix, find_block_diagonal_B, left_inverse
+from .ring import RingMatrix, _matmul_mod, find_block_diagonal_B, left_inverse
 from .states import (
     IMPOSSIBLE_TOL,
     ImpossibleOutcomeError,
@@ -97,13 +105,13 @@ __all__ = [
 # schedule structure
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Measure:
     qudit: str
     basis: str = "fourier"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Adjust:
     """adjusted(qudit) = raw(qudit) - sum coeff * adjusted(upstream) mod d."""
 
@@ -111,7 +119,7 @@ class Adjust:
     terms: tuple  # ((upstream_qudit, coeff), ...)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Correct:
     """Apply op^exponent to qudit, exponent = sum coeff * outcome(source)."""
 
@@ -120,7 +128,7 @@ class Correct:
     terms: tuple  # ((source_qudit, coeff, "raw" | "adjusted"), ...)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Send:
     sender: str
     receiver: str
@@ -166,6 +174,9 @@ class _Plan:
     matrix: RingMatrix
     block_B: RingMatrix | None
     requires_out_of_network: bool
+    # path (the coherent node-step resolver, None for one-way) -> its _Program,
+    # resolved on the path's first run
+    programs: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 def _geometry_tables(geometry: MbqcGeometry):
@@ -453,6 +464,20 @@ def build_schedule(geometry: MbqcGeometry, mode, local_aux=False):
     )
 
 
+def _plan_for(geometry: MbqcGeometry, mode, local_aux=False):
+    """The plan of `geometry` in `mode`, built by build_schedule on first
+    use and kept on the geometry.  The measurement pattern depends only on
+    the geometry and the mode, never on the input or the outcomes, so every
+    run of the same (mode, local_aux) replays one plan and its resolved step
+    programs.  A plan that cannot be built is not kept: the error repeats on
+    every call."""
+    key = ("plan", mode, bool(local_aux))
+    plan = geometry._memo.get(key)
+    if plan is None:
+        plan = geometry._memo[key] = build_schedule(geometry, mode, local_aux=local_aux)
+    return plan
+
+
 # ----------------------------------------------------------------------
 # execution
 # ----------------------------------------------------------------------
@@ -675,22 +700,21 @@ def _classical_link_values(plan, s_values):
 
 
 def oracle_output_state(M: RingMatrix, input_state: QuditState) -> QuditState:
-    """The target of every protocol: sum_x psi_x |M x> on the output qudits."""
+    """The target of every protocol: sum_x psi_x |M x> on the output qudits.
+
+    The basis indices of the nonzero amplitudes become digit rows x, mapped
+    to M x by RingMatrix's overflow-safe product mod d; np.add.at adds the
+    amplitudes that land on one output in index order, as a loop over the
+    inputs would."""
     d = input_state.d
     k = input_state.n
     ell = M.rows
+    idx = np.flatnonzero(input_state.psi)
+    digits = (idx[:, None] // d ** np.arange(k - 1, -1, -1, dtype=np.int64)) % d
+    images = _matmul_mod(digits, M.a.T, d)
     out = np.zeros(d**ell, dtype=np.complex128)
-    for idx, amp in enumerate(input_state.psi):
-        if amp == 0:
-            continue
-        digits = np.asarray(
-            [(idx // d ** (k - 1 - j)) % d for j in range(k)], dtype=np.int64
-        )
-        y = M.mul_vec(digits)
-        out_idx = 0
-        for v in y:
-            out_idx = out_idx * d + int(v)
-        out[out_idx] += amp
+    np.add.at(out, images @ d ** np.arange(ell - 1, -1, -1, dtype=np.int64),
+              input_state.psi[idx])
     return QuditState(ell, d, out, normalize_check=False)
 
 
@@ -704,61 +728,56 @@ def _validate_input(geometry, input_state):
 def _run(plan, input_state, seed, forced, embed=None):
     """The single-run driver behind run_mbqc and run_coherent.
 
-    It steps a batch of one row with the walker's kernels, keeping at each
-    measurement the forced outcome or one drawn by rng.choice.  Without
-    `embed` each node step is _intro_array; with it, `embed(array, axis,
-    gadget, d)` is the node step and the run is the coherent path.
+    It interprets the plan's step program for the path (see _program) on a
+    batch of one row, keeping at each measurement the forced outcome or one
+    drawn with the arithmetic of Generator.choice, so a seed keeps its
+    outcomes.  Without `embed` the run is the one-way path; with `embed`,
+    the coherent node-step resolver (coherent._embed), it is the coherent
+    path.
     """
     geometry = plan.geometry
     d = geometry.d
     coherent = embed is not None
     _validate_input(geometry, input_state)
-    ops, report_ops, finals, order = _steps(plan, coherent)
-    forced_map = _resolve_forced(order, forced)
-    unset = [op[1] for op in ops if op[0] == "measure" and op[1] not in (forced_map or {})]
+    prog = _program(plan, embed)
+    forced_map = _resolve_forced(prog.forced_order, forced)
+    unset = [lab for lab in prog.order if lab not in (forced_map or {})]
     if seed is None and unset:
         raise ValueError(f"the outcome of {unset[0]} is neither forced nor sampled: "
                          "provide a seed for sampling or force it")
     rng = np.random.default_rng(seed) if seed is not None else None
     simulated_forced = _simulated_forced(plan, forced_map)
-    _check_memory(d, _peak_live(plan, ops, coherent))
+    _check_memory(d, max(prog.live))
 
     def choose(label, p):
         if label not in simulated_forced:
-            return int(rng.choice(d, p=p / p.sum()))
+            cdf = (p / p.sum()).cumsum()
+            cdf /= cdf[-1]
+            return int(cdf.searchsorted(rng.random(), side="right"))
         r = int(simulated_forced[label]) % d
         if p[r] < IMPOSSIBLE_TOL:
             raise ImpossibleOutcomeError(f"forced outcome {int(forced_map[label]) % d} on "
                                          f"{label} has probability below {IMPOSSIBLE_TOL}")
         return r
 
-    node_step = embed or _intro_array
     arr = input_state._tensor()[None]
-    axis = {lab: 1 + i for i, lab in enumerate(geometry.inputs)}
-    simulated = _Outcomes(plan)
-    for op in ops:
-        if op[0] == "intro":
-            arr, axis = node_step(arr, axis, geometry.gadgets[op[1]], d)
-        elif op[0] == "measure":
-            _, label, stage = op
-            q = axis.pop(label)
-            r, arr = _measure_row(arr, q, d, lambda p: choose(label, p))
-            axis = {lab: ax - 1 if ax > q else ax for lab, ax in axis.items()}
-            simulated.record(label, r, stage)
+    simulated = np.zeros(len(prog.order), dtype=np.int64)
+    for step in prog.steps:
+        if step[0] == "node":
+            arr = step[1](arr)
+        elif step[0] == "measure":
+            _, label, q, i = step
+            simulated[i], arr = _measure_row(arr, q, d, lambda p: choose(label, p))
         else:
-            # an X step of --local-aux; it reads auxiliary outcomes, which no
-            # shift touches, so the simulated ones are the reported ones
-            exps = np.array([simulated.exponent(op[1])])
-            arr = _weyl_rows(arr, op[1].op, axis[op[1].qudit], exps, d)
-    outcomes, corrections = _replay(
-        plan, report_ops + [("corr", c, stage) for c, stage in finals], simulated.raw)
-    outputs = geometry.outputs
-    arr = np.moveaxis(arr, [axis[lab] for lab in outputs], range(1, 1 + len(outputs)))
-    for rec in corrections[len(corrections) - len(finals):]:
+            _, op, q, row = step
+            arr = _weyl_rows(arr, op, q, np.array([(row @ simulated) % d]), d)
+    outcomes, corrections = _replay(plan, prog.report, dict(zip(prog.order, simulated.tolist())))
+    arr = np.moveaxis(arr, prog.out_axes, range(1, 1 + len(prog.out_axes)))
+    for rec, (_op, h, _row) in zip(corrections[len(corrections) - len(prog.finals):],
+                                   prog.finals):
         if rec.exponent:
-            exps = np.array([rec.exponent])
-            arr = _weyl_rows(arr, rec.op, 1 + outputs.index(rec.qudit), exps, d)
-    output_state = QuditState(len(outputs), d, arr[0], normalize_check=False)
+            arr = _weyl_rows(arr, rec.op, h, np.array([rec.exponent]), d)
+    output_state = QuditState(len(prog.out_axes), d, arr[0], normalize_check=False)
 
     sigma_link_values = {}
     if plan.mode == "constrained" and plan.block_B is not None:
@@ -771,7 +790,7 @@ def _run(plan, input_state, seed, forced, embed=None):
         seed=seed,
         forced_outcomes=None
         if forced_map is None
-        else [[lab, int(forced_map[lab])] for lab in order],
+        else [[lab, int(forced_map[lab])] for lab in prog.forced_order],
         outcomes=outcomes.ledger,
         corrections=corrections,
         messages=_materialize_messages(plan, outcomes, sigma_link_values, coherent),
@@ -798,12 +817,96 @@ def run_mbqc(
     by qudit label, or a sequence in schedule measurement order).  The output
     state is delivered on the geometry's outputs, in declaration order.
     Raises MemoryError, before allocating, when the live register would not
-    fit in physical memory.
+    fit in physical memory.  The plan is built on the geometry's first run
+    in this mode and kept on it (see _plan_for).
     """
-    plan = build_schedule(geometry, mode, local_aux=local_aux)
+    plan = _plan_for(geometry, mode, local_aux)
     output_state, report = _run(plan, input_state, seed, forced)
     report.extra["local_aux"] = local_aux
     return output_state, report
+
+
+# ----------------------------------------------------------------------
+# step programs
+# ----------------------------------------------------------------------
+
+@dataclass
+class _Program:
+    """A plan resolved for one path, interpreted by both the single-run
+    driver and the branch walker.  The arrays they step hold branches on
+    axis 0 and the live qudits on the other axes, in a layout fixed by the
+    plan, so every step carries its axis positions.
+
+    steps:  ("node", step), step(array) -> array the node step for the live
+            layout; ("measure", label, axis, position in `order`); ("corr",
+            op, axis, row), an --local-aux X step with exponent row . r' mod
+            d over the simulated outcomes r'
+    order, T: the simulated measurement order, and r = T r' mod d (see
+            _outcome_map)
+    forced_order: the path's schedule measurement order, which forced
+            outcome sequences follow
+    live:   qudits live before each step, then after the last
+    out_axes: the axes of the outputs after the last step
+    report: the report-order ops and final corrections _replay takes
+    finals: per final correction (op, its output's axis once the outputs
+            are moved to the front, row over r')
+    """
+
+    steps: list
+    order: list
+    T: np.ndarray
+    forced_order: list
+    live: list
+    out_axes: list
+    report: list
+    finals: list
+
+
+def _program(plan, embed=None):
+    """The step program of a path of `plan`, resolved on the path's first
+    run and kept on the plan; `embed` as in _run."""
+    prog = plan.programs.get(embed)
+    if prog is not None:
+        return prog
+    geometry = plan.geometry
+    d = geometry.d
+    coherent = embed is not None
+    ops, report_ops, finals, forced_order = _steps(plan, coherent)
+    order, T = _outcome_map(plan, ops, report_ops)
+    row_of = _raw_coefficient_rows(plan, order)
+
+    def simulated_row(correct):
+        return (row_of(correct) @ T) % d
+
+    axis = {lab: 1 + i for i, lab in enumerate(geometry.inputs)}
+    steps = []
+    for op in ops:
+        if op[0] == "intro":
+            # every mode reaches a node step with the same live layout, so
+            # the plans of a geometry share the step and its tables
+            key = ("node", embed, op[1], tuple(axis.items()))
+            if key not in geometry._memo:
+                geometry._memo[key] = (embed or _intro_step)(geometry.gadgets[op[1]], axis, d)
+            step, axis = geometry._memo[key]
+            steps.append(("node", step))
+        elif op[0] == "measure":
+            q = axis[op[1]]
+            axis = {lab: ax - 1 if ax > q else ax for lab, ax in axis.items() if lab != op[1]}
+            steps.append(("measure", op[1], q, order.index(op[1])))
+        else:
+            steps.append(("corr", op[1].op, axis[op[1].qudit], simulated_row(op[1])))
+    outputs = geometry.outputs
+    prog = plan.programs[embed] = _Program(
+        steps=steps,
+        order=order,
+        T=T,
+        forced_order=forced_order,
+        live=_live_counts(plan, ops, coherent),
+        out_axes=[axis[lab] for lab in outputs],
+        report=report_ops + [("corr", c, stage) for c, stage in finals],
+        finals=[(c.op, 1 + outputs.index(c.qudit), simulated_row(c)) for c, _stage in finals],
+    )
+    return prog
 
 
 # ----------------------------------------------------------------------
@@ -843,14 +946,14 @@ def _raw_coefficient_rows(plan, order):
     return row_of
 
 
-def _outcome_map(plan, coherent):
-    """The simulated measurement order of a path and the unitriangular map
-    T with r = T r' mod d from its simulated outcomes r' to the raw ones r.
+def _outcome_map(plan, ops, report_ops):
+    """The simulated measurement order of a path's `ops` and the
+    unitriangular map T with r = T r' mod d from its simulated outcomes r'
+    to the raw ones r.
 
     A shifted qudit's raw outcome is its simulated one plus its Z step's
     exponent, which reads raw outcomes reported before it (see _replay).
     """
-    ops, report_ops, _finals, _order = _steps(plan, coherent)
     order = [op[1] for op in ops if op[0] == "measure"]
     pos = {lab: i for i, lab in enumerate(order)}
     d = plan.geometry.d
@@ -871,15 +974,15 @@ def _branches(plan, input_state, amp_limit, embed=None, normalize=False):
     steps act on the whole batch; a measurement contracts the measured axis
     of every row and flattens (row, outcome) row-major into the children, so
     branches stay in lexicographic outcome order; a correction raises each
-    row to its own exponent, the dot product of a precomputed row with that
+    row to its own exponent, the dot product of the step's row with that
     branch's outcome vector.  A batch is taken in row ranges of at most
     _CHUNK_AMPS // d**n rows, n the qudits live at the next measurement, the
     rest staying on the stack as a view, so a chunk stays within _CHUNK_AMPS
     amplitudes and each measurement level keeps at most one parent batch
     alive.  A child whose squared norm is below IMPOSSIBLE_TOL of its
     parent's is dropped; with `normalize` every child is rescaled to norm 1.
-    With `embed(array, axis, gadget, d)` as the node step, the walk is the
-    coherent path, as in `_run`.
+    The walk interprets the same step program as `_run`, with `embed` as
+    there.
 
     Yields batches (R, t, nrm2): the simulated outcome vectors r' in
     physical measurement order as the rows of R, the output tensors in
@@ -887,87 +990,71 @@ def _branches(plan, input_state, amp_limit, embed=None, normalize=False):
     and their squared norms; the raw outcomes are T r' mod d (see
     _outcome_map).
     """
-    geometry = plan.geometry
-    coherent = embed is not None
-    _validate_input(geometry, input_state)
-    d = geometry.d
-    ops, _report_ops, finals, _order = _steps(plan, coherent)
-    live = _live_counts(plan, ops, coherent)
-    peak = max(live)
+    _validate_input(plan.geometry, input_state)
+    d = plan.geometry.d
+    prog = _program(plan, embed)
+    peak = max(prog.live)
     if d**peak > amp_limit:
         raise MemoryError(
             f"live register would need {d}^{peak} amplitudes, above the enumeration limit"
         )
-    order, T = _outcome_map(plan, coherent)
-    row_of = _raw_coefficient_rows(plan, order)
-
-    def simulated_row(correct):
-        return (row_of(correct) @ T) % d
-
     # The program as segments: the node and correction steps up to a
-    # measurement, the label it measures (None for the last segment) and the
+    # measurement, that measurement (None for the last segment) and the
     # rows of a chunk, whose amplitudes stay within _CHUNK_AMPS at the most
     # qudits the segment keeps live, those live just before its measurement.
     segments, steps = [], []
-    for op, before in zip(ops, live):
-        if op[0] == "intro":
-            steps.append(("intro", geometry.gadgets[op[1]]))
-        elif op[0] == "corr":
-            steps.append(("corr", op[1].op, op[1].qudit, simulated_row(op[1])))
-        else:
-            segments.append((steps, op[1], max(1, _CHUNK_AMPS // d**before)))
+    for step, before in zip(prog.steps, prog.live):
+        if step[0] == "measure":
+            segments.append((steps, step, max(1, _CHUNK_AMPS // d**before)))
             steps = []
-    segments.append((steps, None, max(1, _CHUNK_AMPS // d**live[-1])))
-    outputs = geometry.outputs
-    finals = [(c.op, 1 + outputs.index(c.qudit), simulated_row(c)) for c, _stage in finals]
-    node_step = embed or _intro_array
+        else:
+            steps.append(step)
+    segments.append((steps, None, max(1, _CHUNK_AMPS // d**prog.live[-1])))
+    n_out = len(prog.out_axes)
 
-    start_axis = {lab: 1 + i for i, lab in enumerate(geometry.inputs)}
-    outcomes = np.zeros((1, len(order)), dtype=np.int64)
-    stack = [(0, input_state._tensor()[None], outcomes, np.ones(1), start_axis)]
+    outcomes = np.zeros((1, len(prog.order)), dtype=np.int64)
+    stack = [(0, input_state._tensor()[None], outcomes, np.ones(1))]
     while stack:
-        s, arr, R, nrm2, axis = stack.pop()
-        steps, label, rows = segments[s]
+        s, arr, R, nrm2 = stack.pop()
+        steps, measure, rows = segments[s]
         if len(arr) > rows:
-            stack.append((s, arr[rows:], R[rows:], nrm2[rows:], axis))
+            stack.append((s, arr[rows:], R[rows:], nrm2[rows:]))
             arr, R, nrm2 = arr[:rows], R[:rows], nrm2[:rows]
         for step in steps:
-            if step[0] == "intro":
-                arr, axis = node_step(arr, axis, step[1], d)
+            if step[0] == "node":
+                arr = step[1](arr)
             else:
-                arr = _weyl_rows(arr, step[1], axis[step[2]], (R @ step[3]) % d, d)
-        if label is None:
-            t = np.moveaxis(arr, [axis[lab] for lab in outputs], range(1, 1 + len(outputs)))
-            for opname, h, row in finals:
-                t = _weyl_rows(t, opname, h, (R @ row) % d, d)
+                arr = _weyl_rows(arr, step[1], step[2], (R @ step[3]) % d, d)
+        if measure is None:
+            t = np.moveaxis(arr, prog.out_axes, range(1, 1 + n_out))
+            for op, h, row in prog.finals:
+                t = _weyl_rows(t, op, h, (R @ row) % d, d)
             yield R, t, nrm2
             continue
-        q = axis[label]
+        _, _label, q, i = measure
         children = np.moveaxis(np.tensordot(_table("fourier", d), arr, axes=([1], [q])), 0, 1)
         children = children.reshape((len(arr) * d,) + children.shape[2:])
         flat = children.reshape(len(children), -1).view(np.float64)  # (re, im) pairs
         child_nrm2 = np.einsum("ij,ij->i", flat, flat)
         R = np.repeat(R, d, axis=0)
-        R[:, order.index(label)] = np.tile(np.arange(d), len(arr))
+        R[:, i] = np.tile(np.arange(d), len(arr))
         keep = child_nrm2 >= np.repeat(nrm2, d) * IMPOSSIBLE_TOL
         if not keep.all():
             children, R, child_nrm2 = children[keep], R[keep], child_nrm2[keep]
         if normalize:
             children /= np.sqrt(child_nrm2).reshape((-1,) + (1,) * (children.ndim - 1))
             child_nrm2 = np.ones(len(children))
-        child_axis = {
-            lab: ax - 1 if ax > q else ax for lab, ax in axis.items() if lab != label
-        }
-        stack.append((s + 1, children, R, child_nrm2, child_axis))
+        stack.append((s + 1, children, R, child_nrm2))
 
 
 def _exhaustive(plan, input_state, amp_limit, embed=None):
     """(outcome dict, normalized output QuditState) for every branch."""
-    order, T = _outcome_map(plan, embed is not None)
+    prog = _program(plan, embed)
     d = plan.geometry.d
     for R, t, _nrm2 in _branches(plan, input_state, amp_limit, embed, normalize=True):
-        for raw, amps in zip(((R @ T.T) % d).tolist(), t):
-            yield dict(zip(order, raw)), QuditState(amps.ndim, d, amps, normalize_check=False)
+        for raw, amps in zip(((R @ prog.T.T) % d).tolist(), t):
+            yield dict(zip(prog.order, raw)), QuditState(amps.ndim, d, amps,
+                                                         normalize_check=False)
 
 
 def exhaustive_mbqc(
@@ -988,7 +1075,7 @@ def exhaustive_mbqc(
     Raises MemoryError up front when the live register would exceed
     `amp_limit` amplitudes.
     """
-    plan = build_schedule(geometry, mode, local_aux=local_aux)
+    plan = _plan_for(geometry, mode, local_aux)
     yield from _exhaustive(plan, input_state, amp_limit)
 
 
@@ -1009,7 +1096,7 @@ def branch_survey(
     `reference` defaults to the oracle image of the input state.
     """
     _validate_input(geometry, input_state)
-    plan = build_schedule(geometry, mode, local_aux=local_aux)
+    plan = _plan_for(geometry, mode, local_aux)
     if reference is None:
         reference = oracle_output_state(plan.matrix, input_state)
     ref = reference.psi.conj()
@@ -1027,11 +1114,21 @@ _CHUNK_AMPS = 2**15
 
 
 def _weyl_rows(arr, op, axis, exps, d):
-    """X^e or Z^e on one axis of a batch, with exponent e = exps[b] on row b."""
+    """X^e or Z^e on one axis of a batch, with exponent e = exps[b] in [0, d)
+    on row b.  X^e moves the axis' slices up by e, cyclically: the rows
+    sharing an exponent move together, in two slice copies."""
     if op == "X":
         view = arr.reshape(len(arr), -1, d, math.prod(arr.shape[axis + 1:]))
-        index = (np.arange(d) - exps[:, None]) % d
-        return np.take_along_axis(view, index[:, None, :, None], axis=2).reshape(arr.shape)
+        out = np.empty_like(view)
+        if len(exps) == 1:
+            values = [int(exps[0])]
+        else:  # bincount, not np.unique, which imports numpy.ma (about 1 MB)
+            values = np.bincount(exps, minlength=d).nonzero()[0].tolist()
+        for e in values:
+            rows = slice(None) if len(values) == 1 else exps == e
+            out[rows, :, e:] = view[rows, :, :d - e]
+            out[rows, :, :e] = view[rows, :, d - e:]
+        return out.reshape(arr.shape)
     shape = [1] * arr.ndim
     shape[0], shape[axis] = len(exps), d
     return arr * _table("phase", d)[exps].reshape(shape)
@@ -1053,25 +1150,49 @@ def _measure_row(arr, q, d, choose):
     return r, (t[:, r] / np.sqrt(p[r])).reshape(arr.shape[:q] + arr.shape[q + 1:])
 
 
-def _intro_array(arr, axis, gadget, d):
-    """The one-way node step of single runs and the walker: adjoin the
-    gadget's |+> qudits after the live axes, entangle its edges in place.
-    Its |+> amplitude d**(-n/2) and the (1/sqrt(d))**n of `_introduce`, the
+def _intro_step(gadget, axis, d):
+    """The one-way node step for the live layout `axis` (label -> axis of a
+    batch): adjoin the gadget's |+> qudits after the live axes and entangle
+    them in place, one multiply per out-port by the product of its cZ
+    phases.  Returns the step and the layout after it.  The phase tables are
+    built on the step's first call, so after the run's memory check.  Its
+    |+> amplitude d**(-n/2) and the (1/sqrt(d))**n of `_introduce`, the
     labelled-register step, differ in the last bit."""
     grow = 2 * len(gadget.out_labels)
-    plus = np.broadcast_to(np.complex128(d ** (-grow / 2)), (d,) * grow)
-    arr = np.multiply.outer(arr, plus)
+    ndim = 1 + len(axis) + grow
     axis = dict(axis)
-    base = arr.ndim - grow
     for j, out in enumerate(gadget.out_labels):
-        axis[gadget.aux_labels[j]] = base + 2 * j
-        axis[out] = base + 2 * j + 1
+        axis[gadget.aux_labels[j]] = ndim - grow + 2 * j
+        axis[out] = ndim - grow + 2 * j + 1
     V = gadget.matrix.a
-    for j, aux in enumerate(gadget.aux_labels):
-        edges = [(in_lab, int(V[j, k_])) for k_, in_lab in enumerate(gadget.in_labels)]
-        for other, w in edges + [(gadget.out_labels[j], d - 1)]:
-            if w:  # cZ^w between `other` and the auxiliary qudit
-                ends = (axis[other], axis[aux])
-                shape = [d if i in ends else 1 for i in range(arr.ndim)]
-                arr *= _table("phase", d, w).reshape(shape)
-    return arr, axis
+    ports = [  # per out-port: its auxiliary's axis and (axis, weight) of each cZ edge
+        (axis[aux], [(axis[lab], int(V[j, k])) for k, lab in enumerate(gadget.in_labels)
+                     if V[j, k]] + [(axis[gadget.out_labels[j]], d - 1)])
+        for j, aux in enumerate(gadget.aux_labels)
+    ]
+    plus = np.broadcast_to(np.complex128(d ** (-grow / 2)), (d,) * grow)
+    tables = None
+
+    def step(arr):
+        nonlocal tables
+        if tables is None:
+            tables = [_port_table(aux, edges, ndim, d) for aux, edges in ports]
+        arr = np.multiply.outer(arr, plus)
+        for table in tables:
+            arr *= table
+        return arr
+
+    return step, axis
+
+
+def _port_table(aux, edges, ndim, d):
+    """w^(x_aux * sum_e w_e x_e) over the axes of an auxiliary and its cZ
+    edges (axis, weight), w = exp(2 pi i / d), shaped to broadcast over a
+    batch of `ndim` axes: at most d**(in-ports + 2) entries."""
+    axes = sorted([aux] + [ax for ax, _w in edges])
+    grid = dict(zip(axes, np.ix_(*[np.arange(d)] * len(axes))))
+    exps = sum(w * grid[ax] for ax, w in edges) % d * grid[aux] % d
+    shape = [1] * ndim
+    for ax in axes:
+        shape[ax] = d
+    return _table("phase", d)[1][exps].reshape(shape)

@@ -63,8 +63,11 @@ class CodingNetwork:
     links: tuple[Link, ...]
     source_inputs: tuple[tuple[str, int], ...]
     target_outputs: tuple[tuple[str, int], ...]
+    # the geometry the coherent entry points compile and keep (coherent._geometry_of)
+    _geometry: object = field(default=None, init=False, repr=False, compare=False)
 
     def __init__(self, d, nodes, links, source_inputs, target_outputs):
+        object.__setattr__(self, "_geometry", None)
         object.__setattr__(self, "d", int(d))
         object.__setattr__(self, "nodes", tuple(nodes))
         object.__setattr__(
@@ -76,6 +79,10 @@ class CodingNetwork:
         object.__setattr__(
             self, "target_outputs", tuple((str(n), int(p)) for n, p in target_outputs)
         )
+
+    def __getstate__(self):
+        # a copy or an unpickled network compiles its own geometry
+        return {**self.__dict__, "_geometry": None}
 
     def node(self, node_id) -> NodeSpec:
         for n in self.nodes:

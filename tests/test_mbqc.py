@@ -264,6 +264,9 @@ def test_measurement_order_shuffle_within_stage():
 
     import qlnc.mbqc as mbqc_mod
 
+    # a geometry of its own, so the shuffled run plans instead of replaying
+    # the plan the first run kept on `geo`
+    geo = compile_network(net)
     plan = mbqc_mod.build_schedule(geo, "free")
     shuffled = []
     block = []
@@ -464,7 +467,7 @@ def test_single_runs_refuse_registers_beyond_physical_memory():
     mbqc_peak = _peak_live(mbqc_plan, _steps(mbqc_plan, False)[0], False)
     coh_peak = _peak_live(coh_plan, _steps(coh_plan, True)[0], True)
     assert (mbqc_peak, coh_peak) == (7, 5)
-    need = 3 * 16 * min(31**mbqc_peak, 101**coh_peak)
+    need = 2 * 16 * min(31**mbqc_peak, 101**coh_peak)
     if os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") >= need:
         pytest.skip("this machine could hold the register")
     t0 = time.perf_counter()
