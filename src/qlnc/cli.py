@@ -13,7 +13,9 @@ Subcommands:
 Exit codes: 0 success, 1 validation failure, 2 unsupported network
 (non-injective composite map), 3 impossible forced outcome, 4 the live
 register would not fit in memory (physical memory for one run, the
-enumeration limit for --exhaustive), 64 usage error.
+enumeration limit for --exhaustive), 64 usage error (a bad flag or flag
+combination, an unreadable or malformed --input-state file, or an --out
+path that cannot be written).
 """
 
 from __future__ import annotations
@@ -150,18 +152,16 @@ def _forced(args):
 
 
 def _emit(doc, args):
-    if args.format == "text":
-        lines = _as_text(doc)
-        text = "\n".join(lines) + "\n"
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-    else:
-        text = dump_json(doc, args.out)
-        if args.out is None:
-            sys.stdout.write(text)
+    text = "\n".join(_as_text(doc)) + "\n" if args.format == "text" else dump_json(doc)
+    if args.out is None:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"error: cannot write report: {exc}", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE)
 
 
 def _as_text(doc, prefix=""):

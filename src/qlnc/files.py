@@ -78,13 +78,18 @@ def load_input_state(path, d, n) -> QuditState:
     """Read an amplitude file and shape it into an n-qudit state."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    pairs = doc["amplitudes"]
-    if len(pairs) != d**n:
-        raise ValueError(
-            f"amplitude file holds {len(pairs)} entries, expected {d}^{n} = {d**n}"
-        )
-    psi = np.asarray([complex(re, im) for re, im in pairs])
+    try:
+        pairs = doc["amplitudes"]
+        if len(pairs) != d**n:
+            raise ValueError(
+                f"amplitude file holds {len(pairs)} entries, expected {d}^{n} = {d**n}"
+            )
+        psi = np.asarray([complex(re, im) for re, im in pairs])
+    except (KeyError, TypeError, OverflowError) as exc:
+        raise ValueError(f"malformed amplitude document: {exc}") from exc
     nrm = np.linalg.norm(psi)
+    if not np.isfinite(nrm):
+        raise ValueError("amplitude file holds a non-finite entry")
     if nrm == 0:
         raise ValueError("amplitude file is the zero vector")
     if abs(nrm - 1.0) > 1e-6:

@@ -21,7 +21,12 @@ run_mbqc, run_coherent, exhaustive_mbqc, branch_survey and
 coherent.exhaustive_coherent.  Both step bare arrays, axis 0 indexing
 branches, with one kernel set (the node steps, _weyl_rows, the tables of
 states._table); a single run is a batch of one row that keeps one outcome
-per measurement, at two registers of memory.
+per measurement, at two registers of memory.  Every step is Clifford over
+Z_d, so every number a run reports (raw and adjusted outcomes, correction
+exponents, message payloads) is a fixed linear function mod d of its
+outcomes: the program holds these as one integer matrix of rows over the
+simulated outcomes (_records), and the walker's corrections and the
+single run's corrections, ledger and messages are all read from it.
 
 Two communication regimes are supported.
 
@@ -52,8 +57,9 @@ Z^tau applied right before a Fourier measurement only relabels its outcome
 Panangaden): measuring Z^tau psi gives r exactly when measuring psi gives
 r - tau, and leaves the same state.  So the simulation drops each such Z
 step of the constrained mode and adds tau to the simulated outcome
-afterwards, evaluating tau in report order; a forced outcome r is drawn as
-r - tau, with tau read off the forced outcomes.
+afterwards, evaluating tau in report order (the map T of _outcome_map,
+whose rows are the program's raw-outcome rows); a forced outcome r is drawn
+as r - tau, with tau read off the forced outcomes.
 
 Sign conventions follow states.py: a Fourier outcome r on a qudit holding
 basis value v multiplies the branch by w^(-r v), auxiliary outcomes leave a
@@ -511,32 +517,6 @@ def _introduce(reg, gadget):
         reg.apply_cz(aux, gadget.out_labels[j], reg.d - 1)
 
 
-class _Outcomes:
-    """Raw and adjusted outcome store shared by driver and ledger."""
-
-    def __init__(self, plan):
-        self.plan = plan
-        self.raw = {}
-        self.adjusted = {}
-        self.ledger = []
-
-    def record(self, label, r, stage):
-        d = self.plan.geometry.d
-        self.raw[label] = r
-        terms = self.plan.adjust_terms.get(label)
-        if terms is None:
-            self.adjusted[label] = r
-            self.ledger.append(OutcomeRecord(label, r, r, stage))
-        else:
-            self.adjusted[label] = adjust_outcome(
-                self.ledger, label, r, self.adjusted, terms, d, stage
-            )
-
-    def exponent(self, correct: Correct):
-        return sum(c * (self.raw if use == "raw" else self.adjusted)[lab]
-                   for lab, c, use in correct.terms) % self.plan.geometry.d
-
-
 def _is_aux(label):
     return label.endswith("'")
 
@@ -642,63 +622,6 @@ def _simulated_forced(plan, forced_map):
     return simulated
 
 
-def _replay(plan, report_ops, simulated):
-    """Outcomes and correction records in report order.  A shifted qudit's
-    outcome is its simulated one plus the exponent tau of its Z step, which
-    reads outcomes that come before it in report order."""
-    d = plan.geometry.d
-    outcomes = _Outcomes(plan)
-    corrections = []
-    for kind, item, stage in report_ops:
-        if kind == "measure":
-            r = simulated[item]
-            shift = plan.shifts.get(item)
-            if shift is not None:
-                r = (r + outcomes.exponent(shift)) % d
-            outcomes.record(item, r, stage)
-        else:
-            corrections.append(
-                CorrectionRecord(item.op, item.qudit, int(outcomes.exponent(item)), stage)
-            )
-    return outcomes, corrections
-
-
-def _materialize_messages(plan, outcomes, sigma_link_values, coherent):
-    messages = []
-    for stage in plan.schedule.stages:
-        for step in stage.steps:
-            if not isinstance(step, Send):
-                continue
-            kind, label = step.payload
-            if coherent and kind in ("raw", "adjusted") and _is_aux(label):
-                continue
-            if kind == "raw":
-                text = f"outcome({label})={outcomes.raw[label]}"
-            elif kind == "adjusted":
-                text = f"adjusted({label})={outcomes.adjusted[label]}"
-            elif kind == "sigma-link":
-                text = f"sigma-share({label})={sigma_link_values.get(label, 0)}"
-            else:
-                text = f"sigma-contribution({label})"
-            messages.append(
-                MessageRecord(step.sender, step.receiver, text,
-                              over_network=step.over_network, backward=step.backward)
-            )
-    return messages
-
-
-def _classical_link_values(plan, s_values):
-    """Forward run of the underlying classical code on the outcome vector s."""
-    geometry = plan.geometry
-    values = {lab: int(s_values[lab]) for lab in geometry.inputs}
-    for gadget in geometry.gadgets:
-        x = np.asarray([values[lab] for lab in gadget.in_labels], dtype=np.int64)
-        y = gadget.matrix.mul_vec(x)
-        for j, out in enumerate(gadget.out_labels):
-            values[out] = int(y[j])
-    return values
-
-
 def oracle_output_state(M: RingMatrix, input_state: QuditState) -> QuditState:
     """The target of every protocol: sum_x psi_x |M x> on the output qudits.
 
@@ -731,9 +654,10 @@ def _run(plan, input_state, seed, forced, embed=None):
     It interprets the plan's step program for the path (see _program) on a
     batch of one row, keeping at each measurement the forced outcome or one
     drawn with the arithmetic of Generator.choice, so a seed keeps its
-    outcomes.  Without `embed` the run is the one-way path; with `embed`,
-    the coherent node-step resolver (coherent._embed), it is the coherent
-    path.
+    outcomes.  The ledger, the corrections and the messages are then filled
+    from the program's rows at the simulated outcomes.  Without `embed` the
+    run is the one-way path; with `embed`, the coherent node-step resolver
+    (coherent._embed), it is the coherent path.
     """
     geometry = plan.geometry
     d = geometry.d
@@ -769,19 +693,15 @@ def _run(plan, input_state, seed, forced, embed=None):
             _, label, q, i = step
             simulated[i], arr = _measure_row(arr, q, d, lambda p: choose(label, p))
         else:
-            _, op, q, row = step
-            arr = _weyl_rows(arr, op, q, np.array([(row @ simulated) % d]), d)
-    outcomes, corrections = _replay(plan, prog.report, dict(zip(prog.order, simulated.tolist())))
+            _, op, q, i = step
+            arr = _weyl_rows(arr, op, q, np.array([(prog.rows[i] @ simulated) % d]), d)
+    values = ((prog.rows @ simulated) % d).tolist()
     arr = np.moveaxis(arr, prog.out_axes, range(1, 1 + len(prog.out_axes)))
-    for rec, (_op, h, _row) in zip(corrections[len(corrections) - len(prog.finals):],
-                                   prog.finals):
-        if rec.exponent:
-            arr = _weyl_rows(arr, rec.op, h, np.array([rec.exponent]), d)
+    for op, h, i in prog.finals:
+        if values[i]:
+            arr = _weyl_rows(arr, op, h, np.array([values[i]]), d)
     output_state = QuditState(len(prog.out_axes), d, arr[0], normalize_check=False)
 
-    sigma_link_values = {}
-    if plan.mode == "constrained" and plan.block_B is not None:
-        sigma_link_values = _classical_link_values(plan, outcomes.raw)
     oracle = oracle_output_state(plan.matrix, input_state)
     report = RunReport(
         path="coherent" if coherent else "mbqc",
@@ -791,9 +711,13 @@ def _run(plan, input_state, seed, forced, embed=None):
         forced_outcomes=None
         if forced_map is None
         else [[lab, int(forced_map[lab])] for lab in prog.forced_order],
-        outcomes=outcomes.ledger,
-        corrections=corrections,
-        messages=_materialize_messages(plan, outcomes, sigma_link_values, coherent),
+        outcomes=[OutcomeRecord(lab, values[i], values[j], stage, provenance)
+                  for lab, i, j, stage, provenance in prog.ledger],
+        corrections=[CorrectionRecord(op, lab, values[i], stage)
+                     for op, lab, i, stage in prog.corrections],
+        messages=[MessageRecord(sender, receiver, text if i is None else f"{text}{values[i]}",
+                                over_network=over_network, backward=backward)
+                  for sender, receiver, text, i, over_network, backward in prog.messages],
         resource_counts=_tally(geometry).to_dict(),
         requires_out_of_network=plan.requires_out_of_network,
         fidelity_vs_oracle=fidelity(output_state, oracle),
@@ -835,30 +759,35 @@ class _Program:
     """A plan resolved for one path, interpreted by both the single-run
     driver and the branch walker.  The arrays they step hold branches on
     axis 0 and the live qudits on the other axes, in a layout fixed by the
-    plan, so every step carries its axis positions.
+    plan, so every step carries its axis positions.  Every number a run
+    reports is a row of `rows` times the simulated outcomes r' mod d.
 
     steps:  ("node", step), step(array) -> array the node step for the live
             layout; ("measure", label, axis, position in `order`); ("corr",
-            op, axis, row), an --local-aux X step with exponent row . r' mod
-            d over the simulated outcomes r'
-    order, T: the simulated measurement order, and r = T r' mod d (see
-            _outcome_map)
+            op, axis, row), an --local-aux X step with exponent
+            rows[row] . r' mod d
+    order:  the simulated measurement order
     forced_order: the path's schedule measurement order, which forced
             outcome sequences follow
     live:   qudits live before each step, then after the last
     out_axes: the axes of the outputs after the last step
-    report: the report-order ops and final corrections _replay takes
+    rows:   integer rows over r' (see _records); the first len(order) are
+            the raw outcomes, r = T r' mod d (see _outcome_map)
+    ledger, corrections, messages: the record templates of a report, in
+            report order, naming the rows that fill them (see _records)
     finals: per final correction (op, its output's axis once the outputs
-            are moved to the front, row over r')
+            are moved to the front, row)
     """
 
     steps: list
     order: list
-    T: np.ndarray
     forced_order: list
     live: list
     out_axes: list
-    report: list
+    rows: np.ndarray
+    ledger: list
+    corrections: list
+    messages: list
     finals: list
 
 
@@ -873,10 +802,8 @@ def _program(plan, embed=None):
     coherent = embed is not None
     ops, report_ops, finals, forced_order = _steps(plan, coherent)
     order, T = _outcome_map(plan, ops, report_ops)
-    row_of = _raw_coefficient_rows(plan, order)
-
-    def simulated_row(correct):
-        return (row_of(correct) @ T) % d
+    rows, ledger, corrections, messages, row_of = _records(
+        plan, order, T, report_ops + [("corr", c, stage) for c, stage in finals], coherent)
 
     axis = {lab: 1 + i for i, lab in enumerate(geometry.inputs)}
     steps = []
@@ -894,57 +821,91 @@ def _program(plan, embed=None):
             axis = {lab: ax - 1 if ax > q else ax for lab, ax in axis.items() if lab != op[1]}
             steps.append(("measure", op[1], q, order.index(op[1])))
         else:
-            steps.append(("corr", op[1].op, axis[op[1].qudit], simulated_row(op[1])))
+            steps.append(("corr", op[1].op, axis[op[1].qudit], row_of[op[1]]))
     outputs = geometry.outputs
     prog = plan.programs[embed] = _Program(
         steps=steps,
         order=order,
-        T=T,
         forced_order=forced_order,
         live=_live_counts(plan, ops, coherent),
         out_axes=[axis[lab] for lab in outputs],
-        report=report_ops + [("corr", c, stage) for c, stage in finals],
-        finals=[(c.op, 1 + outputs.index(c.qudit), simulated_row(c)) for c, _stage in finals],
+        rows=rows,
+        ledger=ledger,
+        corrections=corrections,
+        messages=messages,
+        finals=[(c.op, 1 + outputs.index(c.qudit), row_of[c]) for c, _stage in finals],
     )
     return prog
+
+
+def _records(plan, order, T, report, coherent):
+    """The outcome rows of a path and the report templates that read them.
+
+    Every step is Clifford over Z_d, so every number a run reports is a
+    fixed linear function mod d of its simulated outcomes r' (signal
+    shifting): rows[i] . r' mod d.  The rows are T, the raw outcomes; the
+    adjusted outcome of each measured auxiliary, by the cascade adjusted =
+    raw - sum coeff * adjusted(upstream); the exponent of each correction
+    in `report`; and the value of each sigma-link message, the link's
+    dependence row applied to the raw outcomes of the network inputs.
+
+    Returns the rows; the templates, in report order, of the ledger (label,
+    raw row, adjusted row, stage, provenance), of the corrections (op,
+    qudit, row, stage) and of the messages of the schedule (sender,
+    receiver, text, row or None, over_network, backward), the coherent path
+    sending no auxiliary outcome; and the row of each Correct.
+    """
+    geometry = plan.geometry
+    d = geometry.d
+    rows = list(T)
+    zero = np.zeros(len(order), dtype=np.int64)
+    raw = {lab: i for i, lab in enumerate(order)}
+    adjusted = dict(raw)  # an outcome with no cascade is reported as measured
+
+    def add(terms):
+        rows.append(sum((coeff * rows[i] for i, coeff in terms), zero) % d)
+        return len(rows) - 1
+
+    for gadget in geometry.gadgets:
+        for aux in gadget.aux_labels:
+            if aux in raw:  # the coherent path measures no auxiliary
+                adjusted[aux] = add([(raw[aux], 1)] + [(adjusted[lab], -coeff)
+                                                       for lab, coeff in plan.adjust_terms[aux]])
+    ledger, corrections, row_of = [], [], {}
+    for kind, item, stage in report:
+        if kind == "measure":
+            ledger.append((item, raw[item], adjusted[item], stage,
+                           plan.adjust_terms.get(item, ())))
+        else:
+            row_of[item] = add([((raw if use == "raw" else adjusted)[lab], coeff)
+                                for lab, coeff, use in item.terms])
+            corrections.append((item.op, item.qudit, row_of[item], stage))
+    messages = []
+    for stage in plan.schedule.stages:
+        for step in stage.steps:
+            if not isinstance(step, Send):
+                continue
+            kind, label = step.payload
+            if coherent and kind in ("raw", "adjusted") and _is_aux(label):
+                continue
+            if kind == "raw":
+                text, i = f"outcome({label})=", raw[label]
+            elif kind == "adjusted":
+                text, i = f"adjusted({label})=", adjusted[label]
+            elif kind == "sigma-link":
+                text = f"sigma-share({label})="
+                i = add([(raw[s], int(c)) for s, c in zip(geometry.inputs, geometry.depends[label])])
+            else:
+                text, i = f"sigma-contribution({label})", None
+            messages.append((step.sender, step.receiver, text, i, step.over_network,
+                             step.backward))
+    rows = np.array(rows, dtype=np.int64).reshape(len(rows), len(order))
+    return rows, ledger, corrections, messages, row_of
 
 
 # ----------------------------------------------------------------------
 # branch enumeration
 # ----------------------------------------------------------------------
-
-def _raw_coefficient_rows(plan, order):
-    """Correction exponents as integer rows over the raw-outcome vector.
-
-    The adjusted-outcome cascade is linear, so every correction exponent is a
-    fixed integer combination of raw outcomes; expanding it once lets the
-    branch walker evaluate corrections with a dot product.
-    """
-    d = plan.geometry.d
-    pos = {lab: i for i, lab in enumerate(order)}
-    n = len(order)
-    adj_rows = {}
-    for gadget in plan.geometry.gadgets:
-        for aux in gadget.aux_labels:
-            if aux not in pos:  # the coherent path measures no auxiliary
-                continue
-            row = np.zeros(n, dtype=np.int64)
-            row[pos[aux]] = 1
-            for lab, coeff in plan.adjust_terms[aux]:
-                row = (row - coeff * adj_rows[lab]) % d
-            adj_rows[aux] = row
-
-    def row_of(correct):
-        row = np.zeros(n, dtype=np.int64)
-        for lab, coeff, use in correct.terms:
-            if use == "raw":
-                row[pos[lab]] = (row[pos[lab]] + coeff) % d
-            else:
-                row = (row + coeff * adj_rows[lab]) % d
-        return row
-
-    return row_of
-
 
 def _outcome_map(plan, ops, report_ops):
     """The simulated measurement order of a path's `ops` and the
@@ -952,7 +913,7 @@ def _outcome_map(plan, ops, report_ops):
     to the raw ones r.
 
     A shifted qudit's raw outcome is its simulated one plus its Z step's
-    exponent, which reads raw outcomes reported before it (see _replay).
+    exponent, which reads raw outcomes reported before it.
     """
     order = [op[1] for op in ops if op[0] == "measure"]
     pos = {lab: i for i, lab in enumerate(order)}
@@ -987,8 +948,8 @@ def _branches(plan, input_state, amp_limit, embed=None, normalize=False):
     Yields batches (R, t, nrm2): the simulated outcome vectors r' in
     physical measurement order as the rows of R, the output tensors in
     declaration order with the final corrections applied as the rows of t,
-    and their squared norms; the raw outcomes are T r' mod d (see
-    _outcome_map).
+    and their squared norms; the raw outcomes are T r' mod d, the
+    program's first rows (see _outcome_map).
     """
     _validate_input(plan.geometry, input_state)
     d = plan.geometry.d
@@ -1024,11 +985,11 @@ def _branches(plan, input_state, amp_limit, embed=None, normalize=False):
             if step[0] == "node":
                 arr = step[1](arr)
             else:
-                arr = _weyl_rows(arr, step[1], step[2], (R @ step[3]) % d, d)
+                arr = _weyl_rows(arr, step[1], step[2], (R @ prog.rows[step[3]]) % d, d)
         if measure is None:
             t = np.moveaxis(arr, prog.out_axes, range(1, 1 + n_out))
-            for op, h, row in prog.finals:
-                t = _weyl_rows(t, op, h, (R @ row) % d, d)
+            for op, h, i in prog.finals:
+                t = _weyl_rows(t, op, h, (R @ prog.rows[i]) % d, d)
             yield R, t, nrm2
             continue
         _, _label, q, i = measure
@@ -1052,7 +1013,7 @@ def _exhaustive(plan, input_state, amp_limit, embed=None):
     prog = _program(plan, embed)
     d = plan.geometry.d
     for R, t, _nrm2 in _branches(plan, input_state, amp_limit, embed, normalize=True):
-        for raw, amps in zip(((R @ prog.T.T) % d).tolist(), t):
+        for raw, amps in zip(((R @ prog.rows[:len(prog.order)].T) % d).tolist(), t):
             yield dict(zip(prog.order, raw)), QuditState(amps.ndim, d, amps,
                                                          normalize_check=False)
 

@@ -10,6 +10,7 @@ coordinate order of the composite map.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,14 +71,17 @@ class CodingNetwork:
         object.__setattr__(self, "_geometry", None)
         object.__setattr__(self, "d", int(d))
         object.__setattr__(self, "nodes", tuple(nodes))
+        # every port is an integer: operator.index refuses floats and strings
+        links = [l if isinstance(l, Link) else Link(*l) for l in links]
+        object.__setattr__(self, "links", tuple(
+            Link(l.from_node, operator.index(l.from_port), l.to_node, operator.index(l.to_port))
+            for l in links
+        ))
         object.__setattr__(
-            self, "links", tuple(l if isinstance(l, Link) else Link(*l) for l in links)
+            self, "source_inputs", tuple((str(n), operator.index(p)) for n, p in source_inputs)
         )
         object.__setattr__(
-            self, "source_inputs", tuple((str(n), int(p)) for n, p in source_inputs)
-        )
-        object.__setattr__(
-            self, "target_outputs", tuple((str(n), int(p)) for n, p in target_outputs)
+            self, "target_outputs", tuple((str(n), operator.index(p)) for n, p in target_outputs)
         )
 
     def __getstate__(self):

@@ -214,6 +214,56 @@ def test_malformed_link_exits_1(tmp_path, capsys):
     assert "error: cannot load network" in capsys.readouterr().err
 
 
+
+def _swap_edited(key, i, value, field=None):
+    """The swap network document with entry i of `key`, or its `field`, replaced."""
+    doc = network_to_dict(butterfly_swap(2))
+    if field is None:
+        doc[key][i] = value
+    else:
+        doc[key][i][field] = value
+    return doc
+
+
+# (case, network document or None for the bundled swap, amplitude document
+# or None, whether --out names a missing directory, exit code)
+_BAD_FILES_AND_FLAGS = [
+    ("no amplitudes key", None, {"version": 1}, False, 64),
+    ("bare amplitudes", None, {"version": 1, "amplitudes": [1, 0, 0, 0]}, False, 64),
+    ("list document", None, [[1, 0], [0, 0], [0, 0], [0, 0]], False, 64),
+    ("infinite amplitude", None, {"version": 1, "amplitudes": [[float("inf"), 0]] + [[0, 0]] * 3},
+     False, 64),
+    ("string link port", _swap_edited("links", 0, "x", field=1), None, False, 1),
+    ("float input port", _swap_edited("inputs", 0, 0.7, field=1), None, False, 1),
+    ("string output port", _swap_edited("outputs", 0, "0", field=1), None, False, 1),
+    ("out-of-range port", _swap_edited("links", 0, 5, field=3), None, False, 1),
+    ("malformed link", _swap_edited("links", 0, ["S1", 0, "V1"]), None, False, 1),
+    ("unwritable --out", None, None, True, 64),
+]
+
+
+@pytest.mark.parametrize("command, network, amplitudes, bad_out, code", [
+    pytest.param(command, *rest, id=f"{command}: {case}")
+    for case, *rest in _BAD_FILES_AND_FLAGS
+    for command in ("validate", "run-mbqc", "compare")
+    if command != "validate" or rest[1] is None  # validate takes no input state
+])
+def test_bad_files_and_flags_exit_with_documented_codes(tmp_path, capsys, command, network,
+                                                        amplitudes, bad_out, code):
+    argv = [command, "--network", BUTTERFLY]
+    if network is not None:
+        argv[2] = str(tmp_path / "network.json")
+        (tmp_path / "network.json").write_text(json.dumps(network))
+    if amplitudes is not None:
+        argv += ["--input-state", str(tmp_path / "state.json")]
+        (tmp_path / "state.json").write_text(json.dumps(amplitudes))
+    if bad_out:
+        argv += ["--out", str(tmp_path / "missing" / "report.json")]
+    assert run_cli(*argv) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(("error: ", "violation: ")) and "Traceback" not in err
+
 def test_impossible_outcome_exits_3(monkeypatch):
     def boom(*_a, **_k):
         raise ImpossibleOutcomeError("forced outcome has probability 0")

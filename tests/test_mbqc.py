@@ -16,11 +16,9 @@ from qlnc.coherent import _embed, _embed_array, embed_node
 from qlnc.mbqc import (
     Correct,
     Measure,
-    _classical_link_values,
+    Send,
     _exhaustive,
     _introduce,
-    _materialize_messages,
-    _Outcomes,
     _peak_live,
     _run,
     _steps,
@@ -33,7 +31,7 @@ from qlnc.mbqc import (
     target_z_correction,
 )
 from qlnc.network import CodingNetwork, NodeSpec, UnsupportedNetworkError, composite_map
-from qlnc.report import CorrectionRecord
+from qlnc.report import CorrectionRecord, MessageRecord, OutcomeRecord
 from qlnc.ring import RingMatrix, left_inverse
 from qlnc.states import ImpossibleOutcomeError, LabeledRegister, QuditState, fidelity
 
@@ -586,6 +584,70 @@ def test_constrained_peak_live_equals_free():
             assert peaks[0] == peaks[1]
 
 
+# -- the dict reference of the outcome algebra --------------------------
+
+class _Outcomes:
+    """Raw and adjusted outcome store shared by driver and ledger."""
+
+    def __init__(self, plan):
+        self.plan = plan
+        self.raw = {}
+        self.adjusted = {}
+        self.ledger = []
+
+    def record(self, label, r, stage):
+        d = self.plan.geometry.d
+        self.raw[label] = r
+        terms = self.plan.adjust_terms.get(label)
+        if terms is None:
+            self.adjusted[label] = r
+            self.ledger.append(OutcomeRecord(label, r, r, stage))
+        else:
+            self.adjusted[label] = adjust_outcome(
+                self.ledger, label, r, self.adjusted, terms, d, stage
+            )
+
+    def exponent(self, correct: Correct):
+        return sum(c * (self.raw if use == "raw" else self.adjusted)[lab]
+                   for lab, c, use in correct.terms) % self.plan.geometry.d
+
+
+def _materialize_messages(plan, outcomes, sigma_link_values, coherent):
+    messages = []
+    for stage in plan.schedule.stages:
+        for step in stage.steps:
+            if not isinstance(step, Send):
+                continue
+            kind, label = step.payload
+            if coherent and kind in ("raw", "adjusted") and label.endswith("'"):
+                continue
+            if kind == "raw":
+                text = f"outcome({label})={outcomes.raw[label]}"
+            elif kind == "adjusted":
+                text = f"adjusted({label})={outcomes.adjusted[label]}"
+            elif kind == "sigma-link":
+                text = f"sigma-share({label})={sigma_link_values.get(label, 0)}"
+            else:
+                text = f"sigma-contribution({label})"
+            messages.append(
+                MessageRecord(step.sender, step.receiver, text,
+                              over_network=step.over_network, backward=step.backward)
+            )
+    return messages
+
+
+def _classical_link_values(plan, s_values):
+    """Forward run of the underlying classical code on the outcome vector s."""
+    geometry = plan.geometry
+    values = {lab: int(s_values[lab]) for lab in geometry.inputs}
+    for gadget in geometry.gadgets:
+        x = np.asarray([values[lab] for lab in gadget.in_labels], dtype=np.int64)
+        y = gadget.matrix.mul_vec(x)
+        for j, out in enumerate(gadget.out_labels):
+            values[out] = int(y[j])
+    return values
+
+
 def _apply_correction(reg, outcomes, correct, stage, corrections):
     """A correction applied to a labelled register, with its record."""
     exp = outcomes.exponent(correct)
@@ -674,6 +736,51 @@ def test_forced_constrained_runs_match_reverse_topological_reference():
             assert rep.corrections == corrections
             assert rep.messages == messages
             assert fidelity(out, ref_out) >= 1 - 1e-12
+
+
+def _records_from_raw(plan, raw, coherent):
+    """A run's ledger, corrections and messages, rebuilt by the dict
+    reference from its raw outcomes in report order."""
+    _ops, report_ops, finals, _order = _steps(plan, coherent)
+    outcomes, corrections = _Outcomes(plan), []
+    for kind, item, stage in report_ops + [("corr", c, stage) for c, stage in finals]:
+        if kind == "measure":
+            outcomes.record(item, raw[item], stage)
+        else:
+            corrections.append(
+                CorrectionRecord(item.op, item.qudit, int(outcomes.exponent(item)), stage))
+    links = _classical_link_values(plan, outcomes.raw) if plan.block_B is not None else {}
+    return outcomes.ledger, corrections, _materialize_messages(plan, outcomes, links, coherent)
+
+
+def test_seeded_reports_match_dict_reference():
+    # a run reads its records off the step program's integer rows; the dict
+    # reference rebuilds them from the reported raw outcomes alone
+    rng = np.random.default_rng(909)
+    nets = [no_block_network(), butterfly_swap(3)]  # sigma-direct, sigma-route
+    for i in range(18):
+        nets.append(random_network(rng, 2 + i % 5, require_injective=True, max_nodes=4,
+                                   max_links=4, size_cap=6))
+    payloads = set()
+    for net in nets:
+        geo = compile_network(net)
+        psi = QuditState.haar_random(net.d, net.num_inputs, rng)
+        for mode, local_aux, coherent in (("free", False, False), ("constrained", False, False),
+                                          ("constrained", True, False), ("free", False, True),
+                                          ("constrained", False, True)):
+            plan = build_schedule(geo, mode, local_aux=local_aux)
+            for seed in range(2):
+                if coherent:
+                    _out, rep = run_coherent(net, psi, mode=mode, seed=seed)
+                else:
+                    _out, rep = run_mbqc(geo, psi, mode=mode, seed=seed, local_aux=local_aux)
+                raw = {rec.qudit: rec.raw for rec in rep.outcomes}
+                ledger, corrections, messages = _records_from_raw(plan, raw, coherent)
+                assert rep.outcomes == ledger
+                assert rep.corrections == corrections
+                assert rep.messages == messages
+                payloads.update(m.payload.split("(")[0] for m in rep.messages)
+    assert payloads == {"outcome", "adjusted", "sigma-share", "sigma-contribution"}
 
 
 def test_exhaustive_outcomes_label_the_simulated_branch():
@@ -777,7 +884,7 @@ def test_deferred_full_preparation_equals_eager_driver():
     # the runtime interleaves commuting projections with preparation to keep
     # the live register small; preparing the whole graph state first and
     # measuring in logical schedule order must give the same branch states
-    from qlnc.mbqc import _Outcomes, build_schedule, prepare_graph_state
+    from qlnc.mbqc import build_schedule, prepare_graph_state
     from qlnc.states import LabeledRegister
 
     nodes = [NodeSpec("S", RingMatrix([[1], [1]], 3)), NodeSpec("T", RingMatrix([[1, 1]], 3))]
