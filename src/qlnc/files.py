@@ -9,7 +9,9 @@ Network file (UTF-8 JSON):
       "inputs": [["S1", 0], ...],
       "outputs": [["T1", 0], ...]
     }
-Matrix entries may be arbitrary integers; they are reduced mod d on load.
+d, the ports and the matrix entries must be JSON integers: a float or a
+boolean is refused, as is a modulus or matrix entry beyond int64.  Matrix
+entries are reduced mod d on load.
 
 Amplitude file (UTF-8 JSON):
     {"version": 1, "amplitudes": [[re, im], ...]}
@@ -51,15 +53,23 @@ def network_to_dict(net: CodingNetwork) -> dict:
     }
 
 
+def _integer(x):
+    """x itself if it is a JSON integer; a float or a boolean is refused."""
+    if type(x) is not int:
+        raise TypeError(f"expected an integer, got {json.dumps(x, default=repr)}")
+    return x
+
+
 def network_from_dict(doc: dict) -> CodingNetwork:
     try:
-        d = int(doc["d"])
-        nodes = [NodeSpec(str(n["id"]), RingMatrix(n["matrix"], d)) for n in doc["nodes"]]
-        links = [tuple(l) for l in doc["links"]]
-        inputs = [tuple(p) for p in doc["inputs"]]
-        outputs = [tuple(p) for p in doc["outputs"]]
+        d = _integer(doc["d"])
+        matrices = [[list(map(_integer, row)) for row in n["matrix"]] for n in doc["nodes"]]
+        nodes = [NodeSpec(str(n["id"]), RingMatrix(m, d)) for n, m in zip(doc["nodes"], matrices)]
+        links = [(a, _integer(p), b, _integer(q)) for a, p, b, q in doc["links"]]
+        inputs = [(n, _integer(p)) for n, p in doc["inputs"]]
+        outputs = [(n, _integer(p)) for n, p in doc["outputs"]]
         return CodingNetwork(d, nodes, links, inputs, outputs)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed network document: {exc}") from exc
 
 

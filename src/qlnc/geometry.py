@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .network import CodingNetwork, port_dependence, wiring
+from .network import CodingNetwork, _propagate, wiring
 
 __all__ = ["MbqcGeometry", "NodeGadget", "ResourceCounts", "compile_network", "resource_counts"]
 
@@ -52,7 +52,9 @@ class ResourceCounts:
 @dataclass
 class MbqcGeometry:
     d: int
-    qudits: list  # (label, kind) with kind in {network-input, message, auxiliary, network-output}
+    # (label, kind) in label_sort_key order, kind in {network-input, message,
+    # auxiliary, network-output}
+    qudits: list
     edges: list  # (label, label, weight) with weight in 1..d-1
     inputs: list
     outputs: list
@@ -106,7 +108,7 @@ def label_sort_key(label):
 def compile_network(net: CodingNetwork) -> MbqcGeometry:
     """Build the one-way geometry realizing the same transformation as net."""
     w = wiring(net)
-    in_rows, out_rows = port_dependence(net)
+    _in_rows, out_rows = _propagate(net, w)
     k = net.num_inputs
 
     input_labels = [f"s{j + 1}" for j in range(k)]
@@ -121,12 +123,12 @@ def compile_network(net: CodingNetwork) -> MbqcGeometry:
         kind, idx = w.out_feed[(node_id, port)]
         return output_labels[idx] if kind == "target" else link_labels[idx]
 
+    # in label_sort_key order: inputs, then each message and each output
+    # followed by its auxiliary
     qudits = [(lab, "network-input") for lab in input_labels]
-    qudits += [(lab, "message") for lab in link_labels]
-    for lab in link_labels + output_labels:
-        qudits.append((lab + "'", "auxiliary"))
-    qudits += [(lab, "network-output") for lab in output_labels]
-    qudits.sort(key=lambda item: label_sort_key(item[0]))
+    for labels, kind in ((link_labels, "message"), (output_labels, "network-output")):
+        for lab in labels:
+            qudits += [(lab, kind), (lab + "'", "auxiliary")]
 
     depends = {}
     origin = {}
@@ -152,13 +154,12 @@ def compile_network(net: CodingNetwork) -> MbqcGeometry:
     edges = []
     gadgets = []
     for nid in w.topo_order:
-        node = net.node(nid)
+        node = w.node[nid]
         ins = tuple(in_label(nid, p) for p in range(node.matrix.cols))
         outs = tuple(out_label(nid, q) for q in range(node.matrix.rows))
         auxs = tuple(lab + "'" for lab in outs)
-        for q in range(node.matrix.rows):
-            for p in range(node.matrix.cols):
-                weight = int(node.matrix.a[q, p])
+        for q, row in enumerate(node.matrix.a.tolist()):
+            for p, weight in enumerate(row):
                 if weight:
                     assert ins[p] != auxs[q], "self-edge in compiled geometry"
                     edges.append((ins[p], auxs[q], weight))

@@ -77,7 +77,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import MbqcGeometry, _tally, label_sort_key
+from .geometry import MbqcGeometry, _tally
 from .network import UnsupportedNetworkError
 from .report import CorrectionRecord, MessageRecord, OutcomeRecord, RunReport
 from .ring import RingMatrix, _matmul_mod, find_block_diagonal_B, left_inverse
@@ -233,16 +233,12 @@ def _aux_adjust_terms(geometry: MbqcGeometry, local_aux: bool):
     terms = {}
     link_labels = {f"m{i + 1}" for i in range(geometry.num_links)}
     for gadget in geometry.gadgets:
-        V = gadget.matrix.a
-        for j, aux in enumerate(gadget.aux_labels):
-            if local_aux:
-                terms[aux] = ()
-                continue
-            row = []
-            for k_, in_lab in enumerate(gadget.in_labels):
-                if in_lab in link_labels and V[j, k_]:
-                    row.append((in_lab + "'", int(-V[j, k_]) % geometry.d))
-            terms[aux] = tuple(row)
+        for aux, row in zip(gadget.aux_labels, gadget.matrix.a.tolist()):
+            terms[aux] = () if local_aux else tuple(
+                (in_lab + "'", -v % geometry.d)
+                for in_lab, v in zip(gadget.in_labels, row)
+                if in_lab in link_labels and v
+            )
     return terms
 
 
@@ -266,6 +262,8 @@ def build_schedule(geometry: MbqcGeometry, mode, local_aux=False):
         )
 
     adjust_terms = _aux_adjust_terms(geometry, local_aux)
+    # geometry.qudits is in natural label order (label_sort_key)
+    rank = {lab: i for i, (lab, _kind) in enumerate(geometry.qudits)}
     target_nodes = []
     for t in geometry.outputs:
         nid = producer_node[t]
@@ -280,37 +278,34 @@ def build_schedule(geometry: MbqcGeometry, mode, local_aux=False):
     requires_oon = False
     block_B = None
 
-    def owner(label):
-        if label in source_node:
-            return source_node[label]
-        if label.endswith("'"):
-            return producer_node[label.rstrip("'")]
-        if label in consumer_node:
-            return consumer_node[label]
-        return producer_node[label]
-
     if mode == "free":
-        measured = sorted(geometry.measured_labels(), key=label_sort_key)
+        measured = geometry.measured_labels()
         stages.append(Stage("measure", [Measure(q) for q in measured]))
         adjusts = []
         for gadget in geometry.gadgets:
             for aux in gadget.aux_labels:
                 adjusts.append(Adjust(aux, adjust_terms[aux]))
         stages.append(Stage("adjust", adjusts))
+        # a measured qudit's owner: the node it feeds (an input or an incoming
+        # message) or, for an auxiliary, the node that produced its twin
+        owner = {**{q + "'": producer_node[q] for q in producer_node},
+                 **consumer_node, **source_node}
+        receivers = [f"target {nid}" for nid in target_nodes]
         sends = [
-            Send(owner(q), f"target {nid}", ("raw", q), over_network=False)
+            Send(owner[q], receiver, ("raw", q), over_network=False)
             for q in measured
-            for nid in target_nodes
+            for receiver in receivers
         ]
         stages.append(Stage("send", sends))
 
         corrections = []
-        kappa = {}
-        for u in sorted(geometry.message_like_labels(), key=label_sort_key):
-            kappa[u] = (A.T.a @ geometry.depends[u]) % d
+        us = geometry.message_like_labels()
+        # kappa_u = A^T lambda_u, one row per u
+        lam = np.asarray([geometry.depends[u] for u in us], dtype=np.int64)
+        kappa = dict(zip(us, _matmul_mod(lam.reshape(len(us), M.cols), A.a, d).tolist()))
         for h, t in enumerate(geometry.outputs):
             corrections.append(Correct("X", t, ((t + "'", 1, "adjusted"),)))
-            zterms = tuple((u, int(kappa[u][h]), "raw") for u in kappa if kappa[u][h])
+            zterms = tuple((u, kappa[u][h], "raw") for u in us if kappa[u][h])
             if zterms:
                 corrections.append(Correct("Z", t, zterms))
         stages.append(Stage("correct", corrections))
@@ -322,7 +317,7 @@ def build_schedule(geometry: MbqcGeometry, mode, local_aux=False):
         for i, gadget in enumerate(geometry.gadgets):
             nid = gadget.node_id
             name = f"aux-measure {nid}"
-            auxs = sorted(gadget.aux_labels, key=label_sort_key)
+            auxs = sorted(gadget.aux_labels, key=rank.get)
             stages.append(Stage(name, [Measure(q) for q in auxs]))
             stages.append(
                 Stage(f"aux-adjust {nid}", [Adjust(a, adjust_terms[a]) for a in auxs])
@@ -360,13 +355,12 @@ def build_schedule(geometry: MbqcGeometry, mode, local_aux=False):
         # phase B: incoming-message measurements in reverse topological order
         for gadget in reversed(geometry.gadgets):
             nid = gadget.node_id
-            V = gadget.matrix.a
             zsteps = []
-            for p, in_lab in enumerate(gadget.in_labels):
+            for in_lab, col in zip(gadget.in_labels, gadget.matrix.a.T.tolist()):
                 terms = tuple(
-                    (out, int(V[q, p]), "raw")
-                    for q, out in enumerate(gadget.out_labels)
-                    if out in link_of_message and V[q, p]
+                    (out, v, "raw")
+                    for out, v in zip(gadget.out_labels, col)
+                    if out in link_of_message and v
                 )
                 if terms:
                     corr = Correct("Z", in_lab, terms)
@@ -377,7 +371,7 @@ def build_schedule(geometry: MbqcGeometry, mode, local_aux=False):
                 stages.append(Stage(f"z-correct {nid}", zsteps))
             link_ins = sorted(
                 (lab for lab in gadget.in_labels if lab in link_of_message),
-                key=label_sort_key,
+                key=rank.get,
             )
             if link_ins:
                 name = f"input-measure {nid}"
@@ -393,7 +387,7 @@ def build_schedule(geometry: MbqcGeometry, mode, local_aux=False):
 
         # phase C: network-input measurements and the source phase correction
         name = "source-measure"
-        src = sorted(geometry.inputs, key=label_sort_key)
+        src = sorted(geometry.inputs, key=rank.get)
         stages.append(Stage(name, [Measure(q) for q in src]))
         for q in src:
             report_order.append(("measure", q, name))
@@ -404,7 +398,7 @@ def build_schedule(geometry: MbqcGeometry, mode, local_aux=False):
         blocks = [by_node[nid] for nid in target_nodes]
         block_B = find_block_diagonal_B(M, blocks)
         if block_B is not None:
-            C = (block_B.T.a @ M.a) % d
+            C = _matmul_mod(block_B.a.T, M.a, d).tolist()
             sends = [
                 Send(producer_node[lab], consumer_node[lab], ("sigma-link", lab),
                      over_network=True)
@@ -413,7 +407,7 @@ def build_schedule(geometry: MbqcGeometry, mode, local_aux=False):
             stages.append(Stage("sigma-route", sends))
         else:
             requires_oon = True
-            C = A.T.a % d
+            C = A.a.T.tolist()
             sends = []
             source_nodes = []
             for s in geometry.inputs:
@@ -428,11 +422,7 @@ def build_schedule(geometry: MbqcGeometry, mode, local_aux=False):
             stages.append(Stage("sigma-direct", sends))
         steps = []
         for h, t in enumerate(geometry.outputs):
-            terms = tuple(
-                (s, int(C[h, j]), "raw")
-                for j, s in enumerate(geometry.inputs)
-                if C[h, j]
-            )
+            terms = tuple((s, c, "raw") for s, c in zip(geometry.inputs, C[h]) if c)
             if terms:
                 corr = Correct("Z", t, terms)
                 steps.append(corr)
@@ -447,10 +437,10 @@ def build_schedule(geometry: MbqcGeometry, mode, local_aux=False):
     physical = []
     for i, gadget in enumerate(geometry.gadgets):
         physical.append(("intro", i))
-        for lab in sorted(gadget.aux_labels, key=label_sort_key):
+        for lab in sorted(gadget.aux_labels, key=rank.get):
             physical.append(("measure", lab, measure_stage[lab]))
         physical.extend(node_corrections.get(i, ()))
-        for lab in sorted(gadget.in_labels, key=label_sort_key):
+        for lab in sorted(gadget.in_labels, key=rank.get):
             physical.append(("measure", lab, measure_stage[lab]))
     if mode == "free":
         report_order = [op for op in physical if op[0] != "intro"]

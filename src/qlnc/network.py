@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ring import RingMatrix, is_injective
+from .ring import RingMatrix, _matmul_mod, is_injective
 
 __all__ = [
     "NodeSpec",
@@ -88,12 +88,6 @@ class CodingNetwork:
         # a copy or an unpickled network compiles its own geometry
         return {**self.__dict__, "_geometry": None}
 
-    def node(self, node_id) -> NodeSpec:
-        for n in self.nodes:
-            if n.id == node_id:
-                return n
-        raise KeyError(node_id)
-
     @property
     def num_inputs(self):
         return len(self.source_inputs)
@@ -109,21 +103,27 @@ class Wiring:
 
     in_feed maps (node, in_port) to ("source", source index) or
     ("link", link index); out_feed maps (node, out_port) to
-    ("target", target index) or ("link", link index).
+    ("target", target index) or ("link", link index); node maps ids to
+    NodeSpecs.
     """
 
     in_feed: dict = field(default_factory=dict)
     out_feed: dict = field(default_factory=dict)
     topo_order: list = field(default_factory=list)
+    node: dict = field(default_factory=dict)
 
 
 def validate(net: CodingNetwork) -> list[str]:
     """All structural violations, as human-readable strings (empty if valid)."""
+    return _inspect(net)[0]
+
+
+def _inspect(net: CodingNetwork):
+    """(violations, topological node order), the order None unless valid."""
     violations = []
     ids = [n.id for n in net.nodes]
     if len(set(ids)) != len(ids):
-        violations.append("duplicate node ids")
-        return violations
+        return ["duplicate node ids"], None
     known = set(ids)
 
     for i, link in enumerate(net.links):
@@ -139,24 +139,30 @@ def validate(net: CodingNetwork) -> list[str]:
         if node not in known:
             violations.append(f"output {j} references unknown node {node!r}")
     if violations:
-        return violations
+        return violations, None
 
     # every in-port fed exactly once, every out-port consumed exactly once
     in_feeders = {}
     out_consumers = {}
     for i, link in enumerate(net.links):
-        out_consumers.setdefault((link.from_node, link.from_port), []).append(f"link {i}")
-        in_feeders.setdefault((link.to_node, link.to_port), []).append(f"link {i}")
+        out_consumers.setdefault((link.from_node, link.from_port), []).append(("link", i))
+        in_feeders.setdefault((link.to_node, link.to_port), []).append(("link", i))
     for j, key in enumerate(net.source_inputs):
-        in_feeders.setdefault(key, []).append(f"input {j}")
+        in_feeders.setdefault(key, []).append(("input", j))
     for j, key in enumerate(net.target_outputs):
-        out_consumers.setdefault(key, []).append(f"output {j}")
+        out_consumers.setdefault(key, []).append(("output", j))
+    ports_in = {nid: [] for nid in ids}
+    ports_out = {nid: [] for nid in ids}
+    for node, p in in_feeders:
+        ports_in[node].append(p)
+    for node, p in out_consumers:
+        ports_out[node].append(p)
 
     for n in net.nodes:
         if n.matrix.d != net.d:
             violations.append(f"node {n.id!r} matrix modulus {n.matrix.d} != network d {net.d}")
-        in_ports = sorted(p for (node, p) in in_feeders if node == n.id)
-        out_ports = sorted(p for (node, p) in out_consumers if node == n.id)
+        in_ports = sorted(ports_in[n.id])
+        out_ports = sorted(ports_out[n.id])
         if in_ports != list(range(len(in_ports))):
             violations.append(f"node {n.id!r} in-ports {in_ports} are not dense from 0")
         if out_ports != list(range(len(out_ports))):
@@ -166,16 +172,19 @@ def validate(net: CodingNetwork) -> list[str]:
                 f"node {n.id!r} matrix is {n.matrix.rows}x{n.matrix.cols} "
                 f"but has {len(in_ports)} in-ports and {len(out_ports)} out-ports"
             )
-    for key, feeders in in_feeders.items():
-        if len(feeders) > 1:
-            violations.append(f"in-port {key} fed more than once: {feeders}")
-    for key, consumers in out_consumers.items():
-        if len(consumers) > 1:
-            violations.append(f"out-port {key} consumed more than once: {consumers}")
+    for key, ends in in_feeders.items():
+        if len(ends) > 1:
+            names = [f"{kind} {i}" for kind, i in ends]
+            violations.append(f"in-port {key} fed more than once: {names}")
+    for key, ends in out_consumers.items():
+        if len(ends) > 1:
+            names = [f"{kind} {i}" for kind, i in ends]
+            violations.append(f"out-port {key} consumed more than once: {names}")
 
-    if _topological_order(net) is None:
+    order = _topological_order(net)
+    if order is None:
         violations.append("link graph contains a cycle")
-    return violations
+    return violations, None if violations else order
 
 
 def _topological_order(net: CodingNetwork):
@@ -201,16 +210,12 @@ def _topological_order(net: CodingNetwork):
     return order
 
 
-def _check_valid(net):
-    violations = validate(net)
-    if violations:
-        raise InvalidNetworkError(violations)
-
-
 def wiring(net: CodingNetwork) -> Wiring:
     """Port resolution tables and a topological node order (network must be valid)."""
-    _check_valid(net)
-    w = Wiring()
+    violations, order = _inspect(net)
+    if violations:
+        raise InvalidNetworkError(violations)
+    w = Wiring(topo_order=order, node={n.id: n for n in net.nodes})
     for i, link in enumerate(net.links):
         w.in_feed[(link.to_node, link.to_port)] = ("link", i)
         w.out_feed[(link.from_node, link.from_port)] = ("link", i)
@@ -218,7 +223,6 @@ def wiring(net: CodingNetwork) -> Wiring:
         w.in_feed[key] = ("source", j)
     for j, key in enumerate(net.target_outputs):
         w.out_feed[key] = ("target", j)
-    w.topo_order = _topological_order(net)
     return w
 
 
@@ -230,24 +234,26 @@ def port_dependence(net: CodingNetwork):
     forward propagation in topological order, which is exactly the product
     of the per-layer block maps.
     """
-    w = wiring(net)
+    return _propagate(net, wiring(net))
+
+
+def _propagate(net: CodingNetwork, w: Wiring):
+    """port_dependence of a network already wired as `w`."""
     k = net.num_inputs
+    unit = np.eye(k, dtype=np.int64)
     in_rows = {}
     out_rows = {}
     link_rows = {}
     for nid in w.topo_order:
-        node = net.node(nid)
-        stack = np.zeros((node.matrix.cols, k), dtype=np.int64)
+        node = w.node[nid]
+        stack = []
         for p in range(node.matrix.cols):
             kind, idx = w.in_feed[(nid, p)]
-            if kind == "source":
-                row = np.zeros(k, dtype=np.int64)
-                row[idx] = 1
-            else:
-                row = link_rows[idx]
+            row = unit[idx] if kind == "source" else link_rows[idx]
             in_rows[(nid, p)] = row
-            stack[p] = row
-        out = node.matrix.a @ stack % net.d
+            stack.append(row)
+        stack = np.asarray(stack, dtype=np.int64).reshape(node.matrix.cols, k)
+        out = _matmul_mod(node.matrix.a, stack, net.d)
         for q in range(node.matrix.rows):
             out_rows[(nid, q)] = out[q]
             kind, idx = w.out_feed[(nid, q)]
@@ -275,7 +281,7 @@ def run_classical(net: CodingNetwork, s) -> np.ndarray:
     link_vals = {}
     out_vals = {}
     for nid in w.topo_order:
-        node = net.node(nid)
+        node = w.node[nid]
         incoming = np.zeros(node.matrix.cols, dtype=np.int64)
         for p in range(node.matrix.cols):
             kind, idx = w.in_feed[(nid, p)]

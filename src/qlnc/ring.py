@@ -299,16 +299,19 @@ def _diagonalize(a, d):
 
     Elimination over the principal ideal ring Z_d itself (as in the Howell
     form, Storjohann & Mulders 1998): every entry stays in [0, d) at every
-    step, so nothing grows or overflows at any size or modulus.  A pivot
-    that divides an entry in Z_d clears it with one subtraction; otherwise
-    a determinant-1 extended-gcd transform does.  At prime d every pivot
-    is a unit and this is Gaussian elimination.  The diagonal carries no
-    divisibility chain; only which of its entries are units is used.
+    step, so nothing grows or overflows at any size or modulus.  A unit
+    pivot clears its column, then its row, in one sweep of subtractions
+    scaled by its inverse; its column being clear by then, the row sweep
+    changes only the pivot row and V.  Any other pivot clears an entry it
+    divides in Z_d with one subtraction, and one it does not divide with a
+    determinant-1 extended-gcd transform.  At prime d every pivot is a unit
+    and this is Gaussian elimination.  The diagonal carries no divisibility
+    chain; only which of its entries are units is used.
     """
     n, m = a.shape
     A = (np.asarray(a) % d).tolist()
-    U = [[int(i == j) for j in range(n)] for i in range(n)]
-    Vt = [[int(i == j) for j in range(m)] for i in range(m)]  # columns of V
+    U = [[0] * i + [1] + [0] * (n - i - 1) for i in range(n)]
+    Vt = [[0] * i + [1] + [0] * (m - i - 1) for i in range(m)]  # columns of V
     for t in range(min(n, m)):
         at = _pivot(A, t, d)
         if at is None:
@@ -316,9 +319,23 @@ def _diagonalize(a, d):
         i, j = at
         A[t], A[i] = A[i], A[t]
         U[t], U[i] = U[i], U[t]
-        for row in A:
-            row[t], row[j] = row[j], row[t]
-        Vt[t], Vt[j] = Vt[j], Vt[t]
+        if j != t:
+            for row in A:
+                row[t], row[j] = row[j], row[t]
+            Vt[t], Vt[j] = Vt[j], Vt[t]
+        if gcd(A[t][t], d) == 1:
+            inv = pow(A[t][t], -1, d)
+            for i in range(t + 1, n):
+                if A[i][t]:
+                    u = -A[i][t] * inv % d
+                    A[i] = [(y + u * x) % d for x, y in zip(A[t], A[i])]
+                    U[i] = [(y + u * x) % d for x, y in zip(U[t], U[i])]
+            for j in range(t + 1, m):
+                if A[t][j]:
+                    u = -A[t][j] * inv % d
+                    Vt[j] = [(y + u * x) % d for x, y in zip(Vt[t], Vt[j])]
+                    A[t][j] = 0
+            continue
         while True:
             for i in range(t + 1, n):
                 if A[i][t]:
@@ -367,8 +384,14 @@ def left_inverse(m: RingMatrix):
     U, D, V = _diagonalize(m.a, d)
     if any(gcd(D[i][i], d) != 1 for i in range(c)):
         return None
-    inv = [pow(D[i][i], -1, d) for i in range(c)]
-    A = [[sum(v * x * u[j] for v, x, u in zip(row, inv, U)) % d for j in range(r)] for row in V]
+    DU = [[pow(D[i][i], -1, d) * x % d for x in U[i]] for i in range(c)]
+    A = []
+    for row in V:  # row of V D⁺ U, one scaled row of D⁺ U at a time
+        acc = [0] * r
+        for v, w in zip(row, DU):
+            if v:
+                acc = [a + v * x for a, x in zip(acc, w)]
+        A.append([a % d for a in acc])
     A = RingMatrix(np.asarray(A, dtype=np.int64).reshape(c, r), d)
     if not (A @ m).is_identity():
         return None
@@ -414,20 +437,17 @@ def find_block_diagonal_B(m: RingMatrix, blocks):
     support = [(i, j) for blk in blocks for i in blk for j in blk]
     if not support:
         return RingMatrix.zeros(r, r, d) if c == 0 else None
-    # (mᵀ B m)[p, q] = sum over supported (i, j) of m[i, p] m[j, q] B[i, j]
-    rows = []
-    rhs = []
-    for p in range(c):
-        for q in range(c):
-            rows.append([int(m.a[i, p]) * int(m.a[j, q]) % d for (i, j) in support])
-            rhs.append(1 if p == q else 0)
-    system = RingMatrix(np.asarray(rows, dtype=np.int64), d)
-    x = solve_modular(system, np.asarray(rhs, dtype=np.int64))
+    # (mᵀ B m)[p, q] = sum over supported (i, j) of m[i, p] m[j, q] B[i, j],
+    # each product in Python ints
+    cols = m.a.T.tolist()
+    rows = [[cp[i] * cq[j] % d for i, j in support] for cp in cols for cq in cols]
+    rhs = [int(p == q) for p in range(c) for q in range(c)]
+    x = solve_modular(RingMatrix(np.asarray(rows, dtype=np.int64), d), rhs)
     if x is None:
         return None
-    B = np.zeros((r, r), dtype=np.int64)
-    for val, (i, j) in zip(x, support):
-        B[i, j] = val
+    B = [[0] * r for _ in range(r)]
+    for val, (i, j) in zip(x.tolist(), support):
+        B[i][j] = val
     B = RingMatrix(B, d)
     if not (m.T @ B @ m).is_identity():
         return None

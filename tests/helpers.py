@@ -1,7 +1,9 @@
-"""Shared test utilities: brute-force oracles and a random network generator.
+"""Shared test utilities: brute-force oracles, a Python-int reference
+propagation and a random network generator.
 
-The brute-force and rank-mod-p routines deliberately avoid the library's
-ring solvers so they can serve as independent cross-checks.
+The brute-force, rank-mod-p and propagation routines deliberately avoid the
+library's ring solvers and wiring so they can serve as independent
+cross-checks.
 """
 
 from __future__ import annotations
@@ -71,6 +73,40 @@ def injective_by_rank(m: RingMatrix) -> bool:
     """m is injective over Z_d iff it has full column rank mod every prime p | d."""
     rows = m.a.tolist()
     return all(full_column_rank_mod_p(rows, p) for p in prime_factors(m.d))
+
+
+def reference_rows(net: CodingNetwork):
+    """(link rows, output rows): the value of every link and every network
+    output as a row of Python ints over the k inputs, by forward propagation
+    in rounds of ready nodes, apart from the library's wiring and integer
+    width."""
+    d, k = net.d, len(net.source_inputs)
+    feed = {(l.to_node, l.to_port): ("link", i) for i, l in enumerate(net.links)}
+    feed.update({key: ("input", j) for j, key in enumerate(net.source_inputs)})
+    out_link = {(l.from_node, l.from_port): i for i, l in enumerate(net.links)}
+    preds = {n.id: {l.from_node for l in net.links if l.to_node == n.id} for n in net.nodes}
+    link_rows, port_rows, done = {}, {}, set()
+    while len(done) < len(net.nodes):
+        ready = [n for n in net.nodes if n.id not in done and preds[n.id] <= done]
+        assert ready, "the network has a cycle"
+        for n in ready:
+            ins = []
+            for p in range(n.matrix.cols):
+                kind, idx = feed[(n.id, p)]
+                ins.append([int(j == idx) for j in range(k)] if kind == "input" else link_rows[idx])
+            for q, row in enumerate(n.matrix.a.tolist()):
+                val = [sum(a * r[j] for a, r in zip(row, ins)) % d for j in range(k)]
+                port_rows[(n.id, q)] = val
+                if (n.id, q) in out_link:
+                    link_rows[out_link[(n.id, q)]] = val
+            done.add(n.id)
+    return [link_rows[i] for i in range(len(net.links))], [port_rows[t] for t in net.target_outputs]
+
+
+def int_matmul(a, b, d):
+    """Product of two matrices given as lists of rows, in Python ints mod d."""
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) % d for col in cols] for row in a]
 
 
 def dense_f(d, inverse=False):

@@ -238,6 +238,13 @@ _BAD_FILES_AND_FLAGS = [
     ("string output port", _swap_edited("outputs", 0, "0", field=1), None, False, 1),
     ("out-of-range port", _swap_edited("links", 0, 5, field=3), None, False, 1),
     ("malformed link", _swap_edited("links", 0, ["S1", 0, "V1"]), None, False, 1),
+    ("float modulus", {**network_to_dict(butterfly_swap(2)), "d": 2.5}, None, False, 1),
+    ("boolean modulus", {**network_to_dict(butterfly_swap(2)), "d": True}, None, False, 1),
+    ("modulus beyond int64", {**network_to_dict(butterfly_swap(2)), "d": 2**64}, None, False, 1),
+    ("float matrix entry", _swap_edited("nodes", 0, [[1.5], [1]], "matrix"), None, False, 1),
+    ("boolean matrix entry", _swap_edited("nodes", 0, [[True], [1]], "matrix"), None, False, 1),
+    ("boolean input port", _swap_edited("inputs", 0, False, field=1), None, False, 1),
+    ("boolean link port", _swap_edited("links", 0, False, field=3), None, False, 1),
     ("unwritable --out", None, None, True, 64),
 ]
 
@@ -263,6 +270,8 @@ def test_bad_files_and_flags_exit_with_documented_codes(tmp_path, capsys, comman
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith(("error: ", "violation: ")) and "Traceback" not in err
+    if code == 1:
+        assert err.startswith(("error: cannot load network: ", "violation: "))
 
 def test_impossible_outcome_exits_3(monkeypatch):
     def boom(*_a, **_k):
