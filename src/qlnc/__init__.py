@@ -22,7 +22,7 @@ The layers, bottom to top:
 """
 
 from .bundled import butterfly_multicast, butterfly_swap, identity_wire
-from .coherent import embed_node, exhaustive_coherent, node_phase_correction, run_coherent
+from .coherent import embed_node, exhaustive_coherent, run_coherent
 from .geometry import MbqcGeometry, ResourceCounts, compile_network, resource_counts
 from .mbqc import (
     Schedule,
@@ -33,7 +33,6 @@ from .mbqc import (
     oracle_output_state,
     prepare_graph_state,
     run_mbqc,
-    target_z_correction,
 )
 from .network import (
     CodingNetwork,
@@ -51,7 +50,6 @@ from .ring import (
     find_block_diagonal_B,
     is_injective,
     left_inverse,
-    smith_normal_form,
     solve_modular,
 )
 from .states import ImpossibleOutcomeError, LabeledRegister, QuditState, fidelity
@@ -61,7 +59,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "RingMatrix",
-    "smith_normal_form",
     "is_injective",
     "left_inverse",
     "solve_modular",
@@ -83,7 +80,6 @@ __all__ = [
     "conjugate_weyl_through",
     "fdagger_gadget",
     "embed_node",
-    "node_phase_correction",
     "run_coherent",
     "exhaustive_coherent",
     "MbqcGeometry",
@@ -94,7 +90,6 @@ __all__ = [
     "build_schedule",
     "prepare_graph_state",
     "adjust_outcome",
-    "target_z_correction",
     "run_mbqc",
     "exhaustive_mbqc",
     "branch_survey",

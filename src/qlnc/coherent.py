@@ -32,7 +32,6 @@ from .states import QuditState
 
 __all__ = [
     "embed_node",
-    "node_phase_correction",
     "run_coherent",
     "exhaustive_coherent",
 ]
@@ -57,34 +56,30 @@ def embed_node(state: QuditState, matrix: RingMatrix, in_axes, out_axes) -> Qudi
     return state
 
 
-def node_phase_correction(outcomes, L: RingMatrix) -> np.ndarray:
-    """Correction exponents tau = L^T r for outcomes r on the node's outputs."""
-    r = np.asarray(outcomes, dtype=np.int64) % L.d
-    if r.shape != (L.rows,):
-        raise ValueError(f"expected {L.rows} outcomes, got {r.shape}")
-    return (L.T.a @ r) % L.d
-
-
 def _embed_array(gadget, axis, d):
     """The coherent node step for the live layout `axis` (label -> axis of a
     batch): |x>|0> -> |x>|Vx> with fresh outputs after the live axes,
-    written into a contiguous array in final axis order by index pairs
-    worked out here once.  It only moves amplitudes, so it gives the values
-    of embed_node's cX^(V[j,k]) product.  Returns the step and the layout
+    written into a contiguous array in final axis order by index pairs.
+    It only moves amplitudes, so it gives the values of embed_node's
+    cX^(V[j,k]) product.  The index pairs are built on the step's first
+    call, so after the run's memory check.  Returns the step and the layout
     after it."""
     ndim = 1 + len(axis)
     ins = [axis[lab] for lab in gadget.in_labels]
     V = gadget.matrix.a
-    xs = np.indices((d,) * len(ins)).reshape(len(ins), d ** len(ins)).T
-    moves = []  # (source index, target index) per value x of the inputs
-    for x, y in zip(xs.tolist(), ((xs @ V.T) % d).tolist()):
-        index = [slice(None)] * ndim
-        for ax, v in zip(ins, x):
-            index[ax] = v
-        moves.append((tuple(index), tuple(index + y)))
     grow = (d,) * len(gadget.out_labels)
+    moves = None  # (source index, target index) per value x of the inputs
 
     def step(arr):
+        nonlocal moves
+        if moves is None:
+            xs = np.indices((d,) * len(ins)).reshape(len(ins), d ** len(ins)).T
+            moves = []
+            for x, y in zip(xs.tolist(), ((xs @ V.T) % d).tolist()):
+                index = [slice(None)] * ndim
+                for ax, v in zip(ins, x):
+                    index[ax] = v
+                moves.append((tuple(index), tuple(index + y)))
         out = np.zeros(arr.shape + grow, dtype=np.complex128)
         for source, target in moves:
             out[target] = arr[source]
@@ -126,7 +121,10 @@ def run_coherent(
     return _run(_plan_for(_geometry_of(net), mode), input_state, seed, forced, embed=_embed)
 
 
-def exhaustive_coherent(net, input_state, mode="free", amp_limit=2**22):
-    """Iterate (outcome dict, output QuditState) over every measurement branch."""
+def exhaustive_coherent(net, input_state, mode="free"):
+    """Iterate (outcome dict, output QuditState) over every measurement branch.
+
+    Raises MemoryError up front when the live register would exceed
+    mbqc._AMP_LIMIT amplitudes."""
     plan = _plan_for(_geometry_of(net), mode)
-    yield from _exhaustive(plan, input_state, amp_limit, embed=_embed)
+    yield from _exhaustive(plan, input_state, embed=_embed)

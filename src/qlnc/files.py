@@ -36,7 +36,6 @@ __all__ = [
     "network_to_dict",
     "network_from_dict",
     "load_network",
-    "save_network",
     "load_input_state",
     "dump_json",
 ]
@@ -76,12 +75,6 @@ def network_from_dict(doc: dict) -> CodingNetwork:
 def load_network(path) -> CodingNetwork:
     with open(path, encoding="utf-8") as fh:
         return network_from_dict(json.load(fh))
-
-
-def save_network(net: CodingNetwork, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(network_to_dict(net), fh, indent=2)
-        fh.write("\n")
 
 
 def load_input_state(path, d, n) -> QuditState:

@@ -100,9 +100,9 @@ __all__ = [
     "build_schedule",
     "prepare_graph_state",
     "adjust_outcome",
-    "target_z_correction",
     "run_mbqc",
     "exhaustive_mbqc",
+    "branch_survey",
     "oracle_output_state",
 ]
 
@@ -220,12 +220,6 @@ def adjust_outcome(ledger, qudit, raw, upstream, terms, d, stage="adjust"):
                       provenance=tuple((lab, int(c) % d) for lab, c in terms))
     )
     return adjusted
-
-
-def target_z_correction(outcome, kappa, d):
-    """Phase-correction exponents sigma = outcome * kappa mod d."""
-    kappa = np.asarray(kappa, dtype=np.int64)
-    return (int(outcome) * kappa) % d
 
 
 def _aux_adjust_terms(geometry: MbqcGeometry, local_aux: bool):
@@ -538,27 +532,6 @@ def _steps(plan, coherent):
     return ops, report_ops, finals, order
 
 
-def _live_counts(plan, ops, coherent):
-    """Qudits live before any of `ops`, then after each.  A node step adds
-    one qudit per out-port on the coherent path and two (auxiliary and
-    message) on the one-way path; a measurement removes one."""
-    per_port = 1 if coherent else 2
-    counts = [len(plan.geometry.inputs)]
-    for op in ops:
-        live = counts[-1]
-        if op[0] == "intro":
-            live += per_port * len(plan.geometry.gadgets[op[1]].out_labels)
-        elif op[0] == "measure":
-            live -= 1
-        counts.append(live)
-    return counts
-
-
-def _peak_live(plan, ops, coherent):
-    """Most qudits live at once over `ops`."""
-    return max(_live_counts(plan, ops, coherent))
-
-
 def _check_memory(d, live):
     """Refuse, before allocating, a run whose two registers (a measurement's
     input and transform) cannot fit in physical memory.  By ru_maxrss above
@@ -759,7 +732,8 @@ class _Program:
     order:  the simulated measurement order
     forced_order: the path's schedule measurement order, which forced
             outcome sequences follow
-    live:   qudits live before each step, then after the last
+    live:   qudits live before each step, then after the last, read off
+            the layouts the steps leave
     out_axes: the axes of the outputs after the last step
     rows:   integer rows over r' (see _records); the first len(order) are
             the raw outcomes, r = T r' mod d (see _outcome_map)
@@ -796,7 +770,7 @@ def _program(plan, embed=None):
         plan, order, T, report_ops + [("corr", c, stage) for c, stage in finals], coherent)
 
     axis = {lab: 1 + i for i, lab in enumerate(geometry.inputs)}
-    steps = []
+    steps, live = [], [len(axis)]
     for op in ops:
         if op[0] == "intro":
             # every mode reaches a node step with the same live layout, so
@@ -812,12 +786,13 @@ def _program(plan, embed=None):
             steps.append(("measure", op[1], q, order.index(op[1])))
         else:
             steps.append(("corr", op[1].op, axis[op[1].qudit], row_of[op[1]]))
+        live.append(len(axis))
     outputs = geometry.outputs
     prog = plan.programs[embed] = _Program(
         steps=steps,
         order=order,
         forced_order=forced_order,
-        live=_live_counts(plan, ops, coherent),
+        live=live,
         out_axes=[axis[lab] for lab in outputs],
         rows=rows,
         ledger=ledger,
@@ -917,7 +892,7 @@ def _outcome_map(plan, ops, report_ops):
     return order, T
 
 
-def _branches(plan, input_state, amp_limit, embed=None, normalize=False):
+def _branches(plan, input_state, embed=None, normalize=False):
     """Walk every measurement branch of a path depth first, in batches.
 
     A batch holds branches at one program position as the rows of one
@@ -945,7 +920,7 @@ def _branches(plan, input_state, amp_limit, embed=None, normalize=False):
     d = plan.geometry.d
     prog = _program(plan, embed)
     peak = max(prog.live)
-    if d**peak > amp_limit:
+    if d**peak > _AMP_LIMIT:
         raise MemoryError(
             f"live register would need {d}^{peak} amplitudes, above the enumeration limit"
         )
@@ -998,11 +973,11 @@ def _branches(plan, input_state, amp_limit, embed=None, normalize=False):
         stack.append((s + 1, children, R, child_nrm2))
 
 
-def _exhaustive(plan, input_state, amp_limit, embed=None):
+def _exhaustive(plan, input_state, embed=None):
     """(outcome dict, normalized output QuditState) for every branch."""
     prog = _program(plan, embed)
     d = plan.geometry.d
-    for R, t, _nrm2 in _branches(plan, input_state, amp_limit, embed, normalize=True):
+    for R, t, _nrm2 in _branches(plan, input_state, embed, normalize=True):
         for raw, amps in zip(((R @ prog.rows[:len(prog.order)].T) % d).tolist(), t):
             yield dict(zip(prog.order, raw)), QuditState(amps.ndim, d, amps,
                                                          normalize_check=False)
@@ -1013,7 +988,6 @@ def exhaustive_mbqc(
     input_state: QuditState,
     mode="free",
     local_aux=False,
-    amp_limit=2**22,
 ):
     """Iterate (outcome dict, output QuditState) over every measurement branch.
 
@@ -1024,10 +998,10 @@ def exhaustive_mbqc(
     in lexicographic order of the simulated outcomes; those whose
     probability underflows the impossible-outcome tolerance are skipped.
     Raises MemoryError up front when the live register would exceed
-    `amp_limit` amplitudes.
+    _AMP_LIMIT amplitudes.
     """
     plan = _plan_for(geometry, mode, local_aux)
-    yield from _exhaustive(plan, input_state, amp_limit)
+    yield from _exhaustive(plan, input_state)
 
 
 def branch_survey(
@@ -1036,7 +1010,6 @@ def branch_survey(
     mode="free",
     local_aux=False,
     reference: QuditState | None = None,
-    amp_limit=2**22,
 ):
     """Fidelity of every measurement branch against a reference state.
 
@@ -1052,7 +1025,7 @@ def branch_survey(
         reference = oracle_output_state(plan.matrix, input_state)
     ref = reference.psi.conj()
     count, worst = 0, 1.0
-    for _R, t, nrm2 in _branches(plan, input_state, amp_limit):
+    for _R, t, nrm2 in _branches(plan, input_state):
         fids = np.abs(t.reshape(len(t), -1) @ ref) / np.sqrt(nrm2)
         count += len(t)
         worst = min(worst, float(fids.min()))
@@ -1062,6 +1035,9 @@ def branch_survey(
 # Amplitudes a chunk of branches may reach before a measurement; the branch
 # walker transforms a batch in row ranges of _CHUNK_AMPS // d**live.
 _CHUNK_AMPS = 2**15
+# The walkers refuse, before stepping, a path whose live register would
+# exceed this many amplitudes.
+_AMP_LIMIT = 2**22
 
 
 def _weyl_rows(arr, op, axis, exps, d):

@@ -57,6 +57,14 @@ class Link:
     to_port: int
 
 
+def _integer(x):
+    """x as an int: operator.index takes numpy integers and refuses floats
+    and strings; a boolean is refused as well."""
+    if isinstance(x, bool):
+        raise TypeError(f"expected an integer, got {x!r}")
+    return operator.index(x)
+
+
 @dataclass(frozen=True)
 class CodingNetwork:
     d: int
@@ -69,19 +77,18 @@ class CodingNetwork:
 
     def __init__(self, d, nodes, links, source_inputs, target_outputs):
         object.__setattr__(self, "_geometry", None)
-        object.__setattr__(self, "d", int(d))
+        object.__setattr__(self, "d", _integer(d))
         object.__setattr__(self, "nodes", tuple(nodes))
-        # every port is an integer: operator.index refuses floats and strings
         links = [l if isinstance(l, Link) else Link(*l) for l in links]
         object.__setattr__(self, "links", tuple(
-            Link(l.from_node, operator.index(l.from_port), l.to_node, operator.index(l.to_port))
+            Link(l.from_node, _integer(l.from_port), l.to_node, _integer(l.to_port))
             for l in links
         ))
         object.__setattr__(
-            self, "source_inputs", tuple((str(n), operator.index(p)) for n, p in source_inputs)
+            self, "source_inputs", tuple((str(n), _integer(p)) for n, p in source_inputs)
         )
         object.__setattr__(
-            self, "target_outputs", tuple((str(n), operator.index(p)) for n, p in target_outputs)
+            self, "target_outputs", tuple((str(n), _integer(p)) for n, p in target_outputs)
         )
 
     def __getstate__(self):

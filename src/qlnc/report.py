@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+__all__ = ["OutcomeRecord", "CorrectionRecord", "MessageRecord", "RunReport"]
+
 
 @dataclass
 class OutcomeRecord:

@@ -7,8 +7,6 @@ and column operations (extended-gcd steps where a pivot does not divide an
 entry) bring a matrix to diagonal form with every entry kept in [0, d), and
 a map is injective mod d exactly when it has at least as many rows as
 columns and its first `cols` diagonal entries are units mod d.
-`smith_normal_form` over the integers stays available but is not used by
-the solvers.
 
 All values are immutable after construction and all operations are pure.
 """
@@ -21,7 +19,6 @@ import numpy as np
 
 __all__ = [
     "RingMatrix",
-    "smith_normal_form",
     "is_injective",
     "left_inverse",
     "solve_modular",
@@ -141,108 +138,6 @@ def _matmul_mod(a, b, d):
     if (d - 1) ** 2 * a.shape[-1] > _INT64_MAX:
         return ((a.astype(object) @ b.astype(object)) % d).astype(np.int64)
     return (a @ b) % d
-
-
-def smith_normal_form(matrix):
-    """Smith normal form of an integer matrix, with transforms.
-
-    Returns (U, D, V) with U @ matrix @ V == D, U and V unimodular over the
-    integers, and D diagonal with each diagonal entry dividing the next.
-    Uses exact Python integers, so intermediate growth cannot overflow.
-    """
-    A = [[int(x) for x in row] for row in np.asarray(matrix, dtype=object)]
-    n = len(A)
-    m = len(A[0]) if n else 0
-    U = [[int(i == j) for j in range(n)] for i in range(n)]
-    V = [[int(i == j) for j in range(m)] for i in range(m)]
-
-    def swap_rows(i, j):
-        A[i], A[j] = A[j], A[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for row in A:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, c):
-        # row[dst] += c * row[src]
-        A[dst] = [x + c * y for x, y in zip(A[dst], A[src])]
-        U[dst] = [x + c * y for x, y in zip(U[dst], U[src])]
-
-    def add_col(src, dst, c):
-        for row in A:
-            row[dst] += c * row[src]
-        for row in V:
-            row[dst] += c * row[src]
-
-    def negate_row(i):
-        A[i] = [-x for x in A[i]]
-        U[i] = [-x for x in U[i]]
-
-    # Minimal-pivot strategy: always work with the smallest nonzero entry of
-    # the trailing block and reduce one remainder at a time.  Each pass either
-    # strictly shrinks that minimum or clears the pivot cross exactly, which
-    # keeps intermediate entries tame (swap-based Euclid cascades blow up).
-    t = 0
-    while t < min(n, m):
-        pivot = None
-        best = None
-        for i in range(t, n):
-            for j in range(t, m):
-                v = abs(A[i][j])
-                if v and (best is None or v < best):
-                    best, pivot = v, (i, j)
-        if pivot is None:
-            break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
-        p = A[t][t]
-
-        # a single remainder step, then re-select the (now smaller) pivot
-        reduced = False
-        for i in range(t + 1, n):
-            if A[i][t] % p:
-                add_row(t, i, -(A[i][t] // p))
-                reduced = True
-                break
-        if not reduced:
-            for j in range(t + 1, m):
-                if A[t][j] % p:
-                    add_col(t, j, -(A[t][j] // p))
-                    reduced = True
-                    break
-        if reduced:
-            continue
-
-        # the pivot divides its whole row and column: clear them exactly
-        for i in range(t + 1, n):
-            if A[i][t]:
-                add_row(t, i, -(A[i][t] // p))
-        for j in range(t + 1, m):
-            if A[t][j]:
-                add_col(t, j, -(A[t][j] // p))
-
-        # make the pivot divide every entry of the trailing block
-        fix = None
-        for i in range(t + 1, n):
-            for j in range(t + 1, m):
-                if A[i][j] % p:
-                    fix = i
-                    break
-            if fix is not None:
-                break
-        if fix is not None:
-            add_row(fix, t, 1)
-            continue
-
-        if A[t][t] < 0:
-            negate_row(t)
-        t += 1
-
-    D = [[A[i][j] for j in range(m)] for i in range(n)]
-    return U, D, V
 
 
 def _divide(a, b, d):

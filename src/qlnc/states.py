@@ -186,32 +186,6 @@ class QuditState:
         )
         return self.tensor(extra)
 
-    def _fourier_outcomes(self, q):
-        """The register with qudit q in the Fourier basis, outcome axis first,
-        and the probability of each of its d outcomes."""
-        self._check_index(q)
-        t = np.tensordot(_table("fourier", self.d), self._tensor(), axes=([1], [q]))
-        return t, [float(np.vdot(t[r], t[r]).real) for r in range(self.d)]
-
-    def fourier_branches(self, q):
-        """All d outcome branches of a Fourier measurement on qudit q.
-
-        Returns a list of (probability, collapsed QuditState or None); the
-        collapsed states are normalized and have qudit q removed.  The sum of
-        probabilities is 1 up to numerical error.
-        """
-        t, probs = self._fourier_outcomes(q)
-        branches = []
-        for r, p in enumerate(probs):
-            if p < IMPOSSIBLE_TOL:
-                branches.append((p, None))
-            else:
-                collapsed = QuditState(
-                    self.n - 1, self.d, t[r] / np.sqrt(p), normalize_check=False
-                )
-                branches.append((p, collapsed))
-        return branches
-
     def measure_fourier(self, q, rng=None, force=None):
         """Measure qudit q in the Fourier basis {|w_r>}.
 
@@ -220,7 +194,9 @@ class QuditState:
         and the residual state renormalized.  Returns (r, new_state).  Only
         the chosen outcome's slice is renormalized.
         """
-        t, probs = self._fourier_outcomes(q)
+        self._check_index(q)
+        t = np.tensordot(_table("fourier", self.d), self._tensor(), axes=([1], [q]))
+        probs = [float(np.vdot(t[r], t[r]).real) for r in range(self.d)]
         if force is not None:
             r = int(force) % self.d
             if probs[r] < IMPOSSIBLE_TOL:

@@ -78,11 +78,6 @@ class PauliProduct:
         self.phase = complex(phase)
         self.exps = {}  # site -> [a, b]
 
-    def copy(self):
-        out = PauliProduct(self.d, self.phase)
-        out.exps = {s: list(ab) for s, ab in self.exps.items()}
-        return out
-
     def factor(self, site, a=0, b=0):
         """Right-multiply by X_site^a Z_site^b, reordering into canonical form."""
         a %= self.d

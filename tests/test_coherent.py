@@ -7,7 +7,6 @@ from qlnc.bundled import butterfly_multicast, butterfly_swap, identity_wire
 from qlnc.coherent import (
     embed_node,
     exhaustive_coherent,
-    node_phase_correction,
     run_coherent,
 )
 from qlnc.geometry import compile_network
@@ -78,25 +77,6 @@ def test_basis_values_track_dependence_rows():
                 continue
             expect = int(np.dot(geo.depends[lab], x) % 3)
             assert int(digits[ax]) == expect, lab
-
-
-# -- node_phase_correction ------------------------------------------
-
-def test_tau_duplicating_node_d2():
-    L = RingMatrix([[1], [1]], 2)
-    assert list(node_phase_correction([1, 1], L)) == [0]
-
-
-def test_tau_zero_outcomes():
-    L = RingMatrix([[1, 0], [-1, 1]], 3)
-    assert list(node_phase_correction([0, 0], L)) == [0, 0]
-
-
-def test_tau_transpose_convention():
-    # tau = L^T r; evaluating the stated formula for the triangular map
-    L = RingMatrix([[1, 0], [-1, 1]], 3)
-    assert list(node_phase_correction([1, 0], L)) == [1, 0]
-    assert list(node_phase_correction([0, 1], L)) == [2, 1]
 
 
 # -- run_coherent ----------------------------------------------------

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from itertools import islice
 
 import numpy as np
@@ -19,7 +20,7 @@ from qlnc.mbqc import (
     Send,
     _exhaustive,
     _introduce,
-    _peak_live,
+    _program,
     _run,
     _steps,
     adjust_outcome,
@@ -28,11 +29,10 @@ from qlnc.mbqc import (
     exhaustive_mbqc,
     oracle_output_state,
     run_mbqc,
-    target_z_correction,
 )
 from qlnc.network import CodingNetwork, NodeSpec, UnsupportedNetworkError, composite_map
 from qlnc.report import CorrectionRecord, MessageRecord, OutcomeRecord
-from qlnc.ring import RingMatrix, left_inverse
+from qlnc.ring import RingMatrix
 from qlnc.states import ImpossibleOutcomeError, LabeledRegister, QuditState, fidelity
 
 from helpers import random_network
@@ -59,23 +59,6 @@ def test_adjust_outcome_subtracts_row_d5():
     upstream = {"u1'": 1, "u2'": 1}
     got = adjust_outcome(ledger, "c'", 2, upstream, (("u1'", 3), ("u2'", 4)), 5)
     assert got == (2 - 7) % 5 == 0
-
-
-def test_target_z_correction_zero():
-    assert list(target_z_correction(0, [1, 1], 2)) == [0, 0]
-
-
-def test_target_z_correction_swap_kappa():
-    # swap permutation: A = M, lambda(m4) = (1,1), so kappa = (1,1) at d=2
-    M = RingMatrix([[0, 1], [1, 0]], 2)
-    A = left_inverse(M)
-    lam = np.array([1, 1])
-    kappa = (A.T.a @ lam) % 2
-    assert list(target_z_correction(1, kappa, 2)) == [1, 1]
-
-
-def test_target_z_correction_identity_wire():
-    assert list(target_z_correction(3, [1], 5)) == [3]
 
 
 # -- schedule structure ------------------------------------------------
@@ -377,19 +360,22 @@ def test_no_block_fallback_every_branch():
         assert fid >= 1 - 1e-9
 
 
-def test_exhaustive_respects_amplitude_limit():
+def test_exhaustive_respects_amplitude_limit(monkeypatch):
     geo = compile_network(butterfly_swap(2))
+    monkeypatch.setattr("qlnc.mbqc._AMP_LIMIT", 2**4)
     with pytest.raises(MemoryError):
-        list(exhaustive_mbqc(geo, QuditState.basis(2, [0, 0]), amp_limit=2**4))
+        list(exhaustive_mbqc(geo, QuditState.basis(2, [0, 0])))
 
 
-def test_every_walker_respects_amplitude_limit():
+def test_every_walker_respects_amplitude_limit(monkeypatch):
     # swap over Z_2 keeps 7 qudits live on the one-way path and 5 coherently
     psi = QuditState.basis(2, [0, 0])
+    monkeypatch.setattr("qlnc.mbqc._AMP_LIMIT", 2**4)
     with pytest.raises(MemoryError, match="enumeration limit"):
-        list(exhaustive_coherent(butterfly_swap(2), psi, amp_limit=2**4))
+        list(exhaustive_coherent(butterfly_swap(2), psi))
+    monkeypatch.setattr("qlnc.mbqc._AMP_LIMIT", 2**6)
     with pytest.raises(MemoryError, match="enumeration limit"):
-        branch_survey(compile_network(butterfly_swap(2)), psi, amp_limit=2**6)
+        branch_survey(compile_network(butterfly_swap(2)), psi)
 
 
 def _generated(net, psi, mode, local_aux, limit=None):
@@ -462,8 +448,8 @@ def test_single_runs_refuse_registers_beyond_physical_memory():
     # coherent path (101^5, 0.5 TB)
     mbqc_plan = build_schedule(compile_network(butterfly_swap(31)), "constrained")
     coh_plan = build_schedule(compile_network(butterfly_swap(101)), "constrained")
-    mbqc_peak = _peak_live(mbqc_plan, _steps(mbqc_plan, False)[0], False)
-    coh_peak = _peak_live(coh_plan, _steps(coh_plan, True)[0], True)
+    mbqc_peak = max(_program(mbqc_plan).live)
+    coh_peak = max(_program(coh_plan, _embed).live)
     assert (mbqc_peak, coh_peak) == (7, 5)
     need = 2 * 16 * min(31**mbqc_peak, 101**coh_peak)
     if os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") >= need:
@@ -476,6 +462,26 @@ def test_single_runs_refuse_registers_beyond_physical_memory():
         run_coherent(butterfly_swap(101), QuditState.basis(101, [0, 0]),
                      mode="constrained", seed=0)
     assert time.perf_counter() - t0 < 5
+
+
+def test_coherent_node_step_tables_wait_for_the_memory_check(monkeypatch):
+    # a sum node with 13 in-ports, fed by one input copied onto 13 links, at
+    # d=2: its coherent step moves amplitudes by 2^13 pairs of index tuples,
+    # megabytes of tables, while the 14 live qudits count half a MiB
+    p = 13
+    nodes = [NodeSpec("S", RingMatrix([[1]] * p, 2)), NodeSpec("T", RingMatrix([[1] * p], 2))]
+    net = CodingNetwork(2, nodes, [("S", j, "T", j) for j in range(p)], [("S", 0)], [("T", 0)])
+    live = max(_program(build_schedule(compile_network(net), "free"), _embed).live)
+    assert live == p + 1
+    monkeypatch.setattr("qlnc.mbqc.os.sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1}.get)
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryError, match="physical memory"):
+            run_coherent(net, QuditState.basis(2, [1]), seed=0)
+        _now, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 16 * 2**live
 
 
 _PEAK_SCRIPT = """
@@ -495,7 +501,7 @@ def test_single_run_peaks_below_two_and_a_half_registers():
     # a one-way run of butterfly_swap(9) keeps 7 qudits live: 9^7 amplitudes,
     # a 73 MiB register; a measurement holds the register and its transform
     plan = build_schedule(compile_network(butterfly_swap(9)), "free")
-    assert _peak_live(plan, _steps(plan, False)[0], False) == 7
+    assert max(_program(plan).live) == 7
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-c", _PEAK_SCRIPT], env=env, capture_output=True,
@@ -576,11 +582,11 @@ def test_constrained_peak_live_equals_free():
                                    max_links=6, size_cap=7))
     for net in nets:
         geo = compile_network(net)
-        for coherent in (False, True):
+        for embed in (None, _embed):
             peaks = []
             for mode in ("free", "constrained"):
                 plan = build_schedule(geo, mode)
-                peaks.append(_peak_live(plan, _steps(plan, coherent)[0], coherent))
+                peaks.append(max(_program(plan, embed).live))
             assert peaks[0] == peaks[1]
 
 
@@ -783,7 +789,7 @@ def test_seeded_reports_match_dict_reference():
     assert payloads == {"outcome", "adjusted", "sigma-share", "sigma-contribution"}
 
 
-def test_exhaustive_outcomes_label_the_simulated_branch():
+def test_exhaustive_outcomes_label_the_simulated_branch(monkeypatch):
     # without final corrections a branch's output still carries its outcomes,
     # so a forced run on an exhaustive outcome dict must land on that branch
     rng = np.random.default_rng(606)
@@ -792,6 +798,7 @@ def test_exhaustive_outcomes_label_the_simulated_branch():
              NodeSpec("T", RingMatrix([[0, 1]], 2))]
     links = [("S", 0, "V", 0), ("S", 1, "V", 1), ("V", 0, "T", 0), ("V", 1, "T", 1)]
     chain = CodingNetwork(2, nodes, links, [("S", 0)], [("T", 0)])
+    monkeypatch.setattr("qlnc.mbqc._AMP_LIMIT", 2**16)
     for net in (_diamond(3), chain):
         geo = compile_network(net)
         psi = QuditState.haar_random(net.d, net.num_inputs, rng)
@@ -800,7 +807,7 @@ def test_exhaustive_outcomes_label_the_simulated_branch():
             plan = build_schedule(geo, "constrained", local_aux=local_aux)
             plan.final_corrections = []
             assert plan.shifts
-            branches = list(_exhaustive(plan, psi, 2**16, embed=embed))
+            branches = list(_exhaustive(plan, psi, embed=embed))
             assert len(branches) == net.d ** len(branches[0][0])
             for p in rng.choice(len(branches), size=6, replace=False):
                 outcomes, state = branches[p]

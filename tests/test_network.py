@@ -137,3 +137,28 @@ def test_source_can_also_be_target():
     )
     assert validate(net) == []
     assert composite_map(net).tolist() == [[1], [2]]
+
+
+def test_network_takes_only_integers():
+    nodes = [NodeSpec("A", RingMatrix([[1]], 2))]
+    with pytest.raises(TypeError):
+        CodingNetwork(2.9, nodes, [], [("A", 0)], [("A", 0)])
+    for d, inputs, outputs in ((True, [("A", 0)], [("A", 0)]),
+                               (2, [("A", True)], [("A", 0)]),
+                               (2, [("A", 0)], [("A", False)])):
+        with pytest.raises(TypeError, match="expected an integer"):
+            CodingNetwork(d, nodes, [], inputs, outputs)
+    two = [NodeSpec("A", RingMatrix([[1]], 2)), NodeSpec("B", RingMatrix([[1]], 2))]
+    for link in (("A", True, "B", 0), ("A", 0, "B", False), ("A", 0.0, "B", 0)):
+        with pytest.raises(TypeError):
+            CodingNetwork(2, two, [link], [("A", 0)], [("B", 0)])
+
+
+def test_network_takes_numpy_integers():
+    two = [NodeSpec("A", RingMatrix([[1]], 3)), NodeSpec("B", RingMatrix([[1]], 3))]
+    net = CodingNetwork(np.int64(3), two, [("A", np.int32(0), "B", np.uint8(0))],
+                        [("A", np.int64(0))], [("B", np.int16(0))])
+    assert net == CodingNetwork(3, two, [("A", 0, "B", 0)], [("A", 0)], [("B", 0)])
+    assert all(type(v) is int for v in (net.d, net.links[0].from_port, net.links[0].to_port,
+                                         net.source_inputs[0][1], net.target_outputs[0][1]))
+    assert composite_map(net).tolist() == [[1]]

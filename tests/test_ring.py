@@ -13,7 +13,6 @@ from qlnc.ring import (
     find_block_diagonal_B,
     is_injective,
     left_inverse,
-    smith_normal_form,
     solve_modular,
 )
 from qlnc.ring import _diagonalize
@@ -74,49 +73,6 @@ def test_matmul_associative(d, seed):
     b = random_ring_matrix(rng, 3, 2, d)
     c = random_ring_matrix(rng, 2, 2, d)
     assert ((a @ b) @ c) == (a @ (b @ c))
-
-
-def test_smith_normal_form_stays_exact_at_size():
-    # larger blocks with wide entry range; swap-heavy elimination orders can
-    # blow intermediate entries up catastrophically, so keep this in the net
-    rng = np.random.default_rng(5150)
-    for _ in range(60):
-        rows, cols = rng.integers(1, 8, size=2)
-        a = rng.integers(-60, 61, size=(rows, cols))
-        U, D, V = smith_normal_form(a)
-        Um = np.array(U, dtype=object)
-        Vm = np.array(V, dtype=object)
-        Dm = np.array(D, dtype=object)
-        assert (Um @ a.astype(object) @ Vm == Dm).all()
-        diag = [Dm[i, i] for i in range(min(int(rows), int(cols)))]
-        for x, y in zip(diag, diag[1:]):
-            assert not (x == 0 and y != 0)
-            if y != 0:
-                assert y % x == 0
-
-
-def test_smith_normal_form_reconstructs():
-    rng = np.random.default_rng(11)
-    for _ in range(40):
-        rows, cols = rng.integers(1, 5, size=2)
-        a = rng.integers(-6, 7, size=(rows, cols))
-        U, D, V = smith_normal_form(a)
-        Um = np.array(U, dtype=object)
-        Vm = np.array(V, dtype=object)
-        Dm = np.array(D, dtype=object)
-        assert (Um @ a.astype(object) @ Vm == Dm).all()
-        diag = [Dm[i, i] for i in range(min(rows, cols))]
-        for x, y in zip(diag, diag[1:]):
-            if y != 0:
-                assert x != 0 and y % x == 0
-        # off-diagonal must vanish
-        for i in range(rows):
-            for j in range(cols):
-                if i != j:
-                    assert Dm[i, j] == 0
-        # transforms are unimodular
-        assert abs(round(float(np.linalg.det(np.array(U, dtype=float))))) == 1
-        assert abs(round(float(np.linalg.det(np.array(V, dtype=float))))) == 1
 
 
 def test_is_injective_identity_and_zero_divisor():

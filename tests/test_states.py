@@ -178,13 +178,6 @@ def test_measure_renormalizes():
     assert post.norm() == pytest.approx(1.0, abs=1e-9)
 
 
-def test_fourier_branch_probabilities_sum_to_one():
-    rng = np.random.default_rng(8)
-    s = QuditState.haar_random(4, 2, rng)
-    branches = s.fourier_branches(1)
-    assert sum(p for p, _s in branches) == pytest.approx(1.0, abs=1e-9)
-
-
 def test_fidelity_properties():
     rng = np.random.default_rng(9)
     s = QuditState.haar_random(3, 2, rng)
