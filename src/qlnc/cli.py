@@ -11,11 +11,12 @@ Subcommands:
     counts        resource tally of the one-way compilation
 
 Exit codes: 0 success, 1 validation failure, 2 unsupported network
-(non-injective composite map), 3 impossible forced outcome, 4 the live
-register would not fit in memory (physical memory for one run, the
-enumeration limit for --exhaustive), 64 usage error (a bad flag or flag
-combination, an unreadable or malformed --input-state file, or an --out
-path that cannot be written).
+(non-injective composite map), 3 impossible forced outcome, 4 beyond a
+memory or enumeration limit (one run's live register beyond physical
+memory; for --exhaustive, a live register or a branch count beyond the
+enumeration limit), 64 usage error (a bad flag or flag combination, an
+unreadable or malformed --input-state file, or an --out path that cannot be
+written).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import time
 
 import numpy as np
 
-from .coherent import exhaustive_coherent, run_coherent
+from .coherent import _check_coherent_tree, exhaustive_coherent, run_coherent
 from .files import dump_json, load_input_state, load_network
 from .geometry import compile_network, resource_counts
 from .mbqc import branch_survey, oracle_output_state, run_mbqc
@@ -293,6 +294,7 @@ def _exhaustive_coherent_doc(net, state, args):
     M = composite_map(net)
     if not is_injective(M):
         raise UnsupportedNetworkError("composite map is not injective")
+    _check_coherent_tree(net, args.mode)
     oracle = oracle_output_state(M, state)
     count = 0
     worst = 1.0

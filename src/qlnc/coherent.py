@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .geometry import compile_network
-from .mbqc import _exhaustive, _plan_for, _run
+from .mbqc import _check_tree, _exhaustive, _plan_for, _run
 from .network import CodingNetwork
 from .ring import RingMatrix
 from .states import QuditState
@@ -59,36 +59,47 @@ def embed_node(state: QuditState, matrix: RingMatrix, in_axes, out_axes) -> Qudi
 def _embed_array(gadget, axis, d):
     """The coherent node step for the live layout `axis` (label -> axis of a
     batch): |x>|0> -> |x>|Vx> with fresh outputs after the live axes,
-    written into a contiguous array in final axis order by index pairs.
-    It only moves amplitudes, so it gives the values of embed_node's
-    cX^(V[j,k]) product.  The index pairs are built on the step's first
-    call, so after the run's memory check.  Returns the step and the layout
-    after it."""
-    ndim = 1 + len(axis)
-    ins = [axis[lab] for lab in gadget.in_labels]
+    scattered into a zeroed array in final axis order through one flat
+    target index per live amplitude.  It only moves amplitudes, so it gives
+    the values of embed_node's cX^(V[j,k]) product.  The index table is
+    built on the step's first call, so after the run's memory check.
+    Returns the step, the layout after it and the table's size in bytes."""
+    live = len(axis)
+    ins = [axis[lab] - 1 for lab in gadget.in_labels]
     V = gadget.matrix.a
     grow = (d,) * len(gadget.out_labels)
-    moves = None  # (source index, target index) per value x of the inputs
+    target = None
 
-    def step(arr):
-        nonlocal moves
-        if moves is None:
-            xs = np.indices((d,) * len(ins)).reshape(len(ins), d ** len(ins)).T
-            moves = []
-            for x, y in zip(xs.tolist(), ((xs @ V.T) % d).tolist()):
-                index = [slice(None)] * ndim
-                for ax, v in zip(ins, x):
-                    index[ax] = v
-                moves.append((tuple(index), tuple(index + y)))
-        out = np.zeros(arr.shape + grow, dtype=np.complex128)
-        for source, target in moves:
-            out[target] = arr[source]
+    def step(arr, out=None):
+        nonlocal target
+        if target is None:
+            target = _embed_targets(V, ins, live, d)
+        if out is None:
+            out = np.zeros(arr.shape + grow, dtype=np.complex128)
+        else:
+            out.fill(0)
+        out.reshape(len(arr), -1)[:, target] = arr.reshape(len(arr), -1)
         return out
 
     axis = dict(axis)
     for j, lab in enumerate(gadget.out_labels):
-        axis[lab] = ndim + j
-    return step, axis
+        axis[lab] = 1 + live + j
+    return step, axis, 8 * d**live
+
+
+def _embed_targets(V, ins, live, d):
+    """The flat index, in the layout after a coherent node step, of each
+    amplitude of a `live`-qudit layout: its own index times d**rows(V) plus
+    the base-d value of V x, x the digits at the input positions `ins`.
+    d**live int64 entries, built in place."""
+    grid = [np.arange(d, dtype=np.int64).reshape([d if i == pos else 1 for i in range(live)])
+            for pos in ins]
+    target = np.arange(d**live, dtype=np.int64).reshape((d,) * live)
+    target *= d ** len(V)
+    for j, row in enumerate(V.tolist()):
+        y = sum((w * x for w, x in zip(row, grid) if w), np.zeros((), dtype=np.int64))
+        target += y % d * d ** (len(V) - 1 - j)
+    return target.reshape(-1)
 
 
 _embed = _embed_array  # the node-step resolver `_run` takes for the coherent path
@@ -128,3 +139,9 @@ def exhaustive_coherent(net, input_state, mode="free"):
     mbqc._AMP_LIMIT amplitudes."""
     plan = _plan_for(_geometry_of(net), mode)
     yield from _exhaustive(plan, input_state, embed=_embed)
+
+
+def _check_coherent_tree(net, mode):
+    """Refuse up front a coherent walk that would drain a tree beyond the
+    walkers' limits (see mbqc._check_tree)."""
+    _check_tree(_plan_for(_geometry_of(net), mode), _embed)

@@ -63,8 +63,9 @@ class MbqcGeometry:
     gadgets: list = field(default_factory=list)  # NodeGadget in topological order
     num_links: int = 0
     # what mbqc keeps for this geometry: ("plan", mode, local_aux) -> its
-    # plan (mbqc._plan_for), ("node", path, gadget index, live layout) -> a
-    # node step and the layout after it (mbqc._program)
+    # plan (mbqc._plan_for), ("node", path, gadget index[, out-port], live
+    # layout) -> a node step, the layout after it and the bytes of its table
+    # (mbqc._program)
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __getstate__(self):

@@ -13,15 +13,16 @@ points plan once (_plan_for): the plan is kept on the geometry, and the
 coherent entry points, which take a network, keep the geometry they compile
 on it (coherent._geometry_of).  On a path's first run the plan is resolved
 into one step program (_program): every node step, measurement and
-correction with its axis positions worked out, each one-way node step with
-its cZ phases as one table per out-port, each coherent node step with its
-index pairs; the modes of a geometry share these node steps.  One
-single-run driver and one branch walker interpret that program for
+correction with its axis positions worked out, each one-way out-port step
+with one amplitude table of its cZ phases, each coherent node step with one
+flat target-index table; the modes of a geometry share these node steps.
+One single-run driver and one branch walker interpret that program for
 run_mbqc, run_coherent, exhaustive_mbqc, branch_survey and
 coherent.exhaustive_coherent.  Both step bare arrays, axis 0 indexing
 branches, with one kernel set (the node steps, _weyl_rows, the tables of
 states._table); a single run is a batch of one row that keeps one outcome
-per measurement, at two registers of memory.  Every step is Clifford over
+per measurement, at two registers of memory, and the walker steps into
+reusable work buffers (_work).  Every step is Clifford over
 Z_d, so every number a run reports (raw and adjusted outcomes, correction
 exponents, message payloads) is a fixed linear function mod d of its
 outcomes: the program holds these as one integer matrix of rows over the
@@ -48,10 +49,15 @@ constrained: classical data stays on the network.  Auxiliary qudits are
              such B exists).  Reports list outcomes, corrections and
              messages in this order.
 
-Both modes are simulated in one frontier order: each node step is followed
-by the node's auxiliary measurements, its --local-aux shift corrections and
-the measurements of its inputs, so a qudit stays live only while a later
-step acts on it.  Fourier measurements on different qudits commute, and a
+Both modes are simulated in one frontier order.  A one-way node step is
+split by out-port: an auxiliary is entangled only with the node's inputs and
+its own message qudit, and a cZ commutes with Fourier measurements on other
+qudits (the standard-form reordering of the measurement calculus), so each
+port's pair is prepared right before it is used and followed at once by its
+auxiliary's measurement and --local-aux shift correction.  The node's last
+port is followed by the measurements of its inputs.  So one auxiliary pair
+is live at a time, and a qudit stays live only while a later step acts on
+it.  Fourier measurements on different qudits commute, and a
 Z^tau applied right before a Fourier measurement only relabels its outcome
 (signal shifting in the measurement calculus of Danos, Kashefi and
 Panangaden): measuring Z^tau psi gives r exactly when measuring psi gives
@@ -172,7 +178,8 @@ class _Plan:
     geometry: MbqcGeometry
     mode: str
     schedule: Schedule
-    physical: list  # ("intro", gadget_idx) | ("measure", label, stage) | ("corr", Correct, stage)
+    # ("intro", gadget_idx, port) | ("measure", label, stage) | ("corr", Correct, stage)
+    physical: list
     report_order: list  # ("measure", label, stage) | ("corr", Correct, stage)
     shifts: dict  # measured label -> the Z step right before its measurement
     final_corrections: list  # (Correct, stage)
@@ -424,16 +431,22 @@ def build_schedule(geometry: MbqcGeometry, mode, local_aux=False):
         stages.append(Stage("sigma-correct", steps))
         measure_stage = {lab: st for kind, lab, st in report_order if kind == "measure"}
 
-    # The simulation order is one frontier sweep for both modes: a node's
-    # step, its auxiliary measurements, its --local-aux X steps, then its
-    # inputs, each measured once no later step touches it.  The Z steps in
+    # The simulation order is one frontier sweep for both modes: per
+    # out-port of a node, in the rank order of its auxiliaries, the port's
+    # step, its auxiliary's measurement and its --local-aux X step; then the
+    # node's inputs, each measured once no later step touches it.  An
+    # auxiliary is entangled only with the node's inputs and its own message
+    # qudit, so one auxiliary pair is live at a time.  The Z steps in
     # `shifts` are not simulated: each relabels the outcome it precedes.
     physical = []
     for i, gadget in enumerate(geometry.gadgets):
-        physical.append(("intro", i))
-        for lab in sorted(gadget.aux_labels, key=rank.get):
-            physical.append(("measure", lab, measure_stage[lab]))
-        physical.extend(node_corrections.get(i, ()))
+        x_steps = node_corrections.get(i)
+        for j in sorted(range(len(gadget.aux_labels)), key=lambda j: rank[gadget.aux_labels[j]]):
+            aux = gadget.aux_labels[j]
+            physical.append(("intro", i, j))
+            physical.append(("measure", aux, measure_stage[aux]))
+            if x_steps:
+                physical.append(x_steps[j])
         for lab in sorted(gadget.in_labels, key=rank.get):
             physical.append(("measure", lab, measure_stage[lab]))
     if mode == "free":
@@ -516,7 +529,8 @@ def _steps(plan, coherent):
     The coherent path is the one-way plan without its auxiliary qudits: a
     node step embeds the node's map with controlled shifts instead of
     teleporting through a gadget, so the auxiliary measurements and the
-    shift corrections that read them drop out.
+    shift corrections that read them drop out, and a node's port steps,
+    then consecutive, fuse into one ("intro", gadget_idx) embedding.
     """
     ops, report_ops, finals = plan.physical, plan.report_order, plan.final_corrections
     order = plan.schedule.measurement_order()
@@ -525,23 +539,32 @@ def _steps(plan, coherent):
             return not (op[0] == "measure" and _is_aux(op[1])) and not (
                 op[0] == "corr" and _reads_aux(op[1]))
 
-        ops = [op for op in ops if keep(op)]
+        fused, embedded = [], set()
+        for op in ops:
+            if op[0] == "intro":
+                if op[1] not in embedded:
+                    embedded.add(op[1])
+                    fused.append(op[:2])
+            elif keep(op):
+                fused.append(op)
+        ops = fused
         report_ops = [op for op in report_ops if keep(op)]
         finals = [(c, stage) for c, stage in finals if not _reads_aux(c)]
         order = [q for q in order if not _is_aux(q)]
     return ops, report_ops, finals, order
 
 
-def _check_memory(d, live):
+def _check_memory(d, live, tables):
     """Refuse, before allocating, a run whose two registers (a measurement's
-    input and transform) cannot fit in physical memory.  By ru_maxrss above
-    baseline, one-way butterfly_swap(11) (7 qudits live, 297 MiB) peaks at
-    2.11 registers and coherent butterfly_swap(29) (5 live, 313 MiB) at 2.06."""
+    input and transform) and the `tables` bytes of node-step tables its
+    program keeps cannot fit in physical memory.  By ru_maxrss above
+    baseline, one-way butterfly_swap(13) (6 qudits live, 74 MiB) peaks at
+    2.24 registers and coherent butterfly_swap(19) (5 live, 38 MiB) at 2.30."""
     try:
         have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
         return  # the platform does not report its physical memory
-    need = 2 * 16 * d**live  # complex128 amplitudes
+    need = 2 * 16 * d**live + tables  # complex128 amplitudes
     if need > have:
         raise MemoryError(
             f"the live register peaks at {live} qudits of dimension {d}: "
@@ -634,7 +657,7 @@ def _run(plan, input_state, seed, forced, embed=None):
                          "provide a seed for sampling or force it")
     rng = np.random.default_rng(seed) if seed is not None else None
     simulated_forced = _simulated_forced(plan, forced_map)
-    _check_memory(d, max(prog.live))
+    _check_memory(d, max(prog.live), prog.table_bytes)
 
     def choose(label, p):
         if label not in simulated_forced:
@@ -659,10 +682,10 @@ def _run(plan, input_state, seed, forced, embed=None):
             _, op, q, i = step
             arr = _weyl_rows(arr, op, q, np.array([(prog.rows[i] @ simulated) % d]), d)
     values = ((prog.rows @ simulated) % d).tolist()
-    arr = np.moveaxis(arr, prog.out_axes, range(1, 1 + len(prog.out_axes)))
-    for op, h, i in prog.finals:
+    for op, q, i in prog.finals:
         if values[i]:
-            arr = _weyl_rows(arr, op, h, np.array([values[i]]), d)
+            arr = _weyl_rows(arr, op, q, np.array([values[i]]), d)
+    arr = np.moveaxis(arr, prog.out_axes, range(1, 1 + len(prog.out_axes)))
     output_state = QuditState(len(prog.out_axes), d, arr[0], normalize_check=False)
 
     oracle = oracle_output_state(plan.matrix, input_state)
@@ -725,10 +748,12 @@ class _Program:
     plan, so every step carries its axis positions.  Every number a run
     reports is a row of `rows` times the simulated outcomes r' mod d.
 
-    steps:  ("node", step), step(array) -> array the node step for the live
-            layout; ("measure", label, axis, position in `order`); ("corr",
-            op, axis, row), an --local-aux X step with exponent
-            rows[row] . r' mod d
+    steps:  ("node", step), step(array, out=None) -> array the node step
+            for the live layout: one out-port's |+> pair and cZ phases on
+            the one-way path, a node's cX embedding on the coherent path,
+            written into `out` when given; ("measure", label, axis,
+            position in `order`); ("corr", op, axis, row), an --local-aux X
+            step with exponent rows[row] . r' mod d
     order:  the simulated measurement order
     forced_order: the path's schedule measurement order, which forced
             outcome sequences follow
@@ -739,8 +764,10 @@ class _Program:
             the raw outcomes, r = T r' mod d (see _outcome_map)
     ledger, corrections, messages: the record templates of a report, in
             report order, naming the rows that fill them (see _records)
-    finals: per final correction (op, its output's axis once the outputs
-            are moved to the front, row)
+    finals: per final correction (op, its output's axis after the last
+            step, row)
+    table_bytes: the bytes of the tables the node steps keep, which the
+            memory check counts with the registers
     """
 
     steps: list
@@ -753,6 +780,7 @@ class _Program:
     corrections: list
     messages: list
     finals: list
+    table_bytes: int
 
 
 def _program(plan, embed=None):
@@ -770,16 +798,19 @@ def _program(plan, embed=None):
         plan, order, T, report_ops + [("corr", c, stage) for c, stage in finals], coherent)
 
     axis = {lab: 1 + i for i, lab in enumerate(geometry.inputs)}
-    steps, live = [], [len(axis)]
+    steps, live, table_bytes = [], [len(axis)], 0
     for op in ops:
         if op[0] == "intro":
             # every mode reaches a node step with the same live layout, so
             # the plans of a geometry share the step and its tables
-            key = ("node", embed, op[1], tuple(axis.items()))
+            key = ("node", embed, *op[1:], tuple(axis.items()))
             if key not in geometry._memo:
-                geometry._memo[key] = (embed or _intro_step)(geometry.gadgets[op[1]], axis, d)
-            step, axis = geometry._memo[key]
+                gadget = geometry.gadgets[op[1]]
+                geometry._memo[key] = (embed(gadget, axis, d) if coherent
+                                       else _intro_step(gadget, op[2], axis, d))
+            step, axis, nbytes = geometry._memo[key]
             steps.append(("node", step))
+            table_bytes += nbytes
         elif op[0] == "measure":
             q = axis[op[1]]
             axis = {lab: ax - 1 if ax > q else ax for lab, ax in axis.items() if lab != op[1]}
@@ -798,7 +829,8 @@ def _program(plan, embed=None):
         ledger=ledger,
         corrections=corrections,
         messages=messages,
-        finals=[(c.op, 1 + outputs.index(c.qudit), row_of[c]) for c, _stage in finals],
+        finals=[(c.op, axis[c.qudit], row_of[c]) for c, _stage in finals],
+        table_bytes=table_bytes,
     )
     return prog
 
@@ -897,8 +929,8 @@ def _branches(plan, input_state, embed=None, normalize=False):
 
     A batch holds branches at one program position as the rows of one
     array: axis 0 indexes the branch, the other axes the live qudits.  Node
-    steps act on the whole batch; a measurement contracts the measured axis
-    of every row and flattens (row, outcome) row-major into the children, so
+    steps act on the whole batch; a measurement transforms the measured axis
+    of every row and writes (row, outcome) row-major into the children, so
     branches stay in lexicographic outcome order; a correction raises each
     row to its own exponent, the dot product of the step's row with that
     branch's outcome vector.  A batch is taken in row ranges of at most
@@ -908,78 +940,124 @@ def _branches(plan, input_state, embed=None, normalize=False):
     alive.  A child whose squared norm is below IMPOSSIBLE_TOL of its
     parent's is dropped; with `normalize` every child is rescaled to norm 1.
     The walk interprets the same step program as `_run`, with `embed` as
-    there.
+    there.  It refuses up front a live register of more than _AMP_LIMIT
+    amplitudes; a caller that drains the whole tree bounds its branch count
+    first (see _check_tree).
 
-    Yields batches (R, t, nrm2): the simulated outcome vectors r' in
-    physical measurement order as the rows of R, the output tensors in
-    declaration order with the final corrections applied as the rows of t,
-    and their squared norms; the raw outcomes are T r' mod d, the
-    program's first rows (see _outcome_map).
+    The steps write into reusable work buffers (see _work): one children
+    array per measurement level, and two scratch arrays that a chunk's node
+    steps, corrections and Fourier transforms take in turn.  Depth first, a
+    level's children are all consumed before the level measures again, so
+    no buffer is written while its contents are still needed.  The walk
+    borrows the module's spare set of buffers and gives it back when it
+    ends or is closed; a walk that finds none makes its own.
+
+    Yields batches (R, a, nrm2): the simulated outcome vectors r' in
+    physical measurement order as the rows of R, the output tensors with
+    the final corrections applied as the rows of a, outputs on the axes
+    prog.out_axes, and their squared norms; `a` may be a view of a work
+    buffer, valid until the walk moves on.  The raw outcomes are T r' mod
+    d, the program's first rows (see _outcome_map).
     """
     _validate_input(plan.geometry, input_state)
     d = plan.geometry.d
     prog = _program(plan, embed)
+    _check_peak(d, prog)
+    # The program as segments: the node and correction steps up to a
+    # measurement, each with the qudits live after it, that measurement
+    # (None for the last segment) and the rows of a chunk, whose amplitudes
+    # stay within _CHUNK_AMPS at the most qudits the segment keeps live,
+    # those live just before its measurement.
+    segments, steps = [], []
+    for step, before, after in zip(prog.steps, prog.live, prog.live[1:]):
+        if step[0] == "measure":
+            segments.append((steps, step, max(1, _CHUNK_AMPS // d**before)))
+            steps = []
+        else:
+            steps.append((step, after))
+    segments.append((steps, None, max(1, _CHUNK_AMPS // d**prog.live[-1])))
+
+    bufs = _SPARE.pop() if _SPARE else {}
+    try:
+        outcomes = np.zeros((1, len(prog.order)), dtype=np.int64)
+        stack = [(0, input_state._tensor()[None], outcomes, np.ones(1))]
+        while stack:
+            s, arr, R, nrm2 = stack.pop()
+            steps, measure, rows = segments[s]
+            if len(arr) > rows:
+                stack.append((s, arr[rows:], R[rows:], nrm2[rows:]))
+                arr, R, nrm2 = arr[:rows], R[:rows], nrm2[:rows]
+            free = "a"  # the scratch buffer that does not hold `arr`
+            for step, live in steps:
+                out = _work(bufs, free, (len(arr),) + (d,) * live)
+                if step[0] == "node":
+                    arr = step[1](arr, out)
+                else:
+                    arr = _weyl_rows(arr, step[1], step[2], (R @ prog.rows[step[3]]) % d, d, out)
+                free = "b" if free == "a" else "a"
+            if measure is None:
+                for op, q, i in prog.finals:
+                    arr = _weyl_rows(arr, op, q, (R @ prog.rows[i]) % d, d,
+                                     _work(bufs, free, arr.shape))
+                    free = "b" if free == "a" else "a"
+                yield R, arr, nrm2
+                continue
+            _, _label, q, i = measure
+            shape = (len(arr) * d,) + arr.shape[1:q] + arr.shape[q + 1:]
+            children = _fourier_rows(arr, q, d, _work(bufs, s, shape),
+                                     lambda: _work(bufs, free, arr.shape))
+            flat = children.reshape(len(children), -1).view(np.float64)  # (re, im) pairs
+            child_nrm2 = np.einsum("ij,ij->i", flat, flat)
+            R = np.repeat(R, d, axis=0)
+            R[:, i] = np.tile(np.arange(d), len(arr))
+            keep = child_nrm2 >= np.repeat(nrm2, d) * IMPOSSIBLE_TOL
+            if not keep.all():
+                children, R, child_nrm2 = children[keep], R[keep], child_nrm2[keep]
+            if normalize:
+                children /= np.sqrt(child_nrm2).reshape((-1,) + (1,) * (children.ndim - 1))
+                child_nrm2 = np.ones(len(children))
+            stack.append((s + 1, children, R, child_nrm2))
+    finally:
+        if not _SPARE:
+            _SPARE.append(bufs)
+
+
+def _check_peak(d, prog):
+    """Refuse a walk whose live register would exceed _AMP_LIMIT amplitudes."""
     peak = max(prog.live)
     if d**peak > _AMP_LIMIT:
         raise MemoryError(
             f"live register would need {d}^{peak} amplitudes, above the enumeration limit"
         )
-    # The program as segments: the node and correction steps up to a
-    # measurement, that measurement (None for the last segment) and the
-    # rows of a chunk, whose amplitudes stay within _CHUNK_AMPS at the most
-    # qudits the segment keeps live, those live just before its measurement.
-    segments, steps = [], []
-    for step, before in zip(prog.steps, prog.live):
-        if step[0] == "measure":
-            segments.append((steps, step, max(1, _CHUNK_AMPS // d**before)))
-            steps = []
-        else:
-            steps.append(step)
-    segments.append((steps, None, max(1, _CHUNK_AMPS // d**prog.live[-1])))
-    n_out = len(prog.out_axes)
 
-    outcomes = np.zeros((1, len(prog.order)), dtype=np.int64)
-    stack = [(0, input_state._tensor()[None], outcomes, np.ones(1))]
-    while stack:
-        s, arr, R, nrm2 = stack.pop()
-        steps, measure, rows = segments[s]
-        if len(arr) > rows:
-            stack.append((s, arr[rows:], R[rows:], nrm2[rows:]))
-            arr, R, nrm2 = arr[:rows], R[:rows], nrm2[:rows]
-        for step in steps:
-            if step[0] == "node":
-                arr = step[1](arr)
-            else:
-                arr = _weyl_rows(arr, step[1], step[2], (R @ prog.rows[step[3]]) % d, d)
-        if measure is None:
-            t = np.moveaxis(arr, prog.out_axes, range(1, 1 + n_out))
-            for op, h, i in prog.finals:
-                t = _weyl_rows(t, op, h, (R @ prog.rows[i]) % d, d)
-            yield R, t, nrm2
-            continue
-        _, _label, q, i = measure
-        children = np.moveaxis(np.tensordot(_table("fourier", d), arr, axes=([1], [q])), 0, 1)
-        children = children.reshape((len(arr) * d,) + children.shape[2:])
-        flat = children.reshape(len(children), -1).view(np.float64)  # (re, im) pairs
-        child_nrm2 = np.einsum("ij,ij->i", flat, flat)
-        R = np.repeat(R, d, axis=0)
-        R[:, i] = np.tile(np.arange(d), len(arr))
-        keep = child_nrm2 >= np.repeat(nrm2, d) * IMPOSSIBLE_TOL
-        if not keep.all():
-            children, R, child_nrm2 = children[keep], R[keep], child_nrm2[keep]
-        if normalize:
-            children /= np.sqrt(child_nrm2).reshape((-1,) + (1,) * (children.ndim - 1))
-            child_nrm2 = np.ones(len(children))
-        stack.append((s + 1, children, R, child_nrm2))
+
+def _check_tree(plan, embed=None):
+    """The step program of a path whose whole tree the caller will walk.
+    Raises MemoryError up front, as _branches would, for a live register of
+    more than _AMP_LIMIT amplitudes, and for a tree of more than
+    _BRANCH_LIMIT branches."""
+    d = plan.geometry.d
+    prog = _program(plan, embed)
+    _check_peak(d, prog)
+    if d ** len(prog.order) > _BRANCH_LIMIT:
+        raise MemoryError(
+            f"the walk would take {d}^{len(prog.order)} branches, above the enumeration limit"
+        )
+    return prog
 
 
 def _exhaustive(plan, input_state, embed=None):
-    """(outcome dict, normalized output QuditState) for every branch."""
+    """(outcome dict, normalized output QuditState) for every branch.  Each
+    state's outputs are copied out of the walk's work buffers in declaration
+    order, one branch at a time, so every state keeps its amplitudes and no
+    batch-sized array is allocated per batch."""
     prog = _program(plan, embed)
     d = plan.geometry.d
-    for R, t, _nrm2 in _branches(plan, input_state, embed, normalize=True):
+    n_out = len(prog.out_axes)
+    for R, a, _nrm2 in _branches(plan, input_state, embed, normalize=True):
+        t = np.moveaxis(a, prog.out_axes, range(1, 1 + n_out))
         for raw, amps in zip(((R @ prog.rows[:len(prog.order)].T) % d).tolist(), t):
-            yield dict(zip(prog.order, raw)), QuditState(amps.ndim, d, amps,
+            yield dict(zip(prog.order, raw)), QuditState(n_out, d, amps.copy(),
                                                          normalize_check=False)
 
 
@@ -998,7 +1076,8 @@ def exhaustive_mbqc(
     in lexicographic order of the simulated outcomes; those whose
     probability underflows the impossible-outcome tolerance are skipped.
     Raises MemoryError up front when the live register would exceed
-    _AMP_LIMIT amplitudes.
+    _AMP_LIMIT amplitudes.  The walk is lazy, so it takes any tree: the
+    caller decides how many branches to draw.
     """
     plan = _plan_for(geometry, mode, local_aux)
     yield from _exhaustive(plan, input_state)
@@ -1017,17 +1096,22 @@ def branch_survey(
     object per branch: a batch takes one product with the conjugate
     reference, which keeps the per-branch cost small enough to sweep
     millions of branches.  Returns (branch_count, min_fidelity);
-    `reference` defaults to the oracle image of the input state.
+    `reference` defaults to the oracle image of the input state.  Raises
+    MemoryError up front when the live register would exceed _AMP_LIMIT
+    amplitudes or the tree _BRANCH_LIMIT branches.
     """
     _validate_input(geometry, input_state)
     plan = _plan_for(geometry, mode, local_aux)
+    out_axes = _check_tree(plan).out_axes
     if reference is None:
         reference = oracle_output_state(plan.matrix, input_state)
-    ref = reference.psi.conj()
+    # the conjugate reference in the layout the walk leaves its outputs in
+    ref = np.moveaxis(reference.psi.conj().reshape((plan.geometry.d,) * len(out_axes)),
+                      range(len(out_axes)), [ax - 1 for ax in out_axes]).reshape(-1)
     count, worst = 0, 1.0
-    for _R, t, nrm2 in _branches(plan, input_state):
-        fids = np.abs(t.reshape(len(t), -1) @ ref) / np.sqrt(nrm2)
-        count += len(t)
+    for _R, a, nrm2 in _branches(plan, input_state):
+        fids = np.abs(a.reshape(len(a), -1) @ ref) / np.sqrt(nrm2)
+        count += len(a)
         worst = min(worst, float(fids.min()))
     return count, worst
 
@@ -1036,17 +1120,72 @@ def branch_survey(
 # walker transforms a batch in row ranges of _CHUNK_AMPS // d**live.
 _CHUNK_AMPS = 2**15
 # The walkers refuse, before stepping, a path whose live register would
-# exceed this many amplitudes.
+# exceed this many amplitudes, and the callers that drain a whole tree
+# (branch_survey, the CLI's coherent --exhaustive) a tree of more branches
+# (d**measurements; criterion 1 of the acceptance tests walks 2**18).
 _AMP_LIMIT = 2**22
+_BRANCH_LIMIT = 2**20
+# Work arrays of up to _BUF_MAX amplitudes come from a walk's reusable
+# buffers.  Freed arrays from 2^13 amplitudes (128 KiB) up glibc hands back
+# to the system (unmapped, or trimmed off the heap), so fresh ones fault in
+# every page again: 450 minor faults per repeated walk of the d=32 wire
+# without buffers, 0 with them.  The bound keeps a buffer set to 2 MiB per
+# measurement level.
+_BUF_MAX = 2**17
+# The spare buffer set, at most one, that a walk borrows and gives back so
+# that repeated walks reuse their pages: buffer key (a measurement level or
+# a scratch name) -> flat complex128 array.
+_SPARE = []
 
 
-def _weyl_rows(arr, op, axis, exps, d):
+def _work(bufs, key, shape):
+    """A complex128 work array of `shape`: a view of the buffer `key` of the
+    set `bufs`, grown on demand, when it holds at most _BUF_MAX amplitudes,
+    else a fresh array."""
+    n = math.prod(shape)
+    if n > _BUF_MAX:
+        return np.empty(shape, dtype=np.complex128)
+    buf = bufs.get(key)
+    if buf is None or len(buf) < n:
+        buf = bufs[key] = np.empty(n, dtype=np.complex128)
+    return buf[:n].reshape(shape)
+
+
+def _fourier_rows(arr, q, d, children, scratch):
+    """F^dagger on axis q of every row of a batch, written into `children`
+    as (row, outcome) row-major with axis q dropped.  `scratch()` gives a
+    work array shaped like `arr` for the one copy that moves the outcome
+    axis ahead of the axes before q.  A short trailing block (d * after <=
+    64) takes one product with F^dagger kron I_after, a long one one
+    product with F^dagger per row."""
+    rows = len(arr)
+    before, after = math.prod(arr.shape[1:q]), math.prod(arr.shape[q + 1:])
+    kids = children.reshape(rows, d, before, after)
+    if d * after <= 64:
+        t = kids if before == 1 else scratch().reshape(rows, before, d, after)
+        np.matmul(arr.reshape(rows * before, d * after), _table("fourier", d, after),
+                  out=t.reshape(rows * before, d * after))
+        if before > 1:
+            np.copyto(kids, t.transpose(0, 2, 1, 3))
+    else:
+        src = arr.reshape(rows, before, d, after)
+        if before > 1:
+            moved = scratch().reshape(rows, d, before, after)
+            np.copyto(moved, src.transpose(0, 2, 1, 3))
+            src = moved
+        np.matmul(_table("fourier", d), src.reshape(rows, d, before * after),
+                  out=kids.reshape(rows, d, before * after))
+    return children
+
+
+def _weyl_rows(arr, op, axis, exps, d, out=None):
     """X^e or Z^e on one axis of a batch, with exponent e = exps[b] in [0, d)
-    on row b.  X^e moves the axis' slices up by e, cyclically: the rows
-    sharing an exponent move together, in two slice copies."""
+    on row b, written into `out` when given.  X^e moves the axis' slices up
+    by e, cyclically: the rows sharing an exponent move together, in two
+    slice copies."""
     if op == "X":
         view = arr.reshape(len(arr), -1, d, math.prod(arr.shape[axis + 1:]))
-        out = np.empty_like(view)
+        out = np.empty_like(view) if out is None else out.reshape(view.shape)
         if len(exps) == 1:
             values = [int(exps[0])]
         else:  # bincount, not np.unique, which imports numpy.ma (about 1 MB)
@@ -1058,7 +1197,7 @@ def _weyl_rows(arr, op, axis, exps, d):
         return out.reshape(arr.shape)
     shape = [1] * arr.ndim
     shape[0], shape[axis] = len(exps), d
-    return arr * _table("phase", d)[exps].reshape(shape)
+    return np.multiply(arr, _table("phase", d)[exps].reshape(shape), out=out)
 
 
 def _measure_row(arr, q, d, choose):
@@ -1077,45 +1216,35 @@ def _measure_row(arr, q, d, choose):
     return r, (t[:, r] / np.sqrt(p[r])).reshape(arr.shape[:q] + arr.shape[q + 1:])
 
 
-def _intro_step(gadget, axis, d):
-    """The one-way node step for the live layout `axis` (label -> axis of a
-    batch): adjoin the gadget's |+> qudits after the live axes and entangle
-    them in place, one multiply per out-port by the product of its cZ
-    phases.  Returns the step and the layout after it.  The phase tables are
-    built on the step's first call, so after the run's memory check.  Its
-    |+> amplitude d**(-n/2) and the (1/sqrt(d))**n of `_introduce`, the
-    labelled-register step, differ in the last bit."""
-    grow = 2 * len(gadget.out_labels)
-    ndim = 1 + len(axis) + grow
-    axis = dict(axis)
-    for j, out in enumerate(gadget.out_labels):
-        axis[gadget.aux_labels[j]] = ndim - grow + 2 * j
-        axis[out] = ndim - grow + 2 * j + 1
-    V = gadget.matrix.a
-    ports = [  # per out-port: its auxiliary's axis and (axis, weight) of each cZ edge
-        (axis[aux], [(axis[lab], int(V[j, k])) for k, lab in enumerate(gadget.in_labels)
-                     if V[j, k]] + [(axis[gadget.out_labels[j]], d - 1)])
-        for j, aux in enumerate(gadget.aux_labels)
-    ]
-    plus = np.broadcast_to(np.complex128(d ** (-grow / 2)), (d,) * grow)
-    tables = None
+def _intro_step(gadget, j, axis, d):
+    """The one-way step of out-port j of a node for the live layout `axis`
+    (label -> axis of a batch): adjoin the port's auxiliary and message
+    qudits in |+> after the live axes and entangle them, in one multiply by
+    its amplitude table.  Returns the step, the layout after it and the
+    table's size in bytes.  The table is built on the step's first call, so
+    after the run's memory check.  Its |+> amplitude 1/d and the
+    (1/sqrt(d))**2 of `_introduce`, the labelled-register step, differ in
+    the last bit."""
+    ndim = 1 + len(axis) + 2
+    aux, msg = gadget.aux_labels[j], gadget.out_labels[j]
+    axis = {**axis, aux: ndim - 2, msg: ndim - 1}
+    edges = [(axis[lab], int(w)) for lab, w in zip(gadget.in_labels, gadget.matrix.a[j]) if w]
+    edges.append((axis[msg], d - 1))
+    table = None
 
-    def step(arr):
-        nonlocal tables
-        if tables is None:
-            tables = [_port_table(aux, edges, ndim, d) for aux, edges in ports]
-        arr = np.multiply.outer(arr, plus)
-        for table in tables:
-            arr *= table
-        return arr
+    def step(arr, out=None):
+        nonlocal table
+        if table is None:
+            table = _port_table(axis[aux], edges, ndim, d) / d
+        return np.multiply(arr[..., None, None], table, out=out)
 
-    return step, axis
+    return step, axis, 16 * d ** (len(edges) + 1)
 
 
 def _port_table(aux, edges, ndim, d):
     """w^(x_aux * sum_e w_e x_e) over the axes of an auxiliary and its cZ
     edges (axis, weight), w = exp(2 pi i / d), shaped to broadcast over a
-    batch of `ndim` axes: at most d**(in-ports + 2) entries."""
+    batch of `ndim` axes: d**(edges + 1) entries."""
     axes = sorted([aux] + [ax for ax, _w in edges])
     grid = dict(zip(axes, np.ix_(*[np.arange(d)] * len(axes))))
     exps = sum(w * grid[ax] for ax, w in edges) % d * grid[aux] % d

@@ -2,6 +2,7 @@
 
 import json
 import os
+import time
 
 import pytest
 
@@ -332,26 +333,48 @@ def test_network_roundtrip():
     assert text1 == text2
 
 
-def _swap31(tmp_path):
-    # swap over Z_31 keeps 7 qudits live on the one-way path: 31^7 amplitudes,
-    # 1.3 TB of working memory for one run, far above the enumeration limit
-    path = tmp_path / "swap31.json"
-    dump_json(network_to_dict(butterfly_swap(31)), str(path))
+def _swap(tmp_path, d):
+    path = tmp_path / f"swap{d}.json"
+    dump_json(network_to_dict(butterfly_swap(d)), str(path))
     return str(path)
 
 
 def test_register_beyond_memory_exits_4(tmp_path, capsys):
-    path = _swap31(tmp_path)
-    if os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") >= 3 * 16 * 31**7:
+    # swap over Z_101 keeps 6 qudits live on the one-way path: 101^6
+    # amplitudes, 34 TB of working memory for one run
+    path = _swap(tmp_path, 101)
+    if os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") >= 3 * 16 * 101**6:
         pytest.skip("this machine could hold the register")
     assert run_cli("run-mbqc", "--network", path) == 4
-    assert capsys.readouterr().err.startswith("error: the live register peaks at 7 qudits")
+    assert capsys.readouterr().err.startswith("error: the live register peaks at 6 qudits")
 
 
 def test_exhaustive_beyond_enumeration_limit_exits_4(tmp_path, capsys):
-    assert run_cli("run-mbqc", "--network", _swap31(tmp_path), "--exhaustive") == 4
+    # swap over Z_31 keeps 6 qudits live on the one-way path: 31^6
+    # amplitudes, far above the enumeration limit
+    assert run_cli("run-mbqc", "--network", _swap(tmp_path, 31), "--exhaustive") == 4
     err = capsys.readouterr().err
-    assert err == "error: live register would need 31^7 amplitudes, above the enumeration limit\n"
+    assert err == "error: live register would need 31^6 amplitudes, above the enumeration limit\n"
+
+
+def test_exhaustive_beyond_branch_limit_exits_4(capsys):
+    # the one-way multicast over Z_3 measures 20 qudits at a peak of 3^7
+    # amplitudes: only its 3^20 branches are beyond reach
+    t0 = time.perf_counter()
+    assert run_cli("run-mbqc", "--network", MULTICAST, "--exhaustive") == 4
+    err = capsys.readouterr().err
+    assert err == "error: the walk would take 3^20 branches, above the enumeration limit\n"
+    assert time.perf_counter() - t0 < 5
+
+
+def test_coherent_exhaustive_beyond_branch_limit_exits_4(tmp_path, capsys):
+    # coherently, swap over Z_5 measures 9 qudits at a peak of 5^5
+    # amplitudes: its 5^9 branches, one output state each, are beyond reach
+    t0 = time.perf_counter()
+    assert run_cli("run-coherent", "--network", _swap(tmp_path, 5), "--exhaustive") == 4
+    err = capsys.readouterr().err
+    assert err == "error: the walk would take 5^9 branches, above the enumeration limit\n"
+    assert time.perf_counter() - t0 < 5
 
 
 def test_exhaustive_with_forced_outcomes_exits_64(capsys):

@@ -5,7 +5,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
-from itertools import islice
+from itertools import islice, zip_longest
 
 import numpy as np
 import pytest
@@ -18,6 +18,7 @@ from qlnc.mbqc import (
     Correct,
     Measure,
     Send,
+    _check_memory,
     _exhaustive,
     _introduce,
     _program,
@@ -368,12 +369,12 @@ def test_exhaustive_respects_amplitude_limit(monkeypatch):
 
 
 def test_every_walker_respects_amplitude_limit(monkeypatch):
-    # swap over Z_2 keeps 7 qudits live on the one-way path and 5 coherently
+    # swap over Z_2 keeps 6 qudits live on the one-way path and 5 coherently
     psi = QuditState.basis(2, [0, 0])
     monkeypatch.setattr("qlnc.mbqc._AMP_LIMIT", 2**4)
     with pytest.raises(MemoryError, match="enumeration limit"):
         list(exhaustive_coherent(butterfly_swap(2), psi))
-    monkeypatch.setattr("qlnc.mbqc._AMP_LIMIT", 2**6)
+    monkeypatch.setattr("qlnc.mbqc._AMP_LIMIT", 2**5)
     with pytest.raises(MemoryError, match="enumeration limit"):
         branch_survey(compile_network(butterfly_swap(2)), psi)
 
@@ -443,20 +444,19 @@ def test_chunked_swap_survey_matches_unchunked(monkeypatch):
 
 
 def test_single_runs_refuse_registers_beyond_physical_memory():
-    # both modes simulate in frontier order: swap keeps 7 qudits live on the
-    # one-way path (31^7 amplitudes, 1.3 TB of working memory) and 5 on the
-    # coherent path (101^5, 0.5 TB)
-    mbqc_plan = build_schedule(compile_network(butterfly_swap(31)), "constrained")
-    coh_plan = build_schedule(compile_network(butterfly_swap(101)), "constrained")
-    mbqc_peak = max(_program(mbqc_plan).live)
-    coh_peak = max(_program(coh_plan, _embed).live)
-    assert (mbqc_peak, coh_peak) == (7, 5)
-    need = 2 * 16 * min(31**mbqc_peak, 101**coh_peak)
+    # both modes simulate in frontier order: swap over Z_101 keeps 6 qudits
+    # live on the one-way path (101^6 amplitudes, 34 TB of working memory)
+    # and 5 on the coherent path (101^5, 0.34 TB)
+    plan = build_schedule(compile_network(butterfly_swap(101)), "constrained")
+    mbqc_peak = max(_program(plan).live)
+    coh_peak = max(_program(plan, _embed).live)
+    assert (mbqc_peak, coh_peak) == (6, 5)
+    need = 2 * 16 * min(101**mbqc_peak, 101**coh_peak)
     if os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") >= need:
         pytest.skip("this machine could hold the register")
     t0 = time.perf_counter()
     with pytest.raises(MemoryError, match="physical memory"):
-        run_mbqc(compile_network(butterfly_swap(31)), QuditState.basis(31, [0, 0]),
+        run_mbqc(compile_network(butterfly_swap(101)), QuditState.basis(101, [0, 0]),
                  mode="constrained", seed=0)
     with pytest.raises(MemoryError, match="physical memory"):
         run_coherent(butterfly_swap(101), QuditState.basis(101, [0, 0]),
@@ -484,11 +484,105 @@ def test_coherent_node_step_tables_wait_for_the_memory_check(monkeypatch):
     assert peak < 2 * 16 * 2**live
 
 
+def test_memory_check_counts_every_table_a_program_keeps(monkeypatch):
+    # a sum node with 19 in-ports at d=2, fed by one input copied onto 19
+    # links.  Coherently 20 qudits are live and the sum step keeps one int64
+    # target per amplitude of its 19 inputs; on the one-way path 21 are live
+    # and the sum node's one port step keeps a table over its 19 cZ edges
+    # and its pair.  Sizes are computed here, not allocated.
+    p = 19
+    nodes = [NodeSpec("S", RingMatrix([[1]] * p, 2)), NodeSpec("T", RingMatrix([[1] * p], 2))]
+    net = CodingNetwork(2, nodes, [("S", j, "T", j) for j in range(p)], [("S", 0)], [("T", 0)])
+    geo = compile_network(net)
+    plan = build_schedule(geo, "free")
+    psi = QuditState.basis(2, [1])
+    cases = ((_embed, 20, 8 * 2**1 + 8 * 2**p, lambda: run_coherent(net, psi, seed=0)),
+             (None, 21, p * 16 * 2**3 + 16 * 2**(p + 2), lambda: run_mbqc(geo, psi, seed=0)))
+    for embed, live, tables, run in cases:
+        prog = _program(plan, embed)
+        assert (max(prog.live), prog.table_bytes) == (live, tables)
+        need = 2 * 16 * 2**live + tables
+        monkeypatch.setattr("qlnc.mbqc.os.sysconf", {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": need}.get)
+        _check_memory(2, live, tables)  # fits exactly
+        monkeypatch.setattr("qlnc.mbqc.os.sysconf",
+                            {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": need - 1}.get)
+        tracemalloc.start()
+        try:
+            with pytest.raises(MemoryError, match="physical memory"):
+                run()
+            _now, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < need
+
+
+def test_interleaved_walks_yield_what_they_yield_alone(monkeypatch):
+    # every work array of a walk comes from its buffers here, one branch per
+    # chunk: two walks alive at once must never write into each other's
+    # buffers, and a yielded state must never be a view into one
+    monkeypatch.setattr("qlnc.mbqc._CHUNK_AMPS", 1)
+    monkeypatch.setattr("qlnc.mbqc._SPARE", [])
+    rng = np.random.default_rng(99)
+    wire, swap = identity_wire(3), butterfly_swap(2)
+    wire_geo, swap_geo = compile_network(wire), compile_network(swap)
+    wire_psi = QuditState.haar_random(3, 1, rng)
+    psi_a, psi_b = (QuditState.haar_random(2, 2, rng) for _ in range(2))
+    pairs = [
+        lambda: (exhaustive_mbqc(wire_geo, wire_psi), exhaustive_coherent(wire, wire_psi)),
+        lambda: (exhaustive_mbqc(swap_geo, psi_a, mode="constrained"),
+                 exhaustive_coherent(swap, psi_b)),
+        lambda: (exhaustive_mbqc(swap_geo, psi_a, mode="constrained"),
+                 exhaustive_mbqc(swap_geo, psi_b)),
+    ]
+    for walks in pairs:
+        alone = [[(outs, state.psi.copy()) for outs, state in islice(walk, 600)]
+                 for walk in walks()]
+        kept = ([], [])
+        for got in zip_longest(*(islice(walk, 600) for walk in walks())):
+            for k, branch in enumerate(got):
+                if branch is not None:
+                    kept[k].append(branch)
+        for k in (0, 1):
+            # compared once both walks have moved on: every state kept its amplitudes
+            assert [outs for outs, _ in kept[k]] == [outs for outs, _ in alone[k]]
+            for (_, state), (_, amps) in zip(kept[k], alone[k]):
+                assert np.array_equal(state.psi, amps)
+
+
+_FAULT_SCRIPT = """
+import resource
+from qlnc import QuditState, compile_network, identity_wire
+from qlnc.mbqc import branch_survey
+geo = compile_network(identity_wire(32))
+psi = QuditState.basis(32, [5])
+for _ in range(3):
+    branch_survey(geo, psi)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+count, worst = branch_survey(geo, psi)
+after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+assert count == 1024 and worst >= 1 - 1e-9
+print(after - before)
+"""
+
+
+def test_repeated_walks_reuse_their_pages():
+    # the free one-way walk of a d=32 wire: 1024 branches in chunk arrays of
+    # 32^3 amplitudes (512 KiB).  A walk reuses the work buffers the last one
+    # left, so from the second walk on it faults in no fresh pages
+    pytest.importorskip("resource")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", _FAULT_SCRIPT], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) < 64
+
+
 _PEAK_SCRIPT = """
 import resource
 from qlnc import QuditState, butterfly_swap, compile_network, run_mbqc
-geo = compile_network(butterfly_swap(9))
-psi = QuditState.basis(9, [1, 2])
+geo = compile_network(butterfly_swap(13))
+psi = QuditState.basis(13, [1, 2])
 base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 _out, rep = run_mbqc(geo, psi, mode="free", seed=0)
 assert rep.fidelity_vs_oracle >= 1 - 1e-9
@@ -498,16 +592,17 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - base)
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
 def test_single_run_peaks_below_two_and_a_half_registers():
-    # a one-way run of butterfly_swap(9) keeps 7 qudits live: 9^7 amplitudes,
-    # a 73 MiB register; a measurement holds the register and its transform
-    plan = build_schedule(compile_network(butterfly_swap(9)), "free")
-    assert max(_program(plan).live) == 7
+    # a one-way run of butterfly_swap(13) keeps 6 qudits live: 13^6
+    # amplitudes, a 74 MiB register; a measurement holds the register and its
+    # transform
+    plan = build_schedule(compile_network(butterfly_swap(13)), "free")
+    assert max(_program(plan).live) == 6
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-c", _PEAK_SCRIPT], env=env, capture_output=True,
                           text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    peak_registers = int(done.stdout) * 1024 / (16 * 9**7)
+    peak_registers = int(done.stdout) * 1024 / (16 * 13**6)
     assert peak_registers < 2.5
 
 

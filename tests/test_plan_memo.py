@@ -170,14 +170,15 @@ def test_unplannable_runs_raise_on_every_call():
 
 def test_memory_check_runs_on_every_run_of_a_kept_plan(monkeypatch):
     checked = []
-    monkeypatch.setattr(mbqc, "_check_memory", lambda d, live: checked.append((d, live)))
+    monkeypatch.setattr(mbqc, "_check_memory",
+                        lambda d, live, tables: checked.append((d, live)))
     net = butterfly_swap(3)
     geo = compile_network(net)
     psi = QuditState.basis(3, [1, 2])
     for seed in range(3):
         run_mbqc(geo, psi, mode="constrained", seed=seed)
         run_coherent(net, psi, mode="constrained", seed=seed)
-    assert checked == [(3, 7), (3, 5)] * 3
+    assert checked == [(3, 6), (3, 5)] * 3
 
 
 def test_networks_and_geometries_pickle_after_runs():

@@ -6,6 +6,8 @@ the out-of-network verdict, written in one canonical JSON form; a network
 whose composite map is not injective contributes its error instead.  The
 digests were computed before the planner was reworked for speed, so any
 change to a plan, down to a term's order or a stage's name, shows here.
+They were recomputed once when the simulation order became per-port node
+steps; left without `physical`, every family kept its digest then.
 The messages of `validate` on invalid networks are pinned the same way.
 """
 
@@ -82,14 +84,14 @@ def _random(d, seed, count):
 
 
 GOLDEN_PLANS = {
-    "bundled": "689064f1dd9b1721ffdef83b09d6942e4cd54a492efc10aa8f0d732308e17a70",
-    "random-d4": "d52a0bbf2de02fccb14f386272f94ce8c8fb48cf0eac3f8e1b8f1c2241c79b60",
-    "random-d6": "998765bbc733da813e188d2a59695ed7845e4993ee761560a5aab0253a330410",
-    "random-d8": "3748b3d755e201cd3e353bc63db2f5c68dc430bc8be7d55ff04a376ef50ab240",
-    "random-d9": "58da3cca57597205421dbde6231a9b5ed02de86c97890088706d6df21c1800f6",
-    "random-d12": "c76e144a0cf1cf65eff5e6d26b5d08c8a5db792815dfd4c8ca61cc3cedbae384",
-    "random-d30": "2a9af23dc11f9cb922078cee4521f0ab2d051ab1763074eae63ff6dd0c2a46be",
-    "random-d7": "2c3b9e571723e0644d848a543fc64adf027c77a14a6e88f98eb4dddce4b57fca",
+    "bundled": "a01f29d0b3aecb2703ef18d79bac7c5c6fc83d20d14f54c0d49195e3436687d8",
+    "random-d4": "168017d15b2018b6c6ba6f06235cf8260de405bb1e35358e12e6af68c38067cc",
+    "random-d6": "7e4ab10744e5170ccc969494d16d92bbb895fa2bdda06ddf313fe246661c9de8",
+    "random-d8": "96d26c5e29c6b18f0b8206a3ada15053b4fcf5cbfcc671ceccf62e929845465b",
+    "random-d9": "729146cace6e713f5ae5b0eb7544204b40fa78bd1a72cc3e022774aa0f19ddaa",
+    "random-d12": "18ab8f96e2a7da32f1b415dc62e5b753867c3d3fbe7264b16e1a8ea49c00b199",
+    "random-d30": "730a6a9939792db71f18fae5ed91ab4c14564f04c155b13668c7b75f962fd3b7",
+    "random-d7": "87e560ae1cafef8b8ee6d1d5a4b1c0ef2797b6591fd2a7427867e655758267ba",
 }
 
 
