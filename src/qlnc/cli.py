@@ -28,10 +28,10 @@ import time
 
 import numpy as np
 
-from .coherent import _check_coherent_tree, exhaustive_coherent, run_coherent
+from .coherent import _embed, _geometry_of, run_coherent
 from .files import dump_json, load_input_state, load_network
 from .geometry import compile_network, resource_counts
-from .mbqc import branch_survey, oracle_output_state, run_mbqc
+from .mbqc import _plan_for, _survey, branch_survey, oracle_output_state, run_mbqc
 from .network import (
     InvalidNetworkError,
     UnsupportedNetworkError,
@@ -39,7 +39,6 @@ from .network import (
     run_classical,
     validate,
 )
-from .ring import is_injective
 from .states import ImpossibleOutcomeError, QuditState, fidelity
 
 EXIT_OK = 0
@@ -291,16 +290,7 @@ def _dispatch(args) -> int:
 
 
 def _exhaustive_coherent_doc(net, state, args):
-    M = composite_map(net)
-    if not is_injective(M):
-        raise UnsupportedNetworkError("composite map is not injective")
-    _check_coherent_tree(net, args.mode)
-    oracle = oracle_output_state(M, state)
-    count = 0
-    worst = 1.0
-    for _outcomes, out in exhaustive_coherent(net, state, mode=args.mode):
-        worst = min(worst, fidelity(out, oracle))
-        count += 1
+    count, worst = _survey(_plan_for(_geometry_of(net), args.mode), state, embed=_embed)
     return {
         "version": 1,
         "path": "coherent-exhaustive",

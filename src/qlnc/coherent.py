@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .geometry import compile_network
-from .mbqc import _check_tree, _exhaustive, _plan_for, _run
+from .mbqc import _exhaustive, _plan_for, _run
 from .network import CodingNetwork
 from .ring import RingMatrix
 from .states import QuditState
@@ -56,49 +56,47 @@ def embed_node(state: QuditState, matrix: RingMatrix, in_axes, out_axes) -> Qudi
     return state
 
 
-def _embed_array(gadget, axis, d):
-    """The coherent node step for the live layout `axis` (label -> axis of a
-    batch): |x>|0> -> |x>|Vx> with fresh outputs after the live axes,
-    scattered into a zeroed array in final axis order through one flat
-    target index per live amplitude.  It only moves amplitudes, so it gives
-    the values of embed_node's cX^(V[j,k]) product.  The index table is
-    built on the step's first call, so after the run's memory check.
-    Returns the step, the layout after it and the table's size in bytes."""
-    live = len(axis)
-    ins = [axis[lab] - 1 for lab in gadget.in_labels]
-    V = gadget.matrix.a
-    grow = (d,) * len(gadget.out_labels)
+def _embed_array(gadget, before, after, d):
+    """The coherent node step from the live layout `before` to `after` (see
+    mbqc._program): |x>|0> -> |x>|Vx> with the fresh outputs at their axes
+    in `after`, scattered into a zeroed array through one flat target index
+    per live amplitude.  It only moves amplitudes, so it gives the values of
+    embed_node's cX^(V[j,k]) product.  The index table is built on the
+    step's first call, so after the run's memory check.  Returns the step
+    and the table's size in bytes."""
     target = None
 
     def step(arr, out=None):
         nonlocal target
         if target is None:
-            target = _embed_targets(V, ins, live, d)
+            target = _embed_targets(gadget, before, after, d)
         if out is None:
-            out = np.zeros(arr.shape + grow, dtype=np.complex128)
+            out = np.zeros((len(arr),) + (d,) * len(after), dtype=np.complex128)
         else:
             out.fill(0)
         out.reshape(len(arr), -1)[:, target] = arr.reshape(len(arr), -1)
         return out
 
-    axis = dict(axis)
-    for j, lab in enumerate(gadget.out_labels):
-        axis[lab] = 1 + live + j
-    return step, axis, 8 * d**live
+    return step, 8 * d ** len(before)
 
 
-def _embed_targets(V, ins, live, d):
-    """The flat index, in the layout after a coherent node step, of each
-    amplitude of a `live`-qudit layout: its own index times d**rows(V) plus
-    the base-d value of V x, x the digits at the input positions `ins`.
-    d**live int64 entries, built in place."""
-    grid = [np.arange(d, dtype=np.int64).reshape([d if i == pos else 1 for i in range(live)])
-            for pos in ins]
-    target = np.arange(d**live, dtype=np.int64).reshape((d,) * live)
-    target *= d ** len(V)
-    for j, row in enumerate(V.tolist()):
-        y = sum((w * x for w, x in zip(row, grid) if w), np.zeros((), dtype=np.int64))
-        target += y % d * d ** (len(V) - 1 - j)
+def _embed_targets(gadget, before, after, d):
+    """The flat index in the layout `after` of each amplitude of the layout
+    `before`: the sum over the qudits of `before` of their digit times
+    their stride in `after`, plus that of each fresh output y = V x, x the
+    digits of the node's inputs.  d**len(before) int64 entries, built in
+    place."""
+    stride = {lab: d ** (len(after) - 1 - i) for i, lab in enumerate(after)}
+    digits = {lab: np.arange(d, dtype=np.int64).reshape([d if j == i else 1
+                                                         for j in range(len(before))])
+              for i, lab in enumerate(before)}
+    target = np.zeros((d,) * len(before), dtype=np.int64)
+    for lab in before:
+        target += digits[lab] * stride[lab]
+    for out, row in zip(gadget.out_labels, gadget.matrix.a.tolist()):
+        y = sum((w * digits[lab] for w, lab in zip(row, gadget.in_labels) if w),
+                np.zeros((), dtype=np.int64))
+        target += y % d * stride[out]
     return target.reshape(-1)
 
 
@@ -140,8 +138,3 @@ def exhaustive_coherent(net, input_state, mode="free"):
     plan = _plan_for(_geometry_of(net), mode)
     yield from _exhaustive(plan, input_state, embed=_embed)
 
-
-def _check_coherent_tree(net, mode):
-    """Refuse up front a coherent walk that would drain a tree beyond the
-    walkers' limits (see mbqc._check_tree)."""
-    _check_tree(_plan_for(_geometry_of(net), mode), _embed)

@@ -64,7 +64,7 @@ class MbqcGeometry:
     num_links: int = 0
     # what mbqc keeps for this geometry: ("plan", mode, local_aux) -> its
     # plan (mbqc._plan_for), ("node", path, gadget index[, out-port], live
-    # layout) -> a node step, the layout after it and the bytes of its table
+    # layouts before and after) -> a node step and the bytes of its table
     # (mbqc._program)
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 

@@ -12,22 +12,26 @@ skipped.  The plan depends only on the geometry and the mode, so the entry
 points plan once (_plan_for): the plan is kept on the geometry, and the
 coherent entry points, which take a network, keep the geometry they compile
 on it (coherent._geometry_of).  On a path's first run the plan is resolved
-into one step program (_program): every node step, measurement and
-correction with its axis positions worked out, each one-way out-port step
-with one amplitude table of its cZ phases, each coherent node step with one
-flat target-index table; the modes of a geometry share these node steps.
+into one step program (_program), the one place that decides where a qudit
+lives.  A pattern fixes its measurement order before any outcome is known,
+so the live qudits are kept in that order, the outputs last in declaration
+order: the input register is permuted into it once, a node step inserts its
+fresh qudits at their places (each one-way out-port step with one amplitude
+table of its cZ phases, each coherent node step with one flat target-index
+table; the modes of a geometry share these node steps), every measurement
+takes the leading live axis, and the last step leaves the outputs in order.
 One single-run driver and one branch walker interpret that program for
 run_mbqc, run_coherent, exhaustive_mbqc, branch_survey and
 coherent.exhaustive_coherent.  Both step bare arrays, axis 0 indexing
-branches, with one kernel set (the node steps, _weyl_rows, the tables of
-states._table); a single run is a batch of one row that keeps one outcome
-per measurement, at two registers of memory, and the walker steps into
-reusable work buffers (_work).  Every step is Clifford over
-Z_d, so every number a run reports (raw and adjusted outcomes, correction
-exponents, message payloads) is a fixed linear function mod d of its
-outcomes: the program holds these as one integer matrix of rows over the
-simulated outcomes (_records), and the walker's corrections and the
-single run's corrections, ledger and messages are all read from it.
+branches, with one kernel set (the node steps, _fourier_rows, _weyl_rows,
+the tables of states._table); a single run is a batch of one row that
+keeps one outcome per measurement, at two registers of memory, and the
+walker steps into reusable work buffers (_work).  Every step is Clifford
+over Z_d, so every number a run reports (raw and adjusted outcomes,
+correction exponents, message payloads) is a fixed linear function mod d
+of its outcomes: the program holds these as one integer matrix of rows
+over the simulated outcomes (_records), and the walker's corrections and
+the single run's corrections, ledger and messages are all read from it.
 
 Two communication regimes are supported.
 
@@ -557,9 +561,12 @@ def _steps(plan, coherent):
 def _check_memory(d, live, tables):
     """Refuse, before allocating, a run whose two registers (a measurement's
     input and transform) and the `tables` bytes of node-step tables its
-    program keeps cannot fit in physical memory.  By ru_maxrss above
-    baseline, one-way butterfly_swap(13) (6 qudits live, 74 MiB) peaks at
-    2.24 registers and coherent butterfly_swap(19) (5 live, 38 MiB) at 2.30."""
+    program keeps cannot fit in physical memory.  By VmHWM in a fresh
+    process, above its VmRSS before the run, one-way butterfly_swap(13) (6
+    qudits live, 74 MiB) peaks at 2.25 registers and coherent
+    butterfly_swap(19) (5 live, 38 MiB) at 2.25.  Traced by tracemalloc, the
+    d=2 sum node with 19 in-ports peaks at 36.8 MiB coherently and 96.1 MiB
+    one-way, against 36.0 and 96.0 MiB counted."""
     try:
         have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
@@ -640,9 +647,11 @@ def _run(plan, input_state, seed, forced, embed=None):
     It interprets the plan's step program for the path (see _program) on a
     batch of one row, keeping at each measurement the forced outcome or one
     drawn with the arithmetic of Generator.choice, so a seed keeps its
-    outcomes.  The ledger, the corrections and the messages are then filled
-    from the program's rows at the simulated outcomes.  Without `embed` the
-    run is the one-way path; with `embed`, the coherent node-step resolver
+    outcomes.  The kept child stays a view of the measurement's transform,
+    renormalized in place, so a run holds two registers at most.  The
+    ledger, the corrections and the messages are then filled from the
+    program's rows at the simulated outcomes.  Without `embed` the run is
+    the one-way path; with `embed`, the coherent node-step resolver
     (coherent._embed), it is the coherent path.
     """
     geometry = plan.geometry
@@ -670,14 +679,19 @@ def _run(plan, input_state, seed, forced, embed=None):
                                          f"{label} has probability below {IMPOSSIBLE_TOL}")
         return r
 
-    arr = input_state._tensor()[None]
+    arr = input_state._tensor().transpose(prog.perm)[None]
     simulated = np.zeros(len(prog.order), dtype=np.int64)
     for step in prog.steps:
         if step[0] == "node":
             arr = step[1](arr)
         elif step[0] == "measure":
-            _, label, q, i = step
-            simulated[i], arr = _measure_row(arr, q, d, lambda p: choose(label, p))
+            _, label, i = step
+            children = np.empty((d,) + arr.shape[2:], dtype=np.complex128)
+            p = _fourier_rows(arr, d, children)
+            r = simulated[i] = choose(label, p)
+            arr = children[r:r + 1]  # the kept child, renormalized in place
+            del children  # the transform lives on only as the base of `arr`
+            arr /= np.sqrt(p[r])
         else:
             _, op, q, i = step
             arr = _weyl_rows(arr, op, q, np.array([(prog.rows[i] @ simulated) % d]), d)
@@ -685,8 +699,8 @@ def _run(plan, input_state, seed, forced, embed=None):
     for op, q, i in prog.finals:
         if values[i]:
             arr = _weyl_rows(arr, op, q, np.array([values[i]]), d)
-    arr = np.moveaxis(arr, prog.out_axes, range(1, 1 + len(prog.out_axes)))
-    output_state = QuditState(len(prog.out_axes), d, arr[0], normalize_check=False)
+    # a copy, so the state does not keep a whole transform alive as its base
+    output_state = QuditState(len(geometry.outputs), d, arr[0].copy(), normalize_check=False)
 
     oracle = oracle_output_state(plan.matrix, input_state)
     report = RunReport(
@@ -744,28 +758,29 @@ def run_mbqc(
 class _Program:
     """A plan resolved for one path, interpreted by both the single-run
     driver and the branch walker.  The arrays they step hold branches on
-    axis 0 and the live qudits on the other axes, in a layout fixed by the
-    plan, so every step carries its axis positions.  Every number a run
-    reports is a row of `rows` times the simulated outcomes r' mod d.
+    axis 0 and the live qudits on the other axes in one fixed layout: in
+    the order of their measurements, then the outputs in declaration order.
+    So a measurement always takes axis 1, a node step inserts its fresh
+    qudits at their places, and the last step leaves the outputs in order.
+    Every number a run reports is a row of `rows` times the simulated
+    outcomes r' mod d.
 
     steps:  ("node", step), step(array, out=None) -> array the node step
-            for the live layout: one out-port's |+> pair and cZ phases on
-            the one-way path, a node's cX embedding on the coherent path,
-            written into `out` when given; ("measure", label, axis,
-            position in `order`); ("corr", op, axis, row), an --local-aux X
-            step with exponent rows[row] . r' mod d
+            between the layouts before and after it: one out-port's |+>
+            pair and cZ phases on the one-way path, a node's cX embedding on
+            the coherent path, written into `out` when given; ("measure",
+            label, position in `order`); ("corr", op, axis, row), an
+            --local-aux X step with exponent rows[row] . r' mod d
     order:  the simulated measurement order
     forced_order: the path's schedule measurement order, which forced
             outcome sequences follow
-    live:   qudits live before each step, then after the last, read off
-            the layouts the steps leave
-    out_axes: the axes of the outputs after the last step
+    perm:   the axes of the input register in the layout of the first step
+    live:   qudits live before each step, then after the last
     rows:   integer rows over r' (see _records); the first len(order) are
             the raw outcomes, r = T r' mod d (see _outcome_map)
     ledger, corrections, messages: the record templates of a report, in
             report order, naming the rows that fill them (see _records)
-    finals: per final correction (op, its output's axis after the last
-            step, row)
+    finals: per final correction (op, its output's axis, row)
     table_bytes: the bytes of the tables the node steps keep, which the
             memory check counts with the registers
     """
@@ -773,8 +788,8 @@ class _Program:
     steps: list
     order: list
     forced_order: list
+    perm: list
     live: list
-    out_axes: list
     rows: np.ndarray
     ledger: list
     corrections: list
@@ -785,7 +800,9 @@ class _Program:
 
 def _program(plan, embed=None):
     """The step program of a path of `plan`, resolved on the path's first
-    run and kept on the plan; `embed` as in _run."""
+    run and kept on the plan; `embed` as in _run.  This is the one place
+    that decides where a qudit lives: a layout is the tuple of live labels
+    in axis order after the branch axis, sorted by measurement rank."""
     prog = plan.programs.get(embed)
     if prog is not None:
         return prog
@@ -797,39 +814,43 @@ def _program(plan, embed=None):
     rows, ledger, corrections, messages, row_of = _records(
         plan, order, T, report_ops + [("corr", c, stage) for c, stage in finals], coherent)
 
-    axis = {lab: 1 + i for i, lab in enumerate(geometry.inputs)}
-    steps, live, table_bytes = [], [len(axis)], 0
+    rank = {lab: i for i, lab in enumerate(order + list(geometry.outputs))}
+    layout = tuple(sorted(geometry.inputs, key=rank.get))
+    perm = [geometry.inputs.index(lab) for lab in layout]
+    steps, live, table_bytes = [], [len(layout)], 0
     for op in ops:
         if op[0] == "intro":
-            # every mode reaches a node step with the same live layout, so
-            # the plans of a geometry share the step and its tables
-            key = ("node", embed, *op[1:], tuple(axis.items()))
+            gadget = geometry.gadgets[op[1]]
+            fresh = gadget.out_labels if coherent else (gadget.aux_labels[op[2]],
+                                                        gadget.out_labels[op[2]])
+            after = tuple(sorted(layout + fresh, key=rank.get))
+            # the plans of a geometry that reach a node step with the same
+            # layouts share the step and its tables
+            key = ("node", embed, *op[1:], layout, after)
             if key not in geometry._memo:
-                gadget = geometry.gadgets[op[1]]
-                geometry._memo[key] = (embed(gadget, axis, d) if coherent
-                                       else _intro_step(gadget, op[2], axis, d))
-            step, axis, nbytes = geometry._memo[key]
+                geometry._memo[key] = (embed(gadget, layout, after, d) if coherent
+                                       else _intro_step(gadget, op[2], after, d))
+            step, nbytes = geometry._memo[key]
             steps.append(("node", step))
             table_bytes += nbytes
+            layout = after
         elif op[0] == "measure":
-            q = axis[op[1]]
-            axis = {lab: ax - 1 if ax > q else ax for lab, ax in axis.items() if lab != op[1]}
-            steps.append(("measure", op[1], q, order.index(op[1])))
+            layout = layout[1:]  # no live qudit is measured before op[1]: it leads
+            steps.append(("measure", op[1], order.index(op[1])))
         else:
-            steps.append(("corr", op[1].op, axis[op[1].qudit], row_of[op[1]]))
-        live.append(len(axis))
-    outputs = geometry.outputs
+            steps.append(("corr", op[1].op, 1 + layout.index(op[1].qudit), row_of[op[1]]))
+        live.append(len(layout))
     prog = plan.programs[embed] = _Program(
         steps=steps,
         order=order,
         forced_order=forced_order,
+        perm=perm,
         live=live,
-        out_axes=[axis[lab] for lab in outputs],
         rows=rows,
         ledger=ledger,
         corrections=corrections,
         messages=messages,
-        finals=[(c.op, axis[c.qudit], row_of[c]) for c, _stage in finals],
+        finals=[(c.op, 1 + layout.index(c.qudit), row_of[c]) for c, _stage in finals],
         table_bytes=table_bytes,
     )
     return prog
@@ -928,36 +949,36 @@ def _branches(plan, input_state, embed=None, normalize=False):
     """Walk every measurement branch of a path depth first, in batches.
 
     A batch holds branches at one program position as the rows of one
-    array: axis 0 indexes the branch, the other axes the live qudits.  Node
-    steps act on the whole batch; a measurement transforms the measured axis
-    of every row and writes (row, outcome) row-major into the children, so
-    branches stay in lexicographic outcome order; a correction raises each
-    row to its own exponent, the dot product of the step's row with that
-    branch's outcome vector.  A batch is taken in row ranges of at most
-    _CHUNK_AMPS // d**n rows, n the qudits live at the next measurement, the
-    rest staying on the stack as a view, so a chunk stays within _CHUNK_AMPS
-    amplitudes and each measurement level keeps at most one parent batch
-    alive.  A child whose squared norm is below IMPOSSIBLE_TOL of its
+    array: axis 0 indexes the branch, the other axes the live qudits in the
+    program's layout (see _Program).  Node steps act on the whole batch; a
+    measurement transforms axis 1, the measured qudit, of every row and
+    writes (row, outcome) row-major into the children, so branches stay in
+    lexicographic outcome order; a correction raises each row to its own
+    exponent, the dot product of the step's row with that branch's outcome
+    vector.  A batch is taken in row ranges of at most _CHUNK_AMPS // d**n
+    rows, n the qudits live at the next measurement, the rest staying on
+    the stack as a view, so a chunk stays within _CHUNK_AMPS amplitudes and
+    each measurement level keeps at most one parent batch alive.  A child whose squared norm is below IMPOSSIBLE_TOL of its
     parent's is dropped; with `normalize` every child is rescaled to norm 1.
     The walk interprets the same step program as `_run`, with `embed` as
     there.  It refuses up front a live register of more than _AMP_LIMIT
     amplitudes; a caller that drains the whole tree bounds its branch count
-    first (see _check_tree).
+    first (see _survey).
 
     The steps write into reusable work buffers (see _work): one children
     array per measurement level, and two scratch arrays that a chunk's node
-    steps, corrections and Fourier transforms take in turn.  Depth first, a
-    level's children are all consumed before the level measures again, so
-    no buffer is written while its contents are still needed.  The walk
-    borrows the module's spare set of buffers and gives it back when it
-    ends or is closed; a walk that finds none makes its own.
+    steps and corrections take in turn.  Depth first, a level's children
+    are all consumed before the level measures again, so no buffer is
+    written while its contents are still needed.  The walk borrows the
+    module's spare set of buffers and gives it back when it ends or is
+    closed; a walk that finds none makes its own.
 
     Yields batches (R, a, nrm2): the simulated outcome vectors r' in
     physical measurement order as the rows of R, the output tensors with
-    the final corrections applied as the rows of a, outputs on the axes
-    prog.out_axes, and their squared norms; `a` may be a view of a work
-    buffer, valid until the walk moves on.  The raw outcomes are T r' mod
-    d, the program's first rows (see _outcome_map).
+    the final corrections applied, outputs in declaration order, as the rows
+    of a, and their squared norms; `a` may be a view of a work buffer, valid
+    until the walk moves on.  The raw outcomes are T r' mod d, the
+    program's first rows (see _outcome_map).
     """
     _validate_input(plan.geometry, input_state)
     d = plan.geometry.d
@@ -980,7 +1001,7 @@ def _branches(plan, input_state, embed=None, normalize=False):
     bufs = _SPARE.pop() if _SPARE else {}
     try:
         outcomes = np.zeros((1, len(prog.order)), dtype=np.int64)
-        stack = [(0, input_state._tensor()[None], outcomes, np.ones(1))]
+        stack = [(0, input_state._tensor().transpose(prog.perm)[None], outcomes, np.ones(1))]
         while stack:
             s, arr, R, nrm2 = stack.pop()
             steps, measure, rows = segments[s]
@@ -1002,12 +1023,9 @@ def _branches(plan, input_state, embed=None, normalize=False):
                     free = "b" if free == "a" else "a"
                 yield R, arr, nrm2
                 continue
-            _, _label, q, i = measure
-            shape = (len(arr) * d,) + arr.shape[1:q] + arr.shape[q + 1:]
-            children = _fourier_rows(arr, q, d, _work(bufs, s, shape),
-                                     lambda: _work(bufs, free, arr.shape))
-            flat = children.reshape(len(children), -1).view(np.float64)  # (re, im) pairs
-            child_nrm2 = np.einsum("ij,ij->i", flat, flat)
+            i = measure[2]
+            children = _work(bufs, s, (len(arr) * d,) + arr.shape[2:])
+            child_nrm2 = _fourier_rows(arr, d, children)
             R = np.repeat(R, d, axis=0)
             R[:, i] = np.tile(np.arange(d), len(arr))
             keep = child_nrm2 >= np.repeat(nrm2, d) * IMPOSSIBLE_TOL
@@ -1031,32 +1049,16 @@ def _check_peak(d, prog):
         )
 
 
-def _check_tree(plan, embed=None):
-    """The step program of a path whose whole tree the caller will walk.
-    Raises MemoryError up front, as _branches would, for a live register of
-    more than _AMP_LIMIT amplitudes, and for a tree of more than
-    _BRANCH_LIMIT branches."""
-    d = plan.geometry.d
-    prog = _program(plan, embed)
-    _check_peak(d, prog)
-    if d ** len(prog.order) > _BRANCH_LIMIT:
-        raise MemoryError(
-            f"the walk would take {d}^{len(prog.order)} branches, above the enumeration limit"
-        )
-    return prog
-
-
 def _exhaustive(plan, input_state, embed=None):
     """(outcome dict, normalized output QuditState) for every branch.  Each
-    state's outputs are copied out of the walk's work buffers in declaration
-    order, one branch at a time, so every state keeps its amplitudes and no
-    batch-sized array is allocated per batch."""
+    state is copied out of the walk's work buffers one branch at a time, so
+    every state keeps its amplitudes and no batch-sized array is allocated
+    per batch."""
     prog = _program(plan, embed)
     d = plan.geometry.d
-    n_out = len(prog.out_axes)
+    n_out = len(plan.geometry.outputs)
     for R, a, _nrm2 in _branches(plan, input_state, embed, normalize=True):
-        t = np.moveaxis(a, prog.out_axes, range(1, 1 + n_out))
-        for raw, amps in zip(((R @ prog.rows[:len(prog.order)].T) % d).tolist(), t):
+        for raw, amps in zip(((R @ prog.rows[:len(prog.order)].T) % d).tolist(), a):
             yield dict(zip(prog.order, raw)), QuditState(n_out, d, amps.copy(),
                                                          normalize_check=False)
 
@@ -1101,15 +1103,27 @@ def branch_survey(
     amplitudes or the tree _BRANCH_LIMIT branches.
     """
     _validate_input(geometry, input_state)
-    plan = _plan_for(geometry, mode, local_aux)
-    out_axes = _check_tree(plan).out_axes
+    return _survey(_plan_for(geometry, mode, local_aux), input_state, reference)
+
+
+def _survey(plan, input_state, reference=None, embed=None):
+    """(branch count, min fidelity) over the whole branch tree of a path,
+    `embed` as in _run, behind branch_survey and the CLI's coherent
+    --exhaustive.  Raises MemoryError up front, as _branches would, for a
+    live register of more than _AMP_LIMIT amplitudes, and for a tree of
+    more than _BRANCH_LIMIT branches."""
+    d = plan.geometry.d
+    prog = _program(plan, embed)
+    _check_peak(d, prog)
+    if d ** len(prog.order) > _BRANCH_LIMIT:
+        raise MemoryError(
+            f"the walk would take {d}^{len(prog.order)} branches, above the enumeration limit"
+        )
     if reference is None:
         reference = oracle_output_state(plan.matrix, input_state)
-    # the conjugate reference in the layout the walk leaves its outputs in
-    ref = np.moveaxis(reference.psi.conj().reshape((plan.geometry.d,) * len(out_axes)),
-                      range(len(out_axes)), [ax - 1 for ax in out_axes]).reshape(-1)
+    ref = reference.psi.conj()
     count, worst = 0, 1.0
-    for _R, a, nrm2 in _branches(plan, input_state):
+    for _R, a, nrm2 in _branches(plan, input_state, embed):
         fids = np.abs(a.reshape(len(a), -1) @ ref) / np.sqrt(nrm2)
         count += len(a)
         worst = min(worst, float(fids.min()))
@@ -1151,31 +1165,21 @@ def _work(bufs, key, shape):
     return buf[:n].reshape(shape)
 
 
-def _fourier_rows(arr, q, d, children, scratch):
-    """F^dagger on axis q of every row of a batch, written into `children`
-    as (row, outcome) row-major with axis q dropped.  `scratch()` gives a
-    work array shaped like `arr` for the one copy that moves the outcome
-    axis ahead of the axes before q.  A short trailing block (d * after <=
-    64) takes one product with F^dagger kron I_after, a long one one
-    product with F^dagger per row."""
-    rows = len(arr)
-    before, after = math.prod(arr.shape[1:q]), math.prod(arr.shape[q + 1:])
-    kids = children.reshape(rows, d, before, after)
+def _fourier_rows(arr, d, children):
+    """Fourier-measure axis 1 of every row of a batch: F^dagger on that
+    axis, written into `children` as (row, outcome) row-major with the axis
+    dropped.  A short trailing block (d * after <= 64) takes one product
+    with F^dagger kron I_after, a long one one product with F^dagger per
+    row.  Returns the children's squared norms."""
+    rows, after = len(arr), math.prod(arr.shape[2:])
     if d * after <= 64:
-        t = kids if before == 1 else scratch().reshape(rows, before, d, after)
-        np.matmul(arr.reshape(rows * before, d * after), _table("fourier", d, after),
-                  out=t.reshape(rows * before, d * after))
-        if before > 1:
-            np.copyto(kids, t.transpose(0, 2, 1, 3))
+        np.matmul(arr.reshape(rows, d * after), _table("fourier", d, after),
+                  out=children.reshape(rows, d * after))
     else:
-        src = arr.reshape(rows, before, d, after)
-        if before > 1:
-            moved = scratch().reshape(rows, d, before, after)
-            np.copyto(moved, src.transpose(0, 2, 1, 3))
-            src = moved
-        np.matmul(_table("fourier", d), src.reshape(rows, d, before * after),
-                  out=kids.reshape(rows, d, before * after))
-    return children
+        np.matmul(_table("fourier", d), arr.reshape(rows, d, after),
+                  out=children.reshape(rows, d, after))
+    flat = children.reshape(len(children), -1).view(np.float64)  # (re, im) pairs
+    return np.einsum("ij,ij->i", flat, flat)
 
 
 def _weyl_rows(arr, op, axis, exps, d, out=None):
@@ -1200,34 +1204,16 @@ def _weyl_rows(arr, op, axis, exps, d, out=None):
     return np.multiply(arr, _table("phase", d)[exps].reshape(shape), out=out)
 
 
-def _measure_row(arr, q, d, choose):
-    """Fourier-measure axis q of a one-row batch; `choose(p)` picks outcome r
-    from the probabilities.  Returns r and the renormalized slice.  F^dagger
-    acts on the (before, d, after) view with no transposed copy, and the
-    transform is freed on return, so a run holds two registers at most."""
-    after = math.prod(arr.shape[q + 1:])
-    if d * after <= 64:
-        t = (arr.reshape(-1, d * after) @ _table("fourier", d, after)).reshape(-1, d, after)
-    else:
-        t = np.matmul(_table("fourier", d), arr.reshape(-1, d, after))
-    flat = t.view(np.float64)
-    p = np.einsum("brx,brx->r", flat, flat)
-    r = choose(p)
-    return r, (t[:, r] / np.sqrt(p[r])).reshape(arr.shape[:q] + arr.shape[q + 1:])
-
-
-def _intro_step(gadget, j, axis, d):
-    """The one-way step of out-port j of a node for the live layout `axis`
-    (label -> axis of a batch): adjoin the port's auxiliary and message
-    qudits in |+> after the live axes and entangle them, in one multiply by
-    its amplitude table.  Returns the step, the layout after it and the
-    table's size in bytes.  The table is built on the step's first call, so
-    after the run's memory check.  Its |+> amplitude 1/d and the
-    (1/sqrt(d))**2 of `_introduce`, the labelled-register step, differ in
-    the last bit."""
-    ndim = 1 + len(axis) + 2
+def _intro_step(gadget, j, after, d):
+    """The one-way step of out-port j of a node into the live layout
+    `after` (see _program): adjoin the port's auxiliary and message qudits
+    in |+> at their axes in `after` and entangle them, in one multiply by
+    its amplitude table.  Returns the step and the table's size in bytes.
+    The table is built on the step's first call, so after the run's memory
+    check.  Its |+> amplitude 1/d and the (1/sqrt(d))**2 of `_introduce`,
+    the labelled-register step, differ in the last bit."""
+    axis = {lab: 1 + i for i, lab in enumerate(after)}
     aux, msg = gadget.aux_labels[j], gadget.out_labels[j]
-    axis = {**axis, aux: ndim - 2, msg: ndim - 1}
     edges = [(axis[lab], int(w)) for lab, w in zip(gadget.in_labels, gadget.matrix.a[j]) if w]
     edges.append((axis[msg], d - 1))
     table = None
@@ -1235,10 +1221,10 @@ def _intro_step(gadget, j, axis, d):
     def step(arr, out=None):
         nonlocal table
         if table is None:
-            table = _port_table(axis[aux], edges, ndim, d) / d
-        return np.multiply(arr[..., None, None], table, out=out)
+            table = _port_table(axis[aux], edges, 1 + len(after), d) / d
+        return np.multiply(np.expand_dims(arr, (axis[aux], axis[msg])), table, out=out)
 
-    return step, axis, 16 * d ** (len(edges) + 1)
+    return step, 16 * d ** (len(edges) + 1)
 
 
 def _port_table(aux, edges, ndim, d):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ring import RingMatrix, _matmul_mod, is_injective
+from .ring import RingMatrix, _matmul_mod
 
 __all__ = [
     "NodeSpec",
@@ -302,13 +302,3 @@ def run_classical(net: CodingNetwork, s) -> np.ndarray:
                 out_vals[idx] = result[q]
     return np.asarray([out_vals[j] for j in range(net.num_outputs)], dtype=np.int64)
 
-
-def require_injective(net: CodingNetwork) -> RingMatrix:
-    """Composite map of the network, raising UnsupportedNetworkError if singular."""
-    M = composite_map(net)
-    if not is_injective(M):
-        raise UnsupportedNetworkError(
-            "the composite map of this network is not injective over "
-            f"Z_{net.d}; coherent simulation is not defined"
-        )
-    return M

@@ -197,6 +197,7 @@ def test_non_injective_exits_2(tmp_path):
     path = tmp_path / "sum.json"
     path.write_text(json.dumps(doc))
     assert run_cli("run-coherent", "--network", str(path), "--input", "0,0") == 2
+    assert run_cli("run-coherent", "--network", str(path), "--input", "0,0", "--exhaustive") == 2
     assert run_cli("run-mbqc", "--network", str(path), "--input", "0,0") == 2
 
 

@@ -516,6 +516,30 @@ def test_memory_check_counts_every_table_a_program_keeps(monkeypatch):
         assert peak < need
 
 
+def test_single_run_peaks_within_what_the_memory_check_counts():
+    # the sum node above, run for real: a measurement keeps its child as a
+    # view of its transform, so a run's traced peak is the two registers and
+    # the tables the check counts, not a renormalized copy on top of them
+    p = 19
+    nodes = [NodeSpec("S", RingMatrix([[1]] * p, 2)), NodeSpec("T", RingMatrix([[1] * p], 2))]
+    net = CodingNetwork(2, nodes, [("S", j, "T", j) for j in range(p)], [("S", 0)], [("T", 0)])
+    geo = compile_network(net)
+    plan = build_schedule(geo, "free")
+    psi = QuditState.basis(2, [1])
+    for embed, run in ((_embed, lambda: run_coherent(net, psi, seed=0)),
+                       (None, lambda: run_mbqc(geo, psi, seed=0))):
+        prog = _program(plan, embed)
+        counted = 2 * 16 * 2**max(prog.live) + prog.table_bytes
+        tracemalloc.start()
+        try:
+            _out, rep = run()
+            _now, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep.fidelity_vs_oracle >= 1 - 1e-9
+        assert peak <= 1.05 * counted, (embed, peak, counted)
+
+
 def test_interleaved_walks_yield_what_they_yield_alone(monkeypatch):
     # every work array of a walk comes from its buffers here, one branch per
     # chunk: two walks alive at once must never write into each other's
@@ -579,22 +603,29 @@ def test_repeated_walks_reuse_their_pages():
 
 
 _PEAK_SCRIPT = """
-import resource
 from qlnc import QuditState, butterfly_swap, compile_network, run_mbqc
+
+
+def status_kib(key):
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith(key + ":"))
+
+
 geo = compile_network(butterfly_swap(13))
 psi = QuditState.basis(13, [1, 2])
-base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+base = status_kib("VmRSS")
 _out, rep = run_mbqc(geo, psi, mode="free", seed=0)
 assert rep.fidelity_vs_oracle >= 1 - 1e-9
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - base)
+print(status_kib("VmHWM") - base)
 """
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM and VmRSS")
 def test_single_run_peaks_below_two_and_a_half_registers():
     # a one-way run of butterfly_swap(13) keeps 6 qudits live: 13^6
     # amplitudes, a 74 MiB register; a measurement holds the register and its
-    # transform
+    # transform.  The child reads its own peak from /proc: its ru_maxrss
+    # would start at the RSS of the process that forked it
     plan = build_schedule(compile_network(butterfly_swap(13)), "free")
     assert max(_program(plan).live) == 6
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")

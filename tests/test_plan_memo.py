@@ -81,12 +81,29 @@ _GOLDEN = {
     ("wire2", "coherent-free", 1): "7cf25006affc3868ec41fe3cab84d8bfcf29d026b6862fe71c15ae8efc6f25a0",
     ("wire2", "coherent-constrained", 0): "95b6082a2dadd4d9b6ca523831ee35e4ecc536421dcd3f8fda9ea124feec68c2",
     ("wire2", "coherent-constrained", 1): "cfa24be0c6765946c8c8fb237deffd9ee68d0d907ffb6bec7c0e8f947752e33e",
+    # one digest per family: three seeded random injective networks over
+    # Z_d, every config, seeds 0 and 1 (see _family_texts), as rendered
+    # before the live qudits were kept in measurement order
+    ("random-d4", "all", "0-1"): "9f39f5502f462289b6f6ed0efba9ea5131df6979481cf9aa1fb52119ae2d9637",
+    ("random-d6", "all", "0-1"): "8f1f2ab4a94f69062d7cfc640397960b6d7071d6bf93634a7fb8cc7bb13562e7",
+    ("random-d12", "all", "0-1"): "87a544f6c68d339e613af14c533963b3130700309fbe7240c93070030a699198",
 }
 
 
 def _golden_nets():
     return {"swap3": butterfly_swap(3), "multicast2": butterfly_multicast(2),
             "wire2": identity_wire(2)}
+
+
+def _family_texts(d):
+    rng = np.random.default_rng(d)
+    for _ in range(3):
+        net = random_network(rng, d, require_injective=True, max_nodes=4, max_links=4,
+                             size_cap=7)
+        geo = compile_network(net)
+        psi = QuditState.haar_random(d, net.num_inputs, rng)
+        for config, seed in itertools.product(CONFIGS, (0, 1)):
+            yield _text(_report(net, geo, psi, config, seed))
 
 
 def test_seeded_reports_match_their_golden_hashes():
@@ -97,6 +114,11 @@ def test_seeded_reports_match_their_golden_hashes():
         for config, seed in itertools.product(CONFIGS, (0, 1)):
             text = _text(_report(net, geo, psi, config, seed))
             got[(name, config, seed)] = hashlib.sha256(text.encode()).hexdigest()
+    for d in (4, 6, 12):
+        digest = hashlib.sha256()
+        for text in _family_texts(d):
+            digest.update(text.encode())
+        got[(f"random-d{d}", "all", "0-1")] = digest.hexdigest()
     assert got == _GOLDEN
 
 
