@@ -123,7 +123,8 @@ def run_coherent(
 
     Returns (output QuditState on the target qudits in declaration order,
     RunReport).  Outcomes are sampled via `seed` or pinned via `forced`
-    (dict by qudit label, or sequence in this mode's measurement order).
+    (dict by qudit label, or sequence in this mode's measurement order); a
+    dict key this mode does not measure raises ValueError.
     Raises MemoryError, before allocating, when the live register would not
     fit in physical memory.
     """

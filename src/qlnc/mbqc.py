@@ -583,6 +583,10 @@ def _resolve_forced(order, forced):
     if forced is None:
         return None
     if isinstance(forced, dict):
+        unknown = [label for label in forced if label not in order]
+        if unknown:
+            raise ValueError(f"forced outcome for {unknown[0]!r}, "
+                             "which this path does not measure")
         return dict(forced)
     forced = list(forced)
     if len(forced) != len(order):
@@ -738,7 +742,8 @@ def run_mbqc(
     """Execute the one-way procedure; returns (output QuditState, RunReport).
 
     Outcomes are sampled with `seed` unless `forced` pins them (a dict keyed
-    by qudit label, or a sequence in schedule measurement order).  The output
+    by qudit label, or a sequence in schedule measurement order); a dict
+    key the path does not measure raises ValueError.  The output
     state is delivered on the geometry's outputs, in declaration order.
     Raises MemoryError, before allocating, when the live register would not
     fit in physical memory.  The plan is built on the geometry's first run
@@ -945,7 +950,7 @@ def _outcome_map(plan, ops, report_ops):
     return order, T
 
 
-def _branches(plan, input_state, embed=None, normalize=False):
+def _branches(plan, input_state, embed=None):
     """Walk every measurement branch of a path depth first, in batches.
 
     A batch holds branches at one program position as the rows of one
@@ -958,8 +963,8 @@ def _branches(plan, input_state, embed=None, normalize=False):
     vector.  A batch is taken in row ranges of at most _CHUNK_AMPS // d**n
     rows, n the qudits live at the next measurement, the rest staying on
     the stack as a view, so a chunk stays within _CHUNK_AMPS amplitudes and
-    each measurement level keeps at most one parent batch alive.  A child whose squared norm is below IMPOSSIBLE_TOL of its
-    parent's is dropped; with `normalize` every child is rescaled to norm 1.
+    each measurement level keeps at most one parent batch alive.  A child
+    whose squared norm is below IMPOSSIBLE_TOL of its parent's is dropped.
     The walk interprets the same step program as `_run`, with `embed` as
     there.  It refuses up front a live register of more than _AMP_LIMIT
     amplitudes; a caller that drains the whole tree bounds its branch count
@@ -1031,9 +1036,6 @@ def _branches(plan, input_state, embed=None, normalize=False):
             keep = child_nrm2 >= np.repeat(nrm2, d) * IMPOSSIBLE_TOL
             if not keep.all():
                 children, R, child_nrm2 = children[keep], R[keep], child_nrm2[keep]
-            if normalize:
-                children /= np.sqrt(child_nrm2).reshape((-1,) + (1,) * (children.ndim - 1))
-                child_nrm2 = np.ones(len(children))
             stack.append((s + 1, children, R, child_nrm2))
     finally:
         if not _SPARE:
@@ -1050,15 +1052,16 @@ def _check_peak(d, prog):
 
 
 def _exhaustive(plan, input_state, embed=None):
-    """(outcome dict, normalized output QuditState) for every branch.  Each
-    state is copied out of the walk's work buffers one branch at a time, so
-    every state keeps its amplitudes and no batch-sized array is allocated
-    per batch."""
+    """(outcome dict, normalized output QuditState) for every branch.  A
+    batch is normalized out of the walk's work buffers in one product and
+    each state copied out of that one branch at a time, so every state keeps
+    only its own amplitudes."""
     prog = _program(plan, embed)
     d = plan.geometry.d
     n_out = len(plan.geometry.outputs)
-    for R, a, _nrm2 in _branches(plan, input_state, embed, normalize=True):
-        for raw, amps in zip(((R @ prog.rows[:len(prog.order)].T) % d).tolist(), a):
+    for R, a, nrm2 in _branches(plan, input_state, embed):
+        raws = ((R @ prog.rows[:len(prog.order)].T) % d).tolist()
+        for raw, amps in zip(raws, a.reshape(len(a), -1) / np.sqrt(nrm2)[:, None]):
             yield dict(zip(prog.order, raw)), QuditState(n_out, d, amps.copy(),
                                                          normalize_check=False)
 

@@ -7,7 +7,9 @@ teleportation gadget that trades an inverse Fourier transform for one
 auxiliary qudit: prepare |+> on w, entangle with cZ^-1, measure v in the X
 eigenbasis with outcome r, shift w by X^r.  No general tableau simulator is
 kept; preparation stabilizers are tracked only to absorb Z components at a
-measured site.
+measured site.  Every phase the rules below produce is a power of w, so a
+PauliProduct holds its prefactor as the caller's unit times w^k, k an exact
+integer mod d, and forms the complex phase only when it is read.
 
 Conjugation rules used (G O G^dag), with w = exp(2 pi i / d):
     Z^p:       X^a -> w^(p a) X^a
@@ -16,7 +18,8 @@ Conjugation rules used (G O G^dag), with w = exp(2 pi i / d):
     F^dag:     X -> Z^-1,     Z -> X
     cX^p:      X_c -> X_c X_t^p,   Z_t -> Z_t Z_c^-p
     cZ^p:      X_u -> X_u Z_v^(p u<->v)
-and a Fourier measurement of site v with outcome r replaces a factor X_v^a
+products reorder by X^A Z^B X^a Z^b = w^(B a) X^(A+a) Z^(B+b), and a
+Fourier measurement of site v with outcome r replaces a factor X_v^a
 by the scalar w^(-a r) once all Z_v components have been cancelled against
 available preparation stabilizers.
 """
@@ -71,95 +74,81 @@ def weyl_matrix(d, a, b, phase=1.0):
 
 
 class PauliProduct:
-    """phase * prod_sites X^a Z^b with per-site canonical (X then Z) order."""
+    """unit * w^k * prod_sites X^a Z^b with per-site canonical (X then Z)
+    order: unit is the prefactor the caller passes as `phase`, and the
+    algebra changes only the exact integer k mod d and the exponents."""
 
     def __init__(self, d, phase=1.0):
         self.d = d
-        self.phase = complex(phase)
+        self._unit = complex(phase)
+        self._k = 0
         self.exps = {}  # site -> [a, b]
 
-    def factor(self, site, a=0, b=0):
-        """Right-multiply by X_site^a Z_site^b, reordering into canonical form."""
-        a %= self.d
-        b %= self.d
+    @property
+    def phase(self):
+        """The complex prefactor unit * w^k, formed when read."""
+        return self._unit * np.exp(2j * np.pi * self._k / self.d)
+
+    def _add(self, site, a, b, k=0):
+        """Multiply by w^k and add to a site's exponents, no reordering."""
+        self._k = (self._k + k) % self.d
         cur = self.exps.setdefault(site, [0, 0])
-        # X^A Z^B . X^a Z^b = w^(B a) X^(A+a) Z^(B+b)
-        self.phase *= np.exp(2j * np.pi * (cur[1] * a) / self.d)
         cur[0] = (cur[0] + a) % self.d
         cur[1] = (cur[1] + b) % self.d
         if cur == [0, 0]:
             del self.exps[site]
-        return self
 
-    def _shift(self, site, da, db):
-        """Add to a site's exponents without any reordering phase (used when
-        the exact conjugation algebra has already accounted for phases)."""
-        cur = self.exps.setdefault(site, [0, 0])
-        cur[0] = (cur[0] + da) % self.d
-        cur[1] = (cur[1] + db) % self.d
-        if cur == [0, 0]:
-            del self.exps[site]
+    def factor(self, site, a=0, b=0):
+        """Right-multiply by X_site^a Z_site^b, reordering into canonical form."""
+        # X^A Z^B . X^a Z^b = w^(B a) X^(A+a) Z^(B+b)
+        self._add(site, a, b, self.exps.get(site, (0, 0))[1] * a)
+        return self
 
     def times(self, other):
         """Right-multiply by another product over the same dimension."""
-        self.phase *= other.phase
-        for site, (a, b) in other.exps.items():
+        self._unit *= other._unit
+        self._k = (self._k + other._k) % self.d
+        for site, (a, b) in list(other.exps.items()):  # `other` may be self
             self.factor(site, a, b)
         return self
 
-    def power(self, k):
-        out = PauliProduct(self.d)
-        for _ in range(k % self.d):
-            out.times(self)
+    def power(self, n):
+        """(X^a Z^b)^n = w^(n(n-1)/2 a b) X^(n a) Z^(n b), site by site."""
+        out = PauliProduct(self.d, self._unit**n)
+        ab = sum(a * b for a, b in self.exps.values())
+        out._k = (n * self._k + n * (n - 1) // 2 * ab) % self.d
+        for site, (a, b) in self.exps.items():
+            out._add(site, n * a, n * b)
         return out
 
     def conjugate_gate(self, op):
         """Transform self to G self G^dag for one gate description."""
         kind = op[0]
-        if kind == "x":
+        if kind in ("x", "z"):
             _, site, p = op
-            ab = self.exps.get(site)
-            if ab:
-                self.phase *= np.exp(-2j * np.pi * (p * ab[1]) / self.d)
-        elif kind == "z":
-            _, site, p = op
-            ab = self.exps.get(site)
-            if ab:
-                self.phase *= np.exp(2j * np.pi * (p * ab[0]) / self.d)
+            a, b = self.exps.get(site, (0, 0))
+            self._k = (self._k + (p * a if kind == "z" else -p * b)) % self.d
         elif kind == "f":
             _, site, inverse = op
-            ab = self.exps.pop(site, None)
-            if ab:
-                a, b = ab
-                if inverse:
-                    na, nb = b, -a
-                else:
-                    na, nb = -b, a
-                # both branches pick up the reordering phase w^(-a b)
-                self.phase *= np.exp(-2j * np.pi * (a * b) / self.d)
-                self.factor(site, na, nb)
+            a, b = self.exps.pop(site, (0, 0))
+            # both directions pick up the reordering phase w^(-a b)
+            self._add(site, b if inverse else -b, -a if inverse else a, -a * b)
         elif kind == "cz":
             # X_u -> X_u Z_v^p and X_v -> X_v Z_u^p; merging the new Z_v past
             # an existing X_v costs the reordering phase w^(p au av)
             _, u, v, p = op
             au = self.exps.get(u, (0, 0))[0]
             av = self.exps.get(v, (0, 0))[0]
-            if au and av:
-                self.phase *= np.exp(2j * np.pi * (p * au * av) / self.d)
-            if au:
-                self._shift(v, 0, p * au)
-            if av:
-                self._shift(u, 0, p * av)
+            self._add(v, 0, p * au, p * au * av)
+            self._add(u, 0, p * av)
         elif kind == "cx":
             # X_c -> X_c X_t^p and Z_t -> Z_t Z_c^-p; both merges are free of
             # reordering phases (X meets X, Z meets Z)
             _, c, t, p = op
             ac = self.exps.get(c, (0, 0))[0]
             bt = self.exps.get(t, (0, 0))[1]
-            if ac:
-                self._shift(t, p * ac, 0)
-            if bt:
-                self._shift(c, 0, -p * bt)
+            self._add(t, p * ac, 0)
+            self._add(c, 0, -p * bt)
         else:
             raise NonCliffordError(f"unsupported gadget element {op!r}")
         return self
@@ -192,17 +181,13 @@ def _apply_measurement(site, outcome, target: PauliProduct, stabilizers):
             f"cannot push the operator past the measurement of {site!r}: "
             "its Z component there is not generated by the preparations"
         )
-    a = target.exps.pop(site, (0, 0))[0]
-    if a:
-        target.phase *= np.exp(-2j * np.pi * (a * outcome) / d)
+    target._k = (target._k - target.exps.pop(site, (0, 0))[0] * outcome) % d
     # restore surviving stabilizers to the commutant of the measurement
     kept = []
     for i, stab in enumerate(stabilizers):
         rest = [s for j, s in enumerate(stabilizers) if j != i]
         if _cancel_z_at(site, stab, rest):
-            sa = stab.exps.pop(site, (0, 0))[0]
-            if sa:
-                stab.phase *= np.exp(-2j * np.pi * (sa * outcome) / d)
+            stab._k = (stab._k - stab.exps.pop(site, (0, 0))[0] * outcome) % d
             kept.append(stab)
     stabilizers[:] = kept
 

@@ -692,6 +692,16 @@ def test_partial_forced_outcomes_without_seed_name_the_missing_qudit():
             run_coherent(net, psi, mode=mode, forced={"s1": 0})
 
 
+def test_forced_labels_the_path_does_not_measure_are_refused():
+    net = identity_wire(2)
+    psi = QuditState.basis(2, [1])
+    # a typo beside valid labels, and a one-way label on the coherent path
+    with pytest.raises(ValueError, match="forced outcome for 'S1'"):
+        run_mbqc(compile_network(net), psi, forced={"s1": 1, "S1": 0, "t1'": 0}, seed=3)
+    with pytest.raises(ValueError, match="forced outcome for \"t1'\""):
+        run_coherent(net, psi, forced={"s1": 1, "t1'": 1})
+
+
 def test_constrained_swap_d7_runs_at_free_mode_size():
     net = butterfly_swap(7)
     psi = QuditState.basis(7, [3, 5])

@@ -6,6 +6,7 @@ import pytest
 from qlnc.states import QuditState, fidelity
 from qlnc.weyl import (
     NonCliffordError,
+    PauliProduct,
     WeylLabel,
     conjugate_weyl_through,
     fdagger_gadget,
@@ -209,3 +210,42 @@ def test_unmatched_z_component_raises():
     # measuring with no preparation stabilizer available to cancel Z_v
     with pytest.raises(ValueError):
         conjugate_weyl_through((("measure_x", "v", 0),), WeylLabel(0, 1), "v", 3)
+
+
+def _dense(product, site="q"):
+    a, b = product.exps.get(site, (0, 0))
+    return product.phase * weyl_matrix(product.d, a, b)
+
+
+def test_power_matches_dense_matrix_power():
+    # P^d = (-1)^(ab) at even d, so a power is not fixed by n mod d alone
+    bad = []
+    for d in range(2, 7):
+        for a in range(d):
+            for b in range(d):
+                P = PauliProduct(d).factor("q", a, b)
+                for n in range(2 * d + 1):
+                    want = np.linalg.matrix_power(weyl_matrix(d, a, b), n)
+                    if np.max(np.abs(_dense(P.power(n)) - want)) > 1e-9:
+                        bad.append((d, a, b, n))
+                # a product with itself squares, even when the square is I
+                square = PauliProduct(d).factor("q", a, b)
+                want = np.linalg.matrix_power(weyl_matrix(d, a, b), 2)
+                if np.max(np.abs(_dense(square.times(square)) - want)) > 1e-9:
+                    bad.append((d, a, b, "times"))
+    assert not bad, f"{len(bad)} wrong powers, first {bad[:3]}"
+
+
+def test_phase_stays_exact_over_long_words():
+    # x / z conjugations of X Z only move its phase: Z^p adds p, X^p takes p
+    d = 7
+    rng = np.random.default_rng(5)
+    kinds = rng.integers(0, 2, size=200_000)
+    powers = rng.integers(1, d, size=200_000)
+    P = PauliProduct(d).factor("q", 1, 1)
+    k = 0
+    for kind, p in zip(kinds.tolist(), powers.tolist()):
+        P.conjugate_gate(("z" if kind else "x", "q", p))
+        k += p if kind else -p
+    assert P.exps == {"q": [1, 1]}
+    assert P.phase == np.exp(2j * np.pi * (k % d) / d)
