@@ -116,13 +116,10 @@ def compile_network(net: CodingNetwork) -> MbqcGeometry:
     link_labels = [f"m{i + 1}" for i in range(len(net.links))]
     output_labels = [f"t{j + 1}" for j in range(net.num_outputs)]
 
-    def in_label(node_id, port):
-        kind, idx = w.in_feed[(node_id, port)]
-        return input_labels[idx] if kind == "source" else link_labels[idx]
-
-    def out_label(node_id, port):
-        kind, idx = w.out_feed[(node_id, port)]
-        return output_labels[idx] if kind == "target" else link_labels[idx]
+    # the qudit arriving at each in-port and leaving each out-port
+    labels = {"source": input_labels, "link": link_labels, "target": output_labels}
+    in_label = {key: labels[kind][idx] for key, (kind, idx) in w.in_feed.items()}
+    out_label = {key: labels[kind][idx] for key, (kind, idx) in w.out_feed.items()}
 
     # in label_sort_key order: inputs, then each message and each output
     # followed by its auxiliary
@@ -154,17 +151,17 @@ def compile_network(net: CodingNetwork) -> MbqcGeometry:
 
     edges = []
     gadgets = []
+    minus_one = (net.d - 1) % net.d
     for nid in w.topo_order:
         node = w.node[nid]
-        ins = tuple(in_label(nid, p) for p in range(node.matrix.cols))
-        outs = tuple(out_label(nid, q) for q in range(node.matrix.rows))
-        auxs = tuple(lab + "'" for lab in outs)
-        for q, row in enumerate(node.matrix.a.tolist()):
-            for p, weight in enumerate(row):
-                if weight:
-                    assert ins[p] != auxs[q], "self-edge in compiled geometry"
-                    edges.append((ins[p], auxs[q], weight))
-            edges.append((auxs[q], outs[q], (net.d - 1) % net.d))
+        n_out, n_in = node.matrix.a.shape
+        ins = tuple([in_label[nid, p] for p in range(n_in)])
+        outs = tuple([out_label[nid, q] for q in range(n_out)])
+        auxs = tuple([lab + "'" for lab in outs])
+        assert not set(ins).intersection(auxs), "self-edge in compiled geometry"
+        for aux, out, row in zip(auxs, outs, node.matrix.a.tolist()):
+            edges += [(lab, aux, weight) for lab, weight in zip(ins, row) if weight]
+            edges.append((aux, out, minus_one))
         gadgets.append(NodeGadget(nid, ins, auxs, outs, node.matrix))
 
     return MbqcGeometry(

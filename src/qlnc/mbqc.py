@@ -121,13 +121,20 @@ __all__ = [
 # schedule structure
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
+# The step records compare and hash by value, as frozen dataclasses would,
+# but are not frozen: a frozen dataclass stores each field through
+# object.__setattr__, which made the records about 2.5 times as costly to
+# build, and a free plan builds over a hundred.  A planned record must not
+# be changed: plans are kept on their geometry (_plan_for), so a changed
+# field would alter every later run and the record's hash.
+
+@dataclass(slots=True, unsafe_hash=True)
 class Measure:
     qudit: str
     basis: str = "fourier"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Adjust:
     """adjusted(qudit) = raw(qudit) - sum coeff * adjusted(upstream) mod d."""
 
@@ -135,7 +142,7 @@ class Adjust:
     terms: tuple  # ((upstream_qudit, coeff), ...)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Correct:
     """Apply op^exponent to qudit, exponent = sum coeff * outcome(source)."""
 
@@ -144,7 +151,7 @@ class Correct:
     terms: tuple  # ((source_qudit, coeff, "raw" | "adjusted"), ...)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Send:
     sender: str
     receiver: str
@@ -200,11 +207,12 @@ def _geometry_tables(geometry: MbqcGeometry):
     producer_node = {}
     consumer_node = {}
     source_node = {}
+    inputs = set(geometry.inputs)
     for gadget in geometry.gadgets:
         for lab in gadget.out_labels:
             producer_node[lab] = gadget.node_id
         for lab in gadget.in_labels:
-            if lab in geometry.inputs:
+            if lab in inputs:
                 source_node[lab] = gadget.node_id
             else:
                 consumer_node[lab] = gadget.node_id
@@ -239,16 +247,21 @@ def _aux_adjust_terms(geometry: MbqcGeometry, local_aux: bool):
     link_labels = {f"m{i + 1}" for i in range(geometry.num_links)}
     for gadget in geometry.gadgets:
         for aux, row in zip(gadget.aux_labels, gadget.matrix.a.tolist()):
-            terms[aux] = () if local_aux else tuple(
+            terms[aux] = () if local_aux else tuple([
                 (in_lab + "'", -v % geometry.d)
                 for in_lab, v in zip(gadget.in_labels, row)
                 if in_lab in link_labels and v
-            )
+            ])
     return terms
 
 
 def build_schedule(geometry: MbqcGeometry, mode, local_aux=False):
-    """The logical schedule plus the executable plan for one geometry/mode."""
+    """The logical schedule plus the executable plan for one geometry/mode.
+
+    The step records in both are read-only by contract (they hash by value
+    but are not frozen): the entry points keep the plan they run on the
+    geometry, so a record changed by a caller would change every later run.
+    """
     if mode not in ("free", "constrained"):
         raise ValueError(f"unknown mode {mode!r}")
     if local_aux and mode == "free":
@@ -258,22 +271,33 @@ def build_schedule(geometry: MbqcGeometry, mode, local_aux=False):
     link_labels = [f"m{i + 1}" for i in range(geometry.num_links)]
     link_of_message = {lab: i for i, lab in enumerate(link_labels)}
 
-    M = composite_of_geometry(geometry)
-    A = left_inverse(M)
-    if A is None:
-        raise UnsupportedNetworkError(
-            f"composite map is not injective over Z_{d}; "
-            "neither the coherent nor the one-way protocol is defined"
-        )
-
-    adjust_terms = _aux_adjust_terms(geometry, local_aux)
-    # geometry.qudits is in natural label order (label_sort_key)
-    rank = {lab: i for i, (lab, _kind) in enumerate(geometry.qudits)}
     target_nodes = []
     for t in geometry.outputs:
         nid = producer_node[t]
         if nid not in target_nodes:
             target_nodes.append(nid)
+
+    # A constrained plan looks for the block-diagonal B first: Mᵀ B M = 1
+    # already proves M injective, and the left inverse A is read only by
+    # free mode and by the out-of-network fallback when no B exists
+    M = composite_of_geometry(geometry)
+    block_B = A = None
+    if mode == "constrained":
+        by_node = {}
+        for h, t in enumerate(geometry.outputs):
+            by_node.setdefault(producer_node[t], []).append(h)
+        block_B = find_block_diagonal_B(M, [by_node[nid] for nid in target_nodes])
+    if block_B is None:
+        A = left_inverse(M)
+        if A is None:
+            raise UnsupportedNetworkError(
+                f"composite map is not injective over Z_{d}; "
+                "neither the coherent nor the one-way protocol is defined"
+            )
+
+    adjust_terms = _aux_adjust_terms(geometry, local_aux)
+    # geometry.qudits is in natural label order (label_sort_key)
+    rank = {lab: i for i, (lab, _kind) in enumerate(geometry.qudits)}
 
     stages = []
     report_order = []
@@ -281,7 +305,6 @@ def build_schedule(geometry: MbqcGeometry, mode, local_aux=False):
     node_corrections = {}  # gadget index -> its --local-aux X steps
     final_corrections = []
     requires_oon = False
-    block_B = None
 
     if mode == "free":
         measured = geometry.measured_labels()
@@ -297,20 +320,20 @@ def build_schedule(geometry: MbqcGeometry, mode, local_aux=False):
                  **consumer_node, **source_node}
         receivers = [f"target {nid}" for nid in target_nodes]
         sends = [
-            Send(owner[q], receiver, ("raw", q), over_network=False)
-            for q in measured
+            Send(sender, receiver, payload, over_network=False)
+            for sender, payload in [(owner[q], ("raw", q)) for q in measured]
             for receiver in receivers
         ]
         stages.append(Stage("send", sends))
 
         corrections = []
         us = geometry.message_like_labels()
-        # kappa_u = A^T lambda_u, one row per u
+        # kappa_u = A^T lambda_u; row h of `kappa` holds entry h of every kappa_u
         lam = np.asarray([geometry.depends[u] for u in us], dtype=np.int64)
-        kappa = dict(zip(us, _matmul_mod(lam.reshape(len(us), M.cols), A.a, d).tolist()))
+        kappa = _matmul_mod(lam.reshape(len(us), M.cols), A.a, d).T.tolist()
         for h, t in enumerate(geometry.outputs):
             corrections.append(Correct("X", t, ((t + "'", 1, "adjusted"),)))
-            zterms = tuple((u, kappa[u][h], "raw") for u in us if kappa[u][h])
+            zterms = tuple([(u, c, "raw") for u, c in zip(us, kappa[h]) if c])
             if zterms:
                 corrections.append(Correct("Z", t, zterms))
         stages.append(Stage("correct", corrections))
@@ -360,22 +383,23 @@ def build_schedule(geometry: MbqcGeometry, mode, local_aux=False):
         # phase B: incoming-message measurements in reverse topological order
         for gadget in reversed(geometry.gadgets):
             nid = gadget.node_id
+            name = f"z-correct {nid}"
             zsteps = []
             for in_lab, col in zip(gadget.in_labels, gadget.matrix.a.T.tolist()):
-                terms = tuple(
+                terms = tuple([
                     (out, v, "raw")
                     for out, v in zip(gadget.out_labels, col)
                     if out in link_of_message and v
-                )
+                ])
                 if terms:
                     corr = Correct("Z", in_lab, terms)
                     zsteps.append(corr)
                     shifts[in_lab] = corr
-                    report_order.append(("corr", corr, f"z-correct {nid}"))
+                    report_order.append(("corr", corr, name))
             if zsteps:
-                stages.append(Stage(f"z-correct {nid}", zsteps))
+                stages.append(Stage(name, zsteps))
             link_ins = sorted(
-                (lab for lab in gadget.in_labels if lab in link_of_message),
+                [lab for lab in gadget.in_labels if lab in link_of_message],
                 key=rank.get,
             )
             if link_ins:
@@ -397,11 +421,6 @@ def build_schedule(geometry: MbqcGeometry, mode, local_aux=False):
         for q in src:
             report_order.append(("measure", q, name))
 
-        by_node = {}
-        for h, t in enumerate(geometry.outputs):
-            by_node.setdefault(producer_node[t], []).append(h)
-        blocks = [by_node[nid] for nid in target_nodes]
-        block_B = find_block_diagonal_B(M, blocks)
         if block_B is not None:
             C = _matmul_mod(block_B.a.T, M.a, d).tolist()
             sends = [
@@ -427,7 +446,7 @@ def build_schedule(geometry: MbqcGeometry, mode, local_aux=False):
             stages.append(Stage("sigma-direct", sends))
         steps = []
         for h, t in enumerate(geometry.outputs):
-            terms = tuple((s, c, "raw") for s, c in zip(geometry.inputs, C[h]) if c)
+            terms = tuple([(s, c, "raw") for s, c in zip(geometry.inputs, C[h]) if c])
             if terms:
                 corr = Correct("Z", t, terms)
                 steps.append(corr)

@@ -10,6 +10,7 @@ coordinate order of the composite map.
 
 from __future__ import annotations
 
+import heapq
 import operator
 from dataclasses import dataclass, field
 
@@ -114,10 +115,10 @@ class Wiring:
     NodeSpecs.
     """
 
-    in_feed: dict = field(default_factory=dict)
-    out_feed: dict = field(default_factory=dict)
-    topo_order: list = field(default_factory=list)
-    node: dict = field(default_factory=dict)
+    in_feed: dict
+    out_feed: dict
+    topo_order: list
+    node: dict
 
 
 def validate(net: CodingNetwork) -> list[str]:
@@ -126,7 +127,7 @@ def validate(net: CodingNetwork) -> list[str]:
 
 
 def _inspect(net: CodingNetwork):
-    """(violations, topological node order), the order None unless valid."""
+    """(violations, Wiring), the wiring None unless valid."""
     violations = []
     ids = [n.id for n in net.nodes]
     if len(set(ids)) != len(ids):
@@ -148,21 +149,29 @@ def _inspect(net: CodingNetwork):
     if violations:
         return violations, None
 
-    # every in-port fed exactly once, every out-port consumed exactly once
-    in_feeders = {}
-    out_consumers = {}
+    # every in-port fed exactly once, every out-port consumed exactly once:
+    # a port's first end goes into the wiring, and all ends of a port that
+    # has more than one into in_more or out_more
+    in_feed, out_feed, in_more, out_more = {}, {}, {}, {}
+
+    def attach(feed, more, key, end):
+        if key in feed:
+            more.setdefault(key, [feed[key]]).append(end)
+        else:
+            feed[key] = end
+
     for i, link in enumerate(net.links):
-        out_consumers.setdefault((link.from_node, link.from_port), []).append(("link", i))
-        in_feeders.setdefault((link.to_node, link.to_port), []).append(("link", i))
+        attach(out_feed, out_more, (link.from_node, link.from_port), ("link", i))
+        attach(in_feed, in_more, (link.to_node, link.to_port), ("link", i))
     for j, key in enumerate(net.source_inputs):
-        in_feeders.setdefault(key, []).append(("input", j))
+        attach(in_feed, in_more, key, ("source", j))
     for j, key in enumerate(net.target_outputs):
-        out_consumers.setdefault(key, []).append(("output", j))
+        attach(out_feed, out_more, key, ("target", j))
     ports_in = {nid: [] for nid in ids}
     ports_out = {nid: [] for nid in ids}
-    for node, p in in_feeders:
+    for node, p in in_feed:
         ports_in[node].append(p)
-    for node, p in out_consumers:
+    for node, p in out_feed:
         ports_out[node].append(p)
 
     for n in net.nodes:
@@ -174,44 +183,47 @@ def _inspect(net: CodingNetwork):
             violations.append(f"node {n.id!r} in-ports {in_ports} are not dense from 0")
         if out_ports != list(range(len(out_ports))):
             violations.append(f"node {n.id!r} out-ports {out_ports} are not dense from 0")
-        if n.matrix.cols != len(in_ports) or n.matrix.rows != len(out_ports):
+        rows, cols = n.matrix.a.shape
+        if cols != len(in_ports) or rows != len(out_ports):
             violations.append(
-                f"node {n.id!r} matrix is {n.matrix.rows}x{n.matrix.cols} "
+                f"node {n.id!r} matrix is {rows}x{cols} "
                 f"but has {len(in_ports)} in-ports and {len(out_ports)} out-ports"
             )
-    for key, ends in in_feeders.items():
-        if len(ends) > 1:
-            names = [f"{kind} {i}" for kind, i in ends]
-            violations.append(f"in-port {key} fed more than once: {names}")
-    for key, ends in out_consumers.items():
-        if len(ends) > 1:
-            names = [f"{kind} {i}" for kind, i in ends]
-            violations.append(f"out-port {key} consumed more than once: {names}")
+    noun = {"link": "link", "source": "input", "target": "output"}
+    for port, feed, more, what in (("in-port", in_feed, in_more, "fed"),
+                                   ("out-port", out_feed, out_more, "consumed")):
+        for key in feed:
+            if key in more:
+                names = [f"{noun[kind]} {i}" for kind, i in more[key]]
+                violations.append(f"{port} {key} {what} more than once: {names}")
 
     order = _topological_order(net)
     if order is None:
         violations.append("link graph contains a cycle")
-    return violations, None if violations else order
+    if violations:
+        return violations, None
+    return violations, Wiring(in_feed, out_feed, order, {n.id: n for n in net.nodes})
 
 
 def _topological_order(net: CodingNetwork):
-    """Kahn's algorithm with ties broken by node id; None if cyclic."""
+    """Kahn's algorithm with ties broken by node id (the smallest ready id
+    goes next, kept on a heap); None if cyclic."""
     succ = {n.id: set() for n in net.nodes}
-    indeg = {n.id: 0 for n in net.nodes}
+    indeg = dict.fromkeys(succ, 0)
     for link in net.links:
         if link.to_node not in succ[link.from_node]:
             succ[link.from_node].add(link.to_node)
             indeg[link.to_node] += 1
-    ready = sorted(nid for nid, k in indeg.items() if k == 0)
+    ready = [nid for nid, k in indeg.items() if k == 0]
+    heapq.heapify(ready)
     order = []
     while ready:
-        nid = ready.pop(0)
+        nid = heapq.heappop(ready)
         order.append(nid)
-        for nxt in sorted(succ[nid]):
+        for nxt in succ[nid]:
             indeg[nxt] -= 1
             if indeg[nxt] == 0:
-                ready.append(nxt)
-        ready.sort()
+                heapq.heappush(ready, nxt)
     if len(order) != len(net.nodes):
         return None
     return order
@@ -219,17 +231,9 @@ def _topological_order(net: CodingNetwork):
 
 def wiring(net: CodingNetwork) -> Wiring:
     """Port resolution tables and a topological node order (network must be valid)."""
-    violations, order = _inspect(net)
+    violations, w = _inspect(net)
     if violations:
         raise InvalidNetworkError(violations)
-    w = Wiring(topo_order=order, node={n.id: n for n in net.nodes})
-    for i, link in enumerate(net.links):
-        w.in_feed[(link.to_node, link.to_port)] = ("link", i)
-        w.out_feed[(link.from_node, link.from_port)] = ("link", i)
-    for j, key in enumerate(net.source_inputs):
-        w.in_feed[key] = ("source", j)
-    for j, key in enumerate(net.target_outputs):
-        w.out_feed[key] = ("target", j)
     return w
 
 

@@ -188,9 +188,15 @@ def _pivot(A, t, d):
     return at
 
 
-def _diagonalize(a, d):
-    """(U, D, V) with U @ a @ V == D mod d, U and V invertible mod d and D
-    diagonal, as lists of rows of Python ints in [0, d).
+def _diagonalize(a, d, lines):
+    """(U @ lines, D, V) with U @ a @ V == D mod d, U and V invertible mod d
+    and D diagonal, as lists of rows of Python ints in [0, d).
+
+    The row operations act on the n given `lines` in place of U's rows, so
+    a caller carries only what it reads: left_inverse passes the identity
+    rows and gets U itself, solve_modular passes its right-hand side as n
+    lines of one entry, where U would be n lines of n, and is_injective
+    passes n empty lines.
 
     Elimination over the principal ideal ring Z_d itself (as in the Howell
     form, Storjohann & Mulders 1998): every entry stays in [0, d) at every
@@ -205,7 +211,7 @@ def _diagonalize(a, d):
     """
     n, m = a.shape
     A = (np.asarray(a) % d).tolist()
-    U = [[0] * i + [1] + [0] * (n - i - 1) for i in range(n)]
+    U = lines
     Vt = [[0] * i + [1] + [0] * (m - i - 1) for i in range(m)]  # columns of V
     for t in range(min(n, m)):
         at = _pivot(A, t, d)
@@ -261,7 +267,7 @@ def is_injective(m: RingMatrix) -> bool:
         return True
     if m.rows < m.cols:
         return False
-    _, D, _ = _diagonalize(m.a, m.d)
+    _, D, _ = _diagonalize(m.a, m.d, [[] for _ in range(m.rows)])
     return all(gcd(D[i][i], m.d) == 1 for i in range(m.cols))
 
 
@@ -276,7 +282,7 @@ def left_inverse(m: RingMatrix):
     d, r, c = m.d, m.rows, m.cols
     if r < c:
         return None
-    U, D, V = _diagonalize(m.a, d)
+    U, D, V = _diagonalize(m.a, d, [[0] * i + [1] + [0] * (r - i - 1) for i in range(r)])
     if any(gcd(D[i][i], d) != 1 for i in range(c)):
         return None
     DU = [[pow(D[i][i], -1, d) * x % d for x in U[i]] for i in range(c)]
@@ -297,18 +303,19 @@ def solve_modular(A: RingMatrix, b) -> np.ndarray | None:
     """One solution x of A @ x = b over Z_d, or None if unsolvable.
 
     Diagonalizes A over Z_d (U A V = D) and solves each scalar congruence
-    D_ii * y_i = (U b)_i mod d; then x = V y.
+    D_ii * y_i = (U b)_i mod d; then x = V y.  U itself is never formed:
+    b rides through the row operations as one column, so a tall system
+    of n rows carries n entries beside it, not an n×n transform.
     """
     d = A.d
     b = np.asarray(b, dtype=np.int64) % d
     if b.shape != (A.rows,):
         raise ShapeError(f"rhs length {b.shape} does not match rows {A.rows}")
-    U, D, V = _diagonalize(A.a, d)
-    b = b.tolist()
+    Ub, D, V = _diagonalize(A.a, d, [[x] for x in b.tolist()])
     k = min(A.rows, A.cols)
     y = [0] * A.cols
-    for i, row in enumerate(U):
-        q = _divide(D[i][i] if i < k else 0, sum(u * x for u, x in zip(row, b)) % d, d)
+    for i, (ub,) in enumerate(Ub):
+        q = _divide(D[i][i] if i < k else 0, ub, d)
         if q is None:
             return None
         if i < k:
@@ -329,9 +336,12 @@ def find_block_diagonal_B(m: RingMatrix, blocks):
     seen = sorted(i for blk in blocks for i in blk)
     if seen != list(range(r)):
         raise ValueError("blocks must partition the row indices of m")
+    if c == 0:
+        # mᵀ B m is the 0×0 identity whatever B is
+        return RingMatrix.zeros(r, r, d)
     support = [(i, j) for blk in blocks for i in blk for j in blk]
     if not support:
-        return RingMatrix.zeros(r, r, d) if c == 0 else None
+        return None
     # (mᵀ B m)[p, q] = sum over supported (i, j) of m[i, p] m[j, q] B[i, j],
     # each product in Python ints
     cols = m.a.T.tolist()

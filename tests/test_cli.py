@@ -390,3 +390,21 @@ def test_compare_takes_no_branch_flags(capsys):
     assert "unrecognized arguments: --exhaustive" in capsys.readouterr().err
     assert run_cli("compare", "--network", WIRE, "--force-outcomes", "0") == 64
     assert "unrecognized arguments: --force-outcomes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("run-mbqc", "--mode", "constrained"),
+    ("run-mbqc", "--mode", "constrained", "--local-aux"),
+    ("run-coherent", "--mode", "constrained"),
+])
+def test_constrained_runs_on_a_network_without_inputs(tmp_path, capsys, argv):
+    # M has no columns, so mᵀ B m = 1 holds for the zero B and no message is
+    # needed out of the network
+    doc = {"d": 3, "nodes": [{"id": "A", "matrix": [[]]}], "links": [], "inputs": [],
+           "outputs": [["A", 0]]}
+    path = tmp_path / "no_inputs.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli(*argv, "--network", str(path)) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["fidelity_vs_oracle"] >= 1 - 1e-9
+    assert report["requires_out_of_network"] is False

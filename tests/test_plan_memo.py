@@ -190,6 +190,25 @@ def test_unplannable_runs_raise_on_every_call():
             run_mbqc(swap, bell_pair(), mode="free", seed=0, local_aux=True)
 
 
+def test_runs_leave_the_records_of_a_kept_plan_unchanged():
+    # the step records hash by value but are not frozen, so a kept plan is
+    # only safe while nothing that runs it writes to them
+    net = butterfly_swap(3)
+    geo = compile_network(net)
+    psi = QuditState.haar_random(3, 2, np.random.default_rng(17))
+    for mode, local_aux in (("free", False), ("constrained", False), ("constrained", True)):
+        plan = mbqc._plan_for(geo, mode, local_aux)
+        records = [step for stage in plan.schedule.stages for step in stage.steps]
+        records += [op[1] for op in plan.report_order if op[0] == "corr"]
+        before = [(copy.deepcopy(r), hash(r)) for r in records]
+        runs = [_text(run_mbqc(geo, psi, mode=mode, seed=9, local_aux=local_aux)[1])
+                for _ in range(2)]
+        next(exhaustive_mbqc(geo, psi, mode=mode, local_aux=local_aux))
+        assert runs[0] == runs[1]
+        assert mbqc._plan_for(geo, mode, local_aux) is plan
+        assert [(r, hash(r)) for r in records] == before
+
+
 def test_memory_check_runs_on_every_run_of_a_kept_plan(monkeypatch):
     checked = []
     monkeypatch.setattr(mbqc, "_check_memory",

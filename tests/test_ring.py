@@ -176,13 +176,19 @@ def test_diagonalize_is_exact_and_invertible():
             [[int(rng.integers(0, 2**62)) % d for _ in range(cols)] for _ in range(rows)],
             dtype=object,
         )
-        U, D, V = _diagonalize(a, d)
+        U, D, V = _diagonalize(a, d, [[int(i == j) for j in range(rows)] for i in range(rows)])
         assert ((np.array(U, dtype=object) @ a @ np.array(V, dtype=object)) % d
                 == np.array(D, dtype=object)).all()
         assert all(D[i][j] == 0 for i in range(rows) for j in range(cols) if i != j)
         assert all(0 <= x < d for M in (U, D, V) for row in M for x in row)
         for T in (U, V):
             assert gcd(_det(T), d) == 1
+        # other lines ride through the same row operations: U @ lines
+        lines = [[int(rng.integers(0, 2**62)) % d for _ in range(2)] for _ in range(rows)]
+        Ul, Dl, Vl = _diagonalize(a, d, [list(x) for x in lines])
+        assert (Dl, Vl) == (D, V)
+        assert Ul == ((np.array(U, dtype=object) @ np.array(lines, dtype=object)) % d).tolist()
+        assert _diagonalize(a, d, [[] for _ in range(rows)])[1:] == (D, V)
 
 
 def _det(rows):
@@ -266,3 +272,82 @@ def test_block_diagonal_support_respected():
 def test_block_diagonal_bad_partition_rejected():
     with pytest.raises(ValueError):
         find_block_diagonal_B(RingMatrix.identity(2, 3), [[0]])
+
+
+def test_block_diagonal_zero_columns_is_zero_matrix():
+    # with no inputs, mᵀ B m is the 0×0 identity whatever B is
+    for d, r, blocks in ((3, 1, [[0]]), (4, 3, [[0, 2], [1]]), (6, 0, [])):
+        B = find_block_diagonal_B(RingMatrix(np.zeros((r, 0), dtype=np.int64), d), blocks)
+        assert B == RingMatrix.zeros(r, r, d)
+
+
+def _all_vectors(d, n):
+    """Every vector of Z_d^n, one per row."""
+    return np.array(list(itertools.product(range(d), repeat=n)), dtype=np.int64).reshape(d**n, n)
+
+
+# (rows, cols) shapes: tall, square, wide and without columns
+SOLVE_SHAPES = [(4, 2), (5, 1), (3, 3), (2, 3), (1, 3), (3, 0), (0, 2)]
+
+
+@pytest.mark.parametrize("d", [4, 6, 8, 9, 12])
+def test_solve_modular_matches_enumeration(d):
+    rng = np.random.default_rng(900 + d)
+    seen = set()
+    for rows, cols in SOLVE_SHAPES:
+        X = _all_vectors(d, cols)
+        for trial in range(6):
+            # low-rank and zero-divisor-heavy matrices make unsolvable systems likely
+            A = RingMatrix(rng.integers(0, d, size=(rows, cols)) * int(rng.choice([1, 2, 3])), d)
+            if trial % 2:
+                b = A.mul_vec(X[rng.integers(len(X))])
+            else:
+                b = rng.integers(0, d, size=rows)
+            reach = {tuple(v) for v in ((X @ A.a.T) % d).reshape(len(X), rows).tolist()}
+            x = solve_modular(A, b)
+            solvable = tuple(b.tolist()) in reach
+            assert (x is not None) == solvable, (A.tolist(), b.tolist())
+            if x is not None:
+                assert x.shape == (cols,) and np.array_equal(A.mul_vec(x), b % d)
+            seen.add((rows > cols, rows < cols, cols == 0, solvable))
+    # tall, wide and zero-column systems, both solvable and unsolvable, all ran
+    assert {(True, False, False, True), (True, False, False, False), (False, True, False, True),
+            (False, True, False, False), (True, False, True, True),
+            (True, False, True, False)} <= seen
+
+
+# (rows of m, cols of m, row blocks), each small enough to enumerate every B
+BLOCK_CASES = [
+    (2, 1, [[0], [1]]),
+    (2, 2, [[0], [1]]),
+    (3, 2, [[0], [1], [2]]),
+    (2, 2, [[0, 1]]),
+    (3, 1, [[0, 2], [1]]),
+    (2, 0, [[0], [1]]),
+]
+
+
+@pytest.mark.parametrize("d", [4, 6, 8, 9, 12])
+def test_block_diagonal_B_matches_enumeration(d):
+    rng = np.random.default_rng(950 + d)
+    found = set()
+    for r, c, blocks in BLOCK_CASES:
+        support = [(i, j) for blk in blocks for i in blk for j in blk]
+        if d ** len(support) > 5000:
+            continue
+        values = _all_vectors(d, len(support))
+        Bs = np.zeros((len(values), r, r), dtype=np.int64)
+        for k, (i, j) in enumerate(support):
+            Bs[:, i, j] = values[:, k]
+        for _ in range(5):
+            m = RingMatrix(rng.integers(0, d, size=(r, c)), d)
+            products = np.einsum("ip,nij,jq->npq", m.a, Bs, m.a) % d
+            exists = bool((products == np.eye(c, dtype=np.int64)).all(axis=(1, 2)).any())
+            B = find_block_diagonal_B(m, blocks)
+            assert (B is not None) == exists, (m.tolist(), blocks)
+            if B is not None:
+                assert (m.T @ B @ m).is_identity()
+                assert all(B.a[i, j] == 0 for i in range(r) for j in range(r)
+                           if (i, j) not in support)
+            found.add(exists)
+    assert found == {True, False}
