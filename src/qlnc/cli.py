@@ -12,11 +12,11 @@ Subcommands:
 
 Exit codes: 0 success, 1 validation failure, 2 unsupported network
 (non-injective composite map), 3 impossible forced outcome, 4 beyond a
-memory or enumeration limit (one run's live register beyond physical
-memory; for --exhaustive, a live register or a branch count beyond the
-enumeration limit), 64 usage error (a bad flag or flag combination, an
-unreadable or malformed --input-state file, or an --out path that cannot be
-written).
+memory or enumeration limit (a basis input register or one run's live
+register beyond physical memory; for --exhaustive, a live register or a
+branch count beyond the enumeration limit), 64 usage error (a bad flag or
+flag combination, an unreadable or malformed --input-state file, or an
+--out path that cannot be written).
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 from .coherent import _embed, _geometry_of, run_coherent
 from .files import dump_json, load_input_state, load_network
 from .geometry import compile_network, resource_counts
-from .mbqc import _plan_for, _survey, branch_survey, oracle_output_state, run_mbqc
+from .mbqc import _check_memory, _plan_for, _survey, oracle_output_state, run_mbqc
 from .network import (
     InvalidNetworkError,
     UnsupportedNetworkError,
@@ -65,8 +65,9 @@ def _build_parser():
         p.add_argument("--out", help="write the report to this file")
         p.add_argument("--format", choices=("json", "text"), default="json")
         if quantum:
-            p.add_argument("--input", help="basis input, e.g. '1,0'")
-            p.add_argument("--input-state", help="amplitude JSON file")
+            given = p.add_mutually_exclusive_group()
+            given.add_argument("--input", help="basis input, e.g. '1,0'")
+            given.add_argument("--input-state", help="amplitude JSON file")
             p.add_argument("--mode", choices=("free", "constrained"), default="free")
             p.add_argument("--seed", type=int, default=0, help="sampling seed")
             p.add_argument(
@@ -140,15 +141,9 @@ def _input_state(args, net):
         except (OSError, ValueError) as exc:
             print(f"error: cannot load input state: {exc}", file=sys.stderr)
             raise SystemExit(EXIT_USAGE)
-    if args.input:
-        return QuditState.basis(net.d, _parse_vector(args.input, net.d, k))
-    return QuditState.basis(net.d, [0] * k)
-
-
-def _forced(args):
-    if not getattr(args, "force_outcomes", None):
-        return None
-    return [int(x) for x in args.force_outcomes.split(",")]
+    vec = _parse_vector(args.input, net.d, k) if args.input else [0] * k
+    _check_memory(net.d, k, 0)  # the basis state holds d^k amplitudes
+    return QuditState.basis(net.d, vec)
 
 
 def _emit(doc, args):
@@ -177,131 +172,95 @@ def _as_text(doc, prefix=""):
     return lines
 
 
+# Exit code of each error a command may raise, most specific first: the
+# library's errors subclass ValueError, which stands for a flag combination
+# the library rejects.
+_EXIT_CODES = (
+    (UnsupportedNetworkError, EXIT_UNSUPPORTED),
+    (ImpossibleOutcomeError, EXIT_IMPOSSIBLE),
+    (InvalidNetworkError, EXIT_INVALID),
+    (MemoryError, EXIT_MEMORY),
+    (ValueError, EXIT_USAGE),
+)
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
+        _emit(_document(args), args)
     except SystemExit as exc:
-        return exc.code if exc.code is not None else EXIT_USAGE
-    try:
-        return _dispatch(args)
-    except SystemExit as exc:
-        return exc.code if exc.code is not None else EXIT_OK
-    except UnsupportedNetworkError as exc:
+        return EXIT_OK if exc.code is None else exc.code
+    except tuple(cls for cls, _code in _EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
-    except ImpossibleOutcomeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IMPOSSIBLE
-    except InvalidNetworkError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except MemoryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MEMORY
-    except ValueError as exc:  # a flag combination the library rejects
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))
+    return EXIT_OK
 
 
-def _dispatch(args) -> int:
+def _document(args):
+    """The document the command of `args` reports."""
     net = _load_valid_network(args)
 
     if args.command == "validate":
-        _emit({"version": 1, "path": "validate", "violations": []}, args)
-        return EXIT_OK
+        return {"version": 1, "path": "validate", "violations": []}
 
     if args.command == "run-classical":
         s = _parse_vector(args.input, net.d, net.num_inputs)
-        t = run_classical(net, s)
-        _emit(
-            {
-                "version": 1,
-                "path": "classical",
-                "d": net.d,
-                "input": list(map(int, s)),
-                "outputs": [int(x) for x in t],
-            },
-            args,
-        )
-        return EXIT_OK
+        return {
+            "version": 1,
+            "path": "classical",
+            "d": net.d,
+            "input": list(map(int, s)),
+            "outputs": [int(x) for x in run_classical(net, s)],
+        }
 
     if args.command == "counts":
-        geometry = compile_network(net)
-        counts = resource_counts(net, geometry)
-        _emit({"version": 1, "path": "counts", "d": net.d, **counts.to_dict()}, args)
-        return EXIT_OK
+        counts = resource_counts(net, compile_network(net))
+        return {"version": 1, "path": "counts", "d": net.d, **counts.to_dict()}
 
     if args.command == "compile-mbqc":
-        geometry = compile_network(net)
-        _emit(geometry.to_dict(), args)
-        return EXIT_OK
+        return compile_network(net).to_dict()
 
     state = _input_state(args, net)
-    forced = _forced(args)
     t0 = time.perf_counter()
-
-    if args.command == "run-coherent":
-        if args.exhaustive:
-            doc = _exhaustive_coherent_doc(net, state, args)
-        else:
-            _out, report = run_coherent(net, state, mode=args.mode, seed=args.seed, forced=forced)
-            report.seed = None if forced else args.seed
-            if args.timings:
-                report.wall_time_ms = 1000 * (time.perf_counter() - t0)
-            doc = report.to_dict()
-        _emit(doc, args)
-        return EXIT_OK
-
-    if args.command == "run-mbqc":
-        geometry = compile_network(net)
-        if args.exhaustive:
-            count, fid = branch_survey(
-                geometry, state, mode=args.mode, local_aux=args.local_aux
-            )
-            doc = {
-                "version": 1,
-                "path": "mbqc-exhaustive",
-                "d": net.d,
-                "mode": args.mode,
-                "branches": count,
-                "min_fidelity_vs_oracle": fid,
-                "resource_counts": resource_counts(net, geometry).to_dict(),
-                "wall_time_ms": 1000 * (time.perf_counter() - t0) if args.timings else None,
-            }
-        else:
-            _out, report = run_mbqc(geometry, state, mode=args.mode, seed=args.seed,
-                                    forced=forced, local_aux=args.local_aux)
-            report.seed = None if forced else args.seed
-            if args.timings:
-                report.wall_time_ms = 1000 * (time.perf_counter() - t0)
-            doc = report.to_dict()
-        _emit(doc, args)
-        return EXIT_OK
-
+    # both paths run on the geometry run_coherent keeps on the network
+    geometry = _geometry_of(net)
     if args.command == "compare":
-        doc = _compare_doc(net, state, args)
-        if args.timings:
-            doc["wall_time_ms"] = 1000 * (time.perf_counter() - t0)
-        _emit(doc, args)
-        return EXIT_OK
+        doc = _compare_doc(net, geometry, state, args)
+    elif args.exhaustive:
+        doc = _sweep_doc(net, geometry, state, args)
+    else:
+        forced = [int(x) for x in args.force_outcomes.split(",")] if args.force_outcomes else None
+        run = dict(mode=args.mode, seed=args.seed, forced=forced)
+        if args.command == "run-coherent":
+            _out, report = run_coherent(net, state, **run)
+        else:
+            _out, report = run_mbqc(geometry, state, local_aux=args.local_aux, **run)
+        report.seed = None if forced else args.seed
+        doc = report.to_dict()
+    if args.timings:
+        doc["wall_time_ms"] = 1000 * (time.perf_counter() - t0)
+    return doc
 
-    raise SystemExit(EXIT_USAGE)
 
-
-def _exhaustive_coherent_doc(net, state, args):
-    count, worst = _survey(_plan_for(_geometry_of(net), args.mode), state, embed=_embed)
+def _sweep_doc(net, geometry, state, args):
+    """The --exhaustive document of either path: its branch count and the
+    least fidelity of a branch against the oracle."""
+    coherent = args.command == "run-coherent"
+    plan = _plan_for(geometry, args.mode, getattr(args, "local_aux", False))
+    count, worst = _survey(plan, state, embed=_embed if coherent else None)
     return {
         "version": 1,
-        "path": "coherent-exhaustive",
+        "path": "coherent-exhaustive" if coherent else "mbqc-exhaustive",
         "d": net.d,
         "mode": args.mode,
         "branches": count,
         "min_fidelity_vs_oracle": worst,
+        "resource_counts": resource_counts(net, geometry).to_dict(),
+        "wall_time_ms": None,
     }
 
 
-def _compare_doc(net, state, args):
+def _compare_doc(net, geometry, state, args):
     M = composite_map(net)
     classical_ok = True
     for s in itertools.product(range(net.d), repeat=net.num_inputs):
@@ -310,7 +269,6 @@ def _compare_doc(net, state, args):
         if not np.array_equal(lhs, rhs):
             classical_ok = False
             break
-    geometry = compile_network(net)
     choh, _rep_c = run_coherent(net, state, mode=args.mode, seed=args.seed)
     mout, _rep_m = run_mbqc(geometry, state, mode=args.mode, seed=args.seed)
     oracle = oracle_output_state(M, state)

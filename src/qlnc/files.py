@@ -90,14 +90,21 @@ def load_input_state(path, d, n) -> QuditState:
         psi = np.asarray([complex(re, im) for re, im in pairs])
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed amplitude document: {exc}") from exc
-    nrm = np.linalg.norm(psi)
-    if not np.isfinite(nrm):
+    if not np.isfinite(psi).all():
         raise ValueError("amplitude file holds a non-finite entry")
-    if nrm == 0:
+    # scaled by the power of two that brings the largest part below 1, so
+    # the norm cannot overflow and the scaling changes no digit
+    parts = psi.view(np.float64)
+    exp = int(np.frexp(np.abs(parts).max())[1])
+    unit = np.ldexp(parts, -exp).view(np.complex128)
+    rel = np.linalg.norm(unit)
+    if rel == 0:
         raise ValueError("amplitude file is the zero vector")
+    with np.errstate(over="ignore"):
+        nrm = float(np.ldexp(rel, exp))  # inf beyond the float range
     if abs(nrm - 1.0) > 1e-6:
-        warnings.warn(f"input state norm {nrm:.8f} renormalized to 1")
-    return QuditState(n, d, psi / nrm, normalize_check=False)
+        warnings.warn(f"input state norm {nrm:.8g} renormalized to 1")
+    return QuditState(n, d, unit / rel, normalize_check=False)
 
 
 def dump_json(doc, out=None):

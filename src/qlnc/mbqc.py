@@ -220,8 +220,8 @@ def _geometry_tables(geometry: MbqcGeometry):
 
 
 def composite_of_geometry(geometry: MbqcGeometry) -> RingMatrix:
-    rows = [geometry.depends[t] for t in geometry.outputs]
-    return RingMatrix(np.asarray(rows, dtype=np.int64), geometry.d)
+    rows = np.asarray([geometry.depends[t] for t in geometry.outputs], dtype=np.int64)
+    return RingMatrix(rows.reshape(len(geometry.outputs), len(geometry.inputs)), geometry.d)
 
 
 def adjust_outcome(ledger, qudit, raw, upstream, terms, d, stage="adjust"):
@@ -836,7 +836,7 @@ def _program(plan, embed=None):
     ops, report_ops, finals, forced_order = _steps(plan, coherent)
     order, T = _outcome_map(plan, ops, report_ops)
     rows, ledger, corrections, messages, row_of = _records(
-        plan, order, T, report_ops + [("corr", c, stage) for c, stage in finals], coherent)
+        plan, order, T, report_ops + [("corr", c, stage) for c, stage in finals])
 
     rank = {lab: i for i, lab in enumerate(order + list(geometry.outputs))}
     layout = tuple(sorted(geometry.inputs, key=rank.get))
@@ -880,7 +880,7 @@ def _program(plan, embed=None):
     return prog
 
 
-def _records(plan, order, T, report, coherent):
+def _records(plan, order, T, report):
     """The outcome rows of a path and the report templates that read them.
 
     Every step is Clifford over Z_d, so every number a run reports is a
@@ -894,8 +894,8 @@ def _records(plan, order, T, report, coherent):
     Returns the rows; the templates, in report order, of the ledger (label,
     raw row, adjusted row, stage, provenance), of the corrections (op,
     qudit, row, stage) and of the messages of the schedule (sender,
-    receiver, text, row or None, over_network, backward), the coherent path
-    sending no auxiliary outcome; and the row of each Correct.
+    receiver, text, row or None, over_network, backward), but for outcomes
+    the path does not measure; and the row of each Correct.
     """
     geometry = plan.geometry
     d = geometry.d
@@ -928,7 +928,7 @@ def _records(plan, order, T, report, coherent):
             if not isinstance(step, Send):
                 continue
             kind, label = step.payload
-            if coherent and kind in ("raw", "adjusted") and _is_aux(label):
+            if kind in ("raw", "adjusted") and label not in raw:
                 continue
             if kind == "raw":
                 text, i = f"outcome({label})=", raw[label]
@@ -985,9 +985,8 @@ def _branches(plan, input_state, embed=None):
     each measurement level keeps at most one parent batch alive.  A child
     whose squared norm is below IMPOSSIBLE_TOL of its parent's is dropped.
     The walk interprets the same step program as `_run`, with `embed` as
-    there.  It refuses up front a live register of more than _AMP_LIMIT
-    amplitudes; a caller that drains the whole tree bounds its branch count
-    first (see _survey).
+    there.  Its callers check the live register first (see _check_peak),
+    and one that drains the whole tree its branch count too (see _survey).
 
     The steps write into reusable work buffers (see _work): one children
     array per measurement level, and two scratch arrays that a chunk's node
@@ -1007,7 +1006,6 @@ def _branches(plan, input_state, embed=None):
     _validate_input(plan.geometry, input_state)
     d = plan.geometry.d
     prog = _program(plan, embed)
-    _check_peak(d, prog)
     # The program as segments: the node and correction steps up to a
     # measurement, each with the qudits live after it, that measurement
     # (None for the last segment) and the rows of a chunk, whose amplitudes
@@ -1077,6 +1075,7 @@ def _exhaustive(plan, input_state, embed=None):
     only its own amplitudes."""
     prog = _program(plan, embed)
     d = plan.geometry.d
+    _check_peak(d, prog)
     n_out = len(plan.geometry.outputs)
     for R, a, nrm2 in _branches(plan, input_state, embed):
         raws = ((R @ prog.rows[:len(prog.order)].T) % d).tolist()
@@ -1130,10 +1129,10 @@ def branch_survey(
 
 def _survey(plan, input_state, reference=None, embed=None):
     """(branch count, min fidelity) over the whole branch tree of a path,
-    `embed` as in _run, behind branch_survey and the CLI's coherent
-    --exhaustive.  Raises MemoryError up front, as _branches would, for a
-    live register of more than _AMP_LIMIT amplitudes, and for a tree of
-    more than _BRANCH_LIMIT branches."""
+    `embed` as in _run, behind branch_survey and the CLI's --exhaustive on
+    either path.  Raises MemoryError up front for a live register of more
+    than _AMP_LIMIT amplitudes, and for a tree of more than _BRANCH_LIMIT
+    branches."""
     d = plan.geometry.d
     prog = _program(plan, embed)
     _check_peak(d, prog)
@@ -1157,7 +1156,7 @@ def _survey(plan, input_state, reference=None, embed=None):
 _CHUNK_AMPS = 2**15
 # The walkers refuse, before stepping, a path whose live register would
 # exceed this many amplitudes, and the callers that drain a whole tree
-# (branch_survey, the CLI's coherent --exhaustive) a tree of more branches
+# (branch_survey, the CLI's --exhaustive) a tree of more branches
 # (d**measurements; criterion 1 of the acceptance tests walks 2**18).
 _AMP_LIMIT = 2**22
 _BRANCH_LIMIT = 2**20

@@ -277,7 +277,7 @@ def composite_map(net: CodingNetwork) -> RingMatrix:
     """The matrix M with run_classical(net, s) == M @ s."""
     _, out_rows = port_dependence(net)
     rows = [out_rows[key] for key in net.target_outputs]
-    return RingMatrix(np.asarray(rows, dtype=np.int64), net.d)
+    return RingMatrix(np.asarray(rows, dtype=np.int64).reshape(len(rows), net.num_inputs), net.d)
 
 
 def run_classical(net: CodingNetwork, s) -> np.ndarray:

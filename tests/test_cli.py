@@ -1,9 +1,12 @@
 """Command-line surface: subcommands, file formats, exit codes, determinism."""
 
+import hashlib
 import json
 import os
+import re
 import time
 
+import numpy as np
 import pytest
 
 import qlnc.cli as cli
@@ -235,6 +238,8 @@ _BAD_FILES_AND_FLAGS = [
     ("list document", None, [[1, 0], [0, 0], [0, 0], [0, 0]], False, 64),
     ("infinite amplitude", None, {"version": 1, "amplitudes": [[float("inf"), 0]] + [[0, 0]] * 3},
      False, 64),
+    ("NaN amplitude", None, {"version": 1, "amplitudes": [[float("nan"), 0], [1, 0]] + [[0, 0]] * 2},
+     False, 64),
     ("string link port", _swap_edited("links", 0, "x", field=1), None, False, 1),
     ("float input port", _swap_edited("inputs", 0, 0.7, field=1), None, False, 1),
     ("string output port", _swap_edited("outputs", 0, "0", field=1), None, False, 1),
@@ -408,3 +413,185 @@ def test_constrained_runs_on_a_network_without_inputs(tmp_path, capsys, argv):
     report = json.loads(capsys.readouterr().out)
     assert report["fidelity_vs_oracle"] >= 1 - 1e-9
     assert report["requires_out_of_network"] is False
+
+
+def _amplitude_file(tmp_path, name, d, k):
+    # a fixed state with distinct moduli and phases on every basis vector
+    size = d**k
+    amps = [complex(j + 1, size - j) for j in range(size)]
+    norm = sum(abs(a) ** 2 for a in amps) ** 0.5
+    path = tmp_path / f"{name}_state.json"
+    path.write_text(json.dumps({"version": 1,
+                                "amplitudes": [[a.real / norm, a.imag / norm] for a in amps]}))
+    return str(path)
+
+
+# (bundled network, basis input, one-way free and coherent constrained
+# forced-outcome counts)
+_CLI_NETWORKS = {
+    "butterfly_swap": ("1,0", 18, 9),
+    "butterfly_multicast": ("1,2", 20, 9),
+    "identity_wire": ("1", 2, 1),
+}
+
+
+def _cli_cases(tmp_path, name):
+    """(case, argv) for every command on the bundled network `name`."""
+    basis, n_mbqc, n_coherent = _CLI_NETWORKS[name]
+    net = load_network(bundled_path(name))
+    state = _amplitude_file(tmp_path, name, net.d, net.num_inputs)
+    one_way = ",".join(["1"] + ["0"] * (n_mbqc - 1))
+    coherent = ",".join(["0"] * n_coherent)
+    cases = {
+        "validate": ["validate"],
+        "run-classical": ["run-classical", "--input", basis],
+        "counts": ["counts"],
+        "compile-mbqc": ["compile-mbqc"],
+        "run-mbqc": ["run-mbqc", "--input", basis, "--seed", "7"],
+        "run-mbqc-local-aux": ["run-mbqc", "--input", basis, "--mode", "constrained",
+                               "--local-aux", "--seed", "7"],
+        "run-mbqc-exhaustive": ["run-mbqc", "--input", basis, "--exhaustive"],
+        "run-mbqc-exhaustive-constrained": ["run-mbqc", "--input", basis, "--exhaustive",
+                                            "--mode", "constrained"],
+        "run-coherent": ["run-coherent", "--input", basis, "--seed", "7"],
+        "run-coherent-state": ["run-coherent", "--input-state", state, "--mode",
+                               "constrained", "--seed", "3"],
+        "compare": ["compare", "--input-state", state, "--seed", "2"],
+        "compare-text": ["compare", "--input", basis, "--format", "text", "--mode",
+                         "constrained"],
+        "run-mbqc-forced": ["run-mbqc", "--input", basis, "--force-outcomes", one_way],
+        "run-coherent-forced": ["run-coherent", "--input", basis, "--mode", "constrained",
+                                "--force-outcomes", coherent],
+    }
+    path = str(bundled_path(name))
+    return {case: [argv[0], "--network", path, *argv[1:]] for case, argv in cases.items()}
+
+
+def _rounded(text):
+    """The text with every float rounded to 12 digits, as the fidelities are
+    the only floats a document holds and their last digits follow the BLAS."""
+    return re.sub(r"-?\d+\.\d+(?:e[-+]?\d+)?", lambda m: repr(round(float(m[0]), 12)), text)
+
+
+def _cli_digests(tmp_path, capsys):
+    got = {}
+    for name in _CLI_NETWORKS:
+        for case, argv in _cli_cases(tmp_path, name).items():
+            code = run_cli(*argv)
+            out = capsys.readouterr().out
+            got[(name, case)] = hashlib.sha256(f"{code}\n{_rounded(out)}".encode()).hexdigest()
+    return got
+
+
+# sha256 of each command's exit code and document, floats rounded to 12
+# digits (see _rounded), as rendered when each path kept its own run and
+# sweep branches in the CLI
+_CLI_GOLDEN = {
+    ('butterfly_swap', 'validate'): "a13242943d21eb3a9d25b1cb9484d79895bc47124f163f275cb0886219224a7b",
+    ('butterfly_swap', 'run-classical'): "607fc08cee92a76092d0225ffcc041d91fc63480c00c63a4f5dbfb0ffcdd71ca",
+    ('butterfly_swap', 'counts'): "7438fe99e23f46c3891c8f3b07e4e3fa36b90a0e077a1fb8d55e024fad75ec14",
+    ('butterfly_swap', 'compile-mbqc'): "f0dd8568ae74acbf6af3a20dadb8047e91aeee8eb7221e037596ca4238290464",
+    ('butterfly_swap', 'run-mbqc'): "b01b71d66a1be1f338ce857e45b4a063eb8cb45e6d341a91d6fd5b387e1c9465",
+    ('butterfly_swap', 'run-mbqc-local-aux'): "8c8316b1a39e805c3988ccb8fae3a4c8951554147736499758aa4c96cc30eb7e",
+    ('butterfly_swap', 'run-mbqc-exhaustive'): "86e2377371086822532b12df8cf095ac48812946fce910e5a33f8604627e9886",
+    ('butterfly_swap', 'run-mbqc-exhaustive-constrained'): "51aea5bdcfc1c193c7691a57ec95f7fc80ec55f5e4ca2cd46552dc568ed2aa4c",
+    ('butterfly_swap', 'run-coherent'): "6fe6d4ae7642bdbbe7b29da598755366cabc190bf0e168a2d07a73205a6c3ead",
+    ('butterfly_swap', 'run-coherent-state'): "8092aaa97fa7c55dbc64ac0dfa3403aff35e7a64066d9aec166938198bf0f5c4",
+    ('butterfly_swap', 'compare'): "e65809721b69a938c1dc2018863af26b74faa0093459975bc2d4f2210ec5a08e",
+    ('butterfly_swap', 'compare-text'): "7259348d94342775518d6c5ca11f875d1a0a1ca4d194518f6c0bae501030c851",
+    ('butterfly_swap', 'run-mbqc-forced'): "f396ca9995cc14157299b49818652b45fc348965cfce9ca62e4b1eef9f0de117",
+    ('butterfly_swap', 'run-coherent-forced'): "de2618819634eb0bd499fb717f9c888cccbc092edf3efe340d73a08ff2a1e4d8",
+    ('butterfly_multicast', 'validate'): "a13242943d21eb3a9d25b1cb9484d79895bc47124f163f275cb0886219224a7b",
+    ('butterfly_multicast', 'run-classical'): "6027fbcf6df2787a09636d252a73dde7f18622849d2cf679f213f8fa8fa72af4",
+    ('butterfly_multicast', 'counts'): "72091a35538e15f18a20710192855fb4889517407343ec367b2d2d9f69d38cde",
+    ('butterfly_multicast', 'compile-mbqc'): "bc4a8079b7adbf8a5188cad68ed320b830641936017beeb70e0a2f37321ef3b3",
+    ('butterfly_multicast', 'run-mbqc'): "18aaf65485b99b107f18ed93befa84a9918b169f53a257656e9dd68dcfd0a3c1",
+    ('butterfly_multicast', 'run-mbqc-local-aux'): "0bce6eb296ff8153f842c092305e98994b14a6c10ec40521e2374bda530016d7",
+    ('butterfly_multicast', 'run-mbqc-exhaustive'): "7de1555df0c2700329e815b93b32c571c3ea54dc967b89e81ab73b9972b72d1d",
+    ('butterfly_multicast', 'run-mbqc-exhaustive-constrained'): "7de1555df0c2700329e815b93b32c571c3ea54dc967b89e81ab73b9972b72d1d",
+    ('butterfly_multicast', 'run-coherent'): "c9cb696bc94f23b9c0b2de32bd1ddb8f904ef33a0279f50b483c8e1d71dc9237",
+    ('butterfly_multicast', 'run-coherent-state'): "f8c158e52e02498d03aa28b7ae1b05d76e9c32d700dfa14141426a8dd75b429c",
+    ('butterfly_multicast', 'compare'): "4912bf869f19e721bfe4fa61a9169af0ebc965ecb042c544ad5015b05ec1fdbf",
+    ('butterfly_multicast', 'compare-text'): "b7a1e9ab5c28556c85de185a8b63e14ff34840c700777f384a3d4568c1abb7b7",
+    ('butterfly_multicast', 'run-mbqc-forced'): "e33321509537829655b2c47d5f73ab90b2614fbd92e2969f547eaba520f9b1c1",
+    ('butterfly_multicast', 'run-coherent-forced'): "885ae047f3b14cebfac04efb387eee87feff33083c49fee1c520e796e8cff2a4",
+    ('identity_wire', 'validate'): "a13242943d21eb3a9d25b1cb9484d79895bc47124f163f275cb0886219224a7b",
+    ('identity_wire', 'run-classical'): "21756f536546c84aab94168c0401d11e06539f96f01b6d071b71837b39601be7",
+    ('identity_wire', 'counts'): "3e9b36f42aacb4e2b06a27cbbd54036a957fbf3461272549639d90499b9bdc5c",
+    ('identity_wire', 'compile-mbqc'): "cd71f42935edd025d17218620c04998aa880b3a5b20cb69993dca0f50a795192",
+    ('identity_wire', 'run-mbqc'): "c3a8f4cef625ef6f9672ec2c5d873a4f454b7060256ff52247d7d79cc928115e",
+    ('identity_wire', 'run-mbqc-local-aux'): "f633eb417e6af1094c0667fefefe02cdcf594c70fd177bfb8a58844c980abf31",
+    ('identity_wire', 'run-mbqc-exhaustive'): "b6f0dbc27bf0f419009d358abb999a0cff14916d03e280cb29caedf47e72e48b",
+    ('identity_wire', 'run-mbqc-exhaustive-constrained'): "221629624318a7fbaf0ce8ab2d12595a2554b029ef9d6ae226681ae2d3178aa1",
+    ('identity_wire', 'run-coherent'): "269b8d2ef75b193a8721fbb3f936c3ee4c288c63c67967dabc64d6155f4cb5fa",
+    ('identity_wire', 'run-coherent-state'): "10c5ff30d689213d851afdb5063d41ba0a14bde62013537547cd881124cb6f3f",
+    ('identity_wire', 'compare'): "0036fc1ccb76b6827e977fd53dd0ebd9b05e73a21bb2acddddbc7ef4f54148c9",
+    ('identity_wire', 'compare-text'): "767397d1a26f0b678f786343b758457ef8c1d82fb31fa7ba799af2f68ef95a16",
+    ('identity_wire', 'run-mbqc-forced'): "74db1b756c2e04e41816d6c0b55d13211738e4d2e01f62c947b05219747c35ba",
+    ('identity_wire', 'run-coherent-forced'): "0229b875681484c4f967902eb2bd2c0dd2ec38fcc9abc0a814bfd28b6901c1fa",
+}
+
+
+def test_cli_documents_match_their_golden_hashes(tmp_path, capsys):
+    assert _cli_digests(tmp_path, capsys) == _CLI_GOLDEN
+
+
+def test_both_sweeps_report_the_same_keys(capsys):
+    keys = []
+    for command in ("run-coherent", "run-mbqc"):
+        assert run_cli(command, "--network", WIRE, "--input", "1", "--exhaustive") == 0
+        keys.append(list(json.loads(capsys.readouterr().out)))
+    assert keys[0] == keys[1] == ["version", "path", "d", "mode", "branches",
+                                  "min_fidelity_vs_oracle", "resource_counts", "wall_time_ms"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("run-coherent",),
+    ("run-coherent", "--exhaustive"),
+    ("run-mbqc",),
+    ("run-mbqc", "--exhaustive"),
+    ("compare",),
+])
+def test_timings_fill_wall_time(capsys, argv):
+    assert run_cli(*argv, "--network", WIRE, "--input", "1", "--timings") == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert isinstance(doc["wall_time_ms"], float) and doc["wall_time_ms"] >= 0
+
+
+@pytest.mark.parametrize("command", ["run-mbqc", "run-coherent", "compare"])
+def test_basis_input_beyond_memory_exits_4(tmp_path, capsys, command):
+    # one input of dimension 2^62: its basis state alone would need 2^62
+    # amplitudes
+    doc = {"version": 1, "d": 2**62, "nodes": [{"id": "A", "matrix": [[1]]}], "links": [],
+           "inputs": [["A", 0]], "outputs": [["A", 0]]}
+    path = tmp_path / "huge_d.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli(command, "--network", str(path), "--input", "3") == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: the live register peaks at 1 qudits")
+    assert run_cli("run-classical", "--network", str(path), "--input", "3") == 0
+    assert json.loads(capsys.readouterr().out)["outputs"] == [3]
+
+
+def test_amplitude_norm_beyond_the_float_range_renormalizes(tmp_path, capsys):
+    # every entry is finite, but the squared norm is far beyond the float range
+    path = tmp_path / "huge_norm.json"
+    path.write_text(json.dumps({"version": 1, "amplitudes": [[1e308, 1e308], [1e308, 0],
+                                                             [0, 0], [1, 0]]}))
+    with pytest.warns(UserWarning, match="norm 1.7320508e[+]308 renormalized") as caught:
+        state = load_input_state(str(path), 2, 2)
+    assert [w.category for w in caught] == [UserWarning]
+    assert state.norm() == pytest.approx(1.0)
+    assert np.allclose(state.psi, np.array([1 + 1j, 1, 0, 1e-308]) / 3**0.5)
+    with pytest.warns(UserWarning, match="renormalized") as caught:
+        code = run_cli("compare", "--network", BUTTERFLY, "--input-state", str(path))
+    assert code == 0 and [w.category for w in caught] == [UserWarning]
+    assert json.loads(capsys.readouterr().out)["fidelities"]["mbqc_vs_oracle"] > 1 - 1e-9
+
+
+@pytest.mark.parametrize("command", ["run-coherent", "run-mbqc", "compare"])
+def test_basis_and_amplitude_inputs_exclude_each_other(capsys, command):
+    argv = [command, "--network", BUTTERFLY, "--input", "1,0", "--input-state", BELL]
+    assert run_cli(*argv) == 64
+    out, err = capsys.readouterr()
+    assert out == "" and "argument --input-state: not allowed with argument --input" in err

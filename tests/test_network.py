@@ -6,16 +6,21 @@ import numpy as np
 import pytest
 
 from qlnc.bundled import butterfly_multicast, butterfly_swap, identity_wire
+from qlnc.coherent import run_coherent
+from qlnc.geometry import compile_network
+from qlnc.mbqc import build_schedule, composite_of_geometry
 from qlnc.network import (
     CodingNetwork,
     InvalidNetworkError,
     NodeSpec,
+    UnsupportedNetworkError,
     composite_map,
     port_dependence,
     run_classical,
     validate,
 )
 from qlnc.ring import RingMatrix
+from qlnc.states import QuditState
 
 from helpers import random_network
 
@@ -162,3 +167,19 @@ def test_network_takes_numpy_integers():
     assert all(type(v) is int for v in (net.d, net.links[0].from_port, net.links[0].to_port,
                                          net.source_inputs[0][1], net.target_outputs[0][1]))
     assert composite_map(net).tolist() == [[1]]
+
+
+def test_network_without_outputs_has_a_zero_row_map_and_no_protocol():
+    net = CodingNetwork(3, [NodeSpec("A", RingMatrix(np.zeros((0, 1), dtype=int), 3))], [],
+                        [("A", 0)], [])
+    assert validate(net) == []
+    M = composite_map(net)
+    assert (M.rows, M.cols) == (0, 1)
+    assert run_classical(net, [2]).shape == (0,)
+    geometry = compile_network(net)
+    assert (composite_of_geometry(geometry).rows, composite_of_geometry(geometry).cols) == (0, 1)
+    for mode in ("free", "constrained"):
+        with pytest.raises(UnsupportedNetworkError):
+            build_schedule(geometry, mode)
+        with pytest.raises(UnsupportedNetworkError):
+            run_coherent(net, QuditState.basis(3, [1]), mode=mode, seed=0)
