@@ -16,8 +16,8 @@ The layers, bottom to top:
                correction routing, the single-run driver and the
                branch walker
     coherent   classically assisted coherent simulation of a network
-               code: the one-way plan run with cX embeddings and without
-               its auxiliary qudits
+               code: the one-way plan without its auxiliary qudits, run
+               on amplitudes over the network inputs
     cli       the qlnc command-line tool and its file formats
 """
 

@@ -25,13 +25,14 @@ import argparse
 import itertools
 import sys
 import time
+import warnings
 
 import numpy as np
 
 from .coherent import _embed, _geometry_of, run_coherent
 from .files import dump_json, load_input_state, load_network
 from .geometry import compile_network, resource_counts
-from .mbqc import _check_memory, _plan_for, _survey, oracle_output_state, run_mbqc
+from .mbqc import _check_memory, _plan_for, _program, _survey, oracle_output_state, run_mbqc
 from .network import (
     InvalidNetworkError,
     UnsupportedNetworkError,
@@ -137,10 +138,15 @@ def _input_state(args, net):
     k = net.num_inputs
     if args.input_state:
         try:
-            return load_input_state(args.input_state, net.d, k)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                state = load_input_state(args.input_state, net.d, k)
         except (OSError, ValueError) as exc:
             print(f"error: cannot load input state: {exc}", file=sys.stderr)
             raise SystemExit(EXIT_USAGE)
+        for caution in caught:  # the renormalization notice
+            print(f"warning: {caution.message}", file=sys.stderr)
+        return state
     vec = _parse_vector(args.input, net.d, k) if args.input else [0] * k
     _check_memory(net.d, k, 0)  # the basis state holds d^k amplitudes
     return QuditState.basis(net.d, vec)
@@ -261,14 +267,13 @@ def _sweep_doc(net, geometry, state, args):
 
 
 def _compare_doc(net, geometry, state, args):
+    plan = _plan_for(geometry, args.mode)
+    for embed in (_embed, None):  # either run is refused before the loop over all inputs
+        prog = _program(plan, embed)
+        _check_memory(net.d, prog.peak, prog.table_bytes)
     M = composite_map(net)
-    classical_ok = True
-    for s in itertools.product(range(net.d), repeat=net.num_inputs):
-        lhs = run_classical(net, np.asarray(s))
-        rhs = M.mul_vec(np.asarray(s))
-        if not np.array_equal(lhs, rhs):
-            classical_ok = False
-            break
+    classical_ok = all(np.array_equal(run_classical(net, np.asarray(s)), M.mul_vec(np.asarray(s)))
+                       for s in itertools.product(range(net.d), repeat=net.num_inputs))
     choh, _rep_c = run_coherent(net, state, mode=args.mode, seed=args.seed)
     mout, _rep_m = run_mbqc(geometry, state, mode=args.mode, seed=args.seed)
     oracle = oracle_output_state(M, state)

@@ -63,8 +63,8 @@ class MbqcGeometry:
     gadgets: list = field(default_factory=list)  # NodeGadget in topological order
     num_links: int = 0
     # what mbqc keeps for this geometry: ("plan", mode, local_aux) -> its
-    # plan (mbqc._plan_for), ("node", path, gadget index[, out-port], live
-    # layouts before and after) -> a node step and the bytes of its table
+    # plan (mbqc._plan_for), ("node", gadget index, out-port, live layouts
+    # before and after) -> a one-way port step and the bytes of its table
     # (mbqc._program)
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 

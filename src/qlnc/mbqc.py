@@ -4,34 +4,23 @@ The procedure is: entangle the input state into the graph state, measure
 every non-output qudit in the Fourier basis under a mode-dependent schedule,
 and remove the byproducts with classically controlled corrections.
 
-build_schedule makes the one plan both execution paths run.  The coherent
-path (coherent.py) is this plan without its auxiliary qudits: each node step
-is a cX embedding instead of a graph-state gadget, and the auxiliary
-measurements, their messages and the shift corrections they drive are
-skipped.  The plan depends only on the geometry and the mode, so the entry
-points plan once (_plan_for): the plan is kept on the geometry, and the
-coherent entry points, which take a network, keep the geometry they compile
-on it (coherent._geometry_of).  On a path's first run the plan is resolved
-into one step program (_program), the one place that decides where a qudit
-lives.  A pattern fixes its measurement order before any outcome is known,
-so the live qudits are kept in that order, the outputs last in declaration
-order: the input register is permuted into it once, a node step inserts its
-fresh qudits at their places (each one-way out-port step with one amplitude
-table of its cZ phases, each coherent node step with one flat target-index
-table; the modes of a geometry share these node steps), every measurement
-takes the leading live axis, and the last step leaves the outputs in order.
-One single-run driver and one branch walker interpret that program for
-run_mbqc, run_coherent, exhaustive_mbqc, branch_survey and
-coherent.exhaustive_coherent.  Both step bare arrays, axis 0 indexing
-branches, with one kernel set (the node steps, _fourier_rows, _weyl_rows,
-the tables of states._table); a single run is a batch of one row that
-keeps one outcome per measurement, at two registers of memory, and the
-walker steps into reusable work buffers (_work).  Every step is Clifford
-over Z_d, so every number a run reports (raw and adjusted outcomes,
-correction exponents, message payloads) is a fixed linear function mod d
-of its outcomes: the program holds these as one integer matrix of rows
-over the simulated outcomes (_records), and the walker's corrections and
-the single run's corrections, ledger and messages are all read from it.
+build_schedule makes the one plan both execution paths run; the coherent
+path (coherent.py) skips its auxiliary qudits, their measurements, messages
+and shift corrections.  The entry points plan once (_plan_for): the plan is
+kept on the geometry, and the coherent entry points keep the geometry they
+compile on the network (coherent._geometry_of).  On a path's first run the
+plan is resolved into one step program (_program), which decides what a
+simulated array holds: on the one-way path the live qudits in measurement
+order, the outputs last, each out-port step inserting its pair with one
+amplitude table of its cZ phases and each measurement taking the leading
+axis; on the coherent path the amplitudes over the d^k network inputs
+(coherent._embed), then the outputs.  One single-run driver and one branch
+walker interpret it for every entry point, on bare arrays with axis 0
+indexing branches, each measurement with its path's kernel; a single run
+is a batch of one row, and the walker steps into reusable work buffers
+(_work).  Every step is Clifford over Z_d, so every number a run reports
+is a fixed linear function mod d of its outcomes: the program holds these
+as one integer matrix of rows over the simulated outcomes (_records).
 
 Two communication regimes are supported.
 
@@ -198,8 +187,8 @@ class _Plan:
     matrix: RingMatrix
     block_B: RingMatrix | None
     requires_out_of_network: bool
-    # path (the coherent node-step resolver, None for one-way) -> its _Program,
-    # resolved on the path's first run
+    # path (coherent._embed, None for one-way) -> its _Program, resolved on
+    # the path's first run
     programs: dict = field(default_factory=dict, repr=False, compare=False)
 
 
@@ -547,30 +536,18 @@ def _reads_aux(correct: Correct):
 
 def _steps(plan, coherent):
     """The simulated ops, report order, final corrections and forced-outcome
-    order of a path.
-
-    The coherent path is the one-way plan without its auxiliary qudits: a
-    node step embeds the node's map with controlled shifts instead of
-    teleporting through a gadget, so the auxiliary measurements and the
-    shift corrections that read them drop out, and a node's port steps,
-    then consecutive, fuse into one ("intro", gadget_idx) embedding.
+    order of a path.  The coherent path drops the auxiliary measurements,
+    the corrections that read them and the node steps, which change no
+    amplitude of its input-basis register (see coherent.py).
     """
     ops, report_ops, finals = plan.physical, plan.report_order, plan.final_corrections
     order = plan.schedule.measurement_order()
     if coherent:
         def keep(op):
-            return not (op[0] == "measure" and _is_aux(op[1])) and not (
-                op[0] == "corr" and _reads_aux(op[1]))
+            return (op[0] == "measure" and not _is_aux(op[1])
+                    or op[0] == "corr" and not _reads_aux(op[1]))
 
-        fused, embedded = [], set()
-        for op in ops:
-            if op[0] == "intro":
-                if op[1] not in embedded:
-                    embedded.add(op[1])
-                    fused.append(op[:2])
-            elif keep(op):
-                fused.append(op)
-        ops = fused
+        ops = [op for op in ops if keep(op)]
         report_ops = [op for op in report_ops if keep(op)]
         finals = [(c, stage) for c, stage in finals if not _reads_aux(c)]
         order = [q for q in order if not _is_aux(q)]
@@ -578,14 +555,12 @@ def _steps(plan, coherent):
 
 
 def _check_memory(d, live, tables):
-    """Refuse, before allocating, a run whose two registers (a measurement's
-    input and transform) and the `tables` bytes of node-step tables its
-    program keeps cannot fit in physical memory.  By VmHWM in a fresh
-    process, above its VmRSS before the run, one-way butterfly_swap(13) (6
-    qudits live, 74 MiB) peaks at 2.25 registers and coherent
-    butterfly_swap(19) (5 live, 38 MiB) at 2.25.  Traced by tracemalloc, the
-    d=2 sum node with 19 in-ports peaks at 36.8 MiB coherently and 96.1 MiB
-    one-way, against 36.0 and 96.0 MiB counted."""
+    """Refuse, before allocating, a run whose two arrays of `live` axes
+    (_Program.peak) and `tables` bytes cannot fit in physical memory.  By
+    VmHWM, one-way butterfly_swap(13) peaks at 2.25 registers; by
+    tracemalloc, the d=2 sum node with 19 in-ports at 96.1 MiB one-way
+    (96.0 counted), an identity node on 16 inputs at 4.1 MiB coherently
+    (4.5 counted)."""
     try:
         have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
@@ -667,15 +642,14 @@ def _validate_input(geometry, input_state):
 def _run(plan, input_state, seed, forced, embed=None):
     """The single-run driver behind run_mbqc and run_coherent.
 
-    It interprets the plan's step program for the path (see _program) on a
-    batch of one row, keeping at each measurement the forced outcome or one
-    drawn with the arithmetic of Generator.choice, so a seed keeps its
-    outcomes.  The kept child stays a view of the measurement's transform,
-    renormalized in place, so a run holds two registers at most.  The
-    ledger, the corrections and the messages are then filled from the
-    program's rows at the simulated outcomes.  Without `embed` the run is
-    the one-way path; with `embed`, the coherent node-step resolver
-    (coherent._embed), it is the coherent path.
+    It interprets the path's step program (_program) on a batch of one row,
+    keeping at each measurement the forced outcome or one drawn with the
+    arithmetic of Generator.choice, so a seed keeps its outcomes.  The kept
+    child stays a view of the measurement's transform, renormalized in
+    place, so a run holds two of its largest arrays at most.  The ledger,
+    the corrections and the messages are filled from the program's rows.
+    Without `embed` the run is the one-way path; with `embed`, the coherent
+    step resolver (coherent._embed), the coherent path.
     """
     geometry = plan.geometry
     d = geometry.d
@@ -689,7 +663,7 @@ def _run(plan, input_state, seed, forced, embed=None):
                          "provide a seed for sampling or force it")
     rng = np.random.default_rng(seed) if seed is not None else None
     simulated_forced = _simulated_forced(plan, forced_map)
-    _check_memory(d, max(prog.live), prog.table_bytes)
+    _check_memory(d, prog.peak, prog.table_bytes)
 
     def choose(label, p):
         if label not in simulated_forced:
@@ -704,13 +678,13 @@ def _run(plan, input_state, seed, forced, embed=None):
 
     arr = input_state._tensor().transpose(prog.perm)[None]
     simulated = np.zeros(len(prog.order), dtype=np.int64)
-    for step in prog.steps:
+    for step, live in zip(prog.steps, prog.live[1:]):
         if step[0] == "node":
             arr = step[1](arr)
         elif step[0] == "measure":
-            _, label, i = step
-            children = np.empty((d,) + arr.shape[2:], dtype=np.complex128)
-            p = _fourier_rows(arr, d, children)
+            _, label, i, kernel = step
+            children = np.empty((d,) + (d,) * live, dtype=np.complex128)
+            p = kernel(arr, d, children)
             r = simulated[i] = choose(label, p)
             arr = children[r:r + 1]  # the kept child, renormalized in place
             del children  # the transform lives on only as the base of `arr`
@@ -780,40 +754,39 @@ def run_mbqc(
 
 @dataclass
 class _Program:
-    """A plan resolved for one path, interpreted by both the single-run
-    driver and the branch walker.  The arrays they step hold branches on
-    axis 0 and the live qudits on the other axes in one fixed layout: in
-    the order of their measurements, then the outputs in declaration order.
-    So a measurement always takes axis 1, a node step inserts its fresh
-    qudits at their places, and the last step leaves the outputs in order.
-    Every number a run reports is a row of `rows` times the simulated
-    outcomes r' mod d.
+    """A plan resolved for one path, interpreted by the single-run driver
+    and the branch walker.  Their arrays hold branches on axis 0 and the
+    register on the others: one-way, the live qudits in measurement order,
+    then the outputs in declaration order, so a measurement takes axis 1;
+    coherently, one axis per network input until the last step scatters
+    into the outputs (coherent.py).  Every reported number is a row of
+    `rows` times the simulated outcomes r' mod d.
 
-    steps:  ("node", step), step(array, out=None) -> array the node step
-            between the layouts before and after it: one out-port's |+>
-            pair and cZ phases on the one-way path, a node's cX embedding on
-            the coherent path, written into `out` when given; ("measure",
-            label, position in `order`); ("corr", op, axis, row), an
-            --local-aux X step with exponent rows[row] . r' mod d
+    steps:  ("node", step), step(array, out=None) -> array, into `out` when
+            given: an out-port's |+> pair and cZ phases, or the coherent
+            scatter; ("measure", label, position in `order`, kernel), where
+            kernel(array, d, children) writes each row's d children (row,
+            outcome) row-major and returns their squared norms; ("corr",
+            op, axis, row), an --local-aux X step or a coherent Z step, with
+            exponent rows[row] . r'
     order:  the simulated measurement order
-    forced_order: the path's schedule measurement order, which forced
-            outcome sequences follow
+    forced_order: the schedule measurement order forced sequences follow
     perm:   the axes of the input register in the layout of the first step
-    live:   qudits live before each step, then after the last
+    live:   register axes before each step, then after the last
+    peak:   the most axes an array holds, a row's d children as one more
     rows:   integer rows over r' (see _records); the first len(order) are
             the raw outcomes, r = T r' mod d (see _outcome_map)
     ledger, corrections, messages: the record templates of a report, in
             report order, naming the rows that fill them (see _records)
-    finals: per final correction (op, its output's axis, row)
-    table_bytes: the bytes of the tables the node steps keep, which the
-            memory check counts with the registers
-    """
+    finals: per final correction (op, its output's axis, row); one-way only
+    table_bytes: the bytes of the tables the steps keep"""
 
     steps: list
     order: list
     forced_order: list
     perm: list
     live: list
+    peak: int
     rows: np.ndarray
     ledger: list
     corrections: list
@@ -824,57 +797,59 @@ class _Program:
 
 def _program(plan, embed=None):
     """The step program of a path of `plan`, resolved on the path's first
-    run and kept on the plan; `embed` as in _run.  This is the one place
-    that decides where a qudit lives: a layout is the tuple of live labels
-    in axis order after the branch axis, sorted by measurement rank."""
+    run and kept on the plan; `embed` as in _run.  A one-way layout is the
+    tuple of live labels in axis order, sorted by measurement rank."""
     prog = plan.programs.get(embed)
     if prog is not None:
         return prog
     geometry = plan.geometry
     d = geometry.d
-    coherent = embed is not None
-    ops, report_ops, finals, forced_order = _steps(plan, coherent)
+    ops, report_ops, finals, forced_order = _steps(plan, embed is not None)
     order, T = _outcome_map(plan, ops, report_ops)
     rows, ledger, corrections, messages, row_of = _records(
         plan, order, T, report_ops + [("corr", c, stage) for c, stage in finals])
 
-    rank = {lab: i for i, lab in enumerate(order + list(geometry.outputs))}
-    layout = tuple(sorted(geometry.inputs, key=rank.get))
-    perm = [geometry.inputs.index(lab) for lab in layout]
-    steps, live, table_bytes = [], [len(layout)], 0
-    for op in ops:
-        if op[0] == "intro":
-            gadget = geometry.gadgets[op[1]]
-            fresh = gadget.out_labels if coherent else (gadget.aux_labels[op[2]],
-                                                        gadget.out_labels[op[2]])
-            after = tuple(sorted(layout + fresh, key=rank.get))
-            # the plans of a geometry that reach a node step with the same
-            # layouts share the step and its tables
-            key = ("node", embed, *op[1:], layout, after)
-            if key not in geometry._memo:
-                geometry._memo[key] = (embed(gadget, layout, after, d) if coherent
-                                       else _intro_step(gadget, op[2], after, d))
-            step, nbytes = geometry._memo[key]
-            steps.append(("node", step))
-            table_bytes += nbytes
-            layout = after
-        elif op[0] == "measure":
-            layout = layout[1:]  # no live qudit is measured before op[1]: it leads
-            steps.append(("measure", op[1], order.index(op[1])))
-        else:
-            steps.append(("corr", op[1].op, 1 + layout.index(op[1].qudit), row_of[op[1]]))
-        live.append(len(layout))
+    if embed is not None:  # its final corrections become steps
+        perm, steps, live, table_bytes, rows = embed(
+            geometry, order, rows, [(c.qudit, row_of[c]) for c, _stage in finals])
+        finals = []
+    else:
+        rank = {lab: i for i, lab in enumerate(order + list(geometry.outputs))}
+        layout = tuple(sorted(geometry.inputs, key=rank.get))
+        perm = [geometry.inputs.index(lab) for lab in layout]
+        steps, live, table_bytes = [], [len(layout)], 0
+        for op in ops:
+            if op[0] == "intro":
+                gadget = geometry.gadgets[op[1]]
+                after = tuple(sorted(layout + (gadget.aux_labels[op[2]], gadget.out_labels[op[2]]),
+                                     key=rank.get))
+                # the plans of a geometry that reach a port step with the
+                # same layouts share the step and its table
+                key = ("node", *op[1:], layout, after)
+                if key not in geometry._memo:
+                    geometry._memo[key] = _intro_step(gadget, op[2], after, d)
+                step, nbytes = geometry._memo[key]
+                steps.append(("node", step))
+                table_bytes += nbytes
+                layout = after
+            elif op[0] == "measure":
+                layout = layout[1:]  # no live qudit is measured before op[1]: it leads
+                steps.append(("measure", op[1], order.index(op[1]), _fourier_rows))
+            else:
+                steps.append(("corr", op[1].op, 1 + layout.index(op[1].qudit), row_of[op[1]]))
+            live.append(len(layout))
     prog = plan.programs[embed] = _Program(
         steps=steps,
         order=order,
         forced_order=forced_order,
         perm=perm,
         live=live,
+        peak=max(live + [n + 1 for step, n in zip(steps, live[1:]) if step[0] == "measure"]),
         rows=rows,
         ledger=ledger,
         corrections=corrections,
         messages=messages,
-        finals=[(c.op, 1 + layout.index(c.qudit), row_of[c]) for c, _stage in finals],
+        finals=[(c.op, 1 + geometry.outputs.index(c.qudit), row_of[c]) for c, _stage in finals],
         table_bytes=table_bytes,
     )
     return prog
@@ -883,19 +858,16 @@ def _program(plan, embed=None):
 def _records(plan, order, T, report):
     """The outcome rows of a path and the report templates that read them.
 
-    Every step is Clifford over Z_d, so every number a run reports is a
-    fixed linear function mod d of its simulated outcomes r' (signal
-    shifting): rows[i] . r' mod d.  The rows are T, the raw outcomes; the
-    adjusted outcome of each measured auxiliary, by the cascade adjusted =
-    raw - sum coeff * adjusted(upstream); the exponent of each correction
-    in `report`; and the value of each sigma-link message, the link's
-    dependence row applied to the raw outcomes of the network inputs.
-
-    Returns the rows; the templates, in report order, of the ledger (label,
-    raw row, adjusted row, stage, provenance), of the corrections (op,
-    qudit, row, stage) and of the messages of the schedule (sender,
-    receiver, text, row or None, over_network, backward), but for outcomes
-    the path does not measure; and the row of each Correct.
+    Every number a run reports is rows[i] . r' mod d for its simulated
+    outcomes r' (signal shifting).  The rows are T, the raw outcomes; the
+    adjusted outcome of each measured auxiliary, adjusted = raw - sum coeff
+    * adjusted(upstream); the exponent of each correction in `report`; and
+    each sigma-link message, the link's dependence row applied to the raw
+    outcomes of the network inputs.  Returns the rows; the templates, in
+    report order, of the ledger (label, raw row, adjusted row, stage,
+    provenance), the corrections (op, qudit, row, stage) and the messages
+    (sender, receiver, text, row or None, over_network, backward), but for
+    outcomes the path does not measure; and the row of each Correct.
     """
     geometry = plan.geometry
     d = geometry.d
@@ -952,10 +924,8 @@ def _records(plan, order, T, report):
 def _outcome_map(plan, ops, report_ops):
     """The simulated measurement order of a path's `ops` and the
     unitriangular map T with r = T r' mod d from its simulated outcomes r'
-    to the raw ones r.
-
-    A shifted qudit's raw outcome is its simulated one plus its Z step's
-    exponent, which reads raw outcomes reported before it.
+    to the raw ones r: a shifted qudit's raw outcome is its simulated one
+    plus its Z step's exponent, which reads raw outcomes reported before it.
     """
     order = [op[1] for op in ops if op[0] == "measure"]
     pos = {lab: i for i, lab in enumerate(order)}
@@ -973,52 +943,45 @@ def _branches(plan, input_state, embed=None):
     """Walk every measurement branch of a path depth first, in batches.
 
     A batch holds branches at one program position as the rows of one
-    array: axis 0 indexes the branch, the other axes the live qudits in the
-    program's layout (see _Program).  Node steps act on the whole batch; a
-    measurement transforms axis 1, the measured qudit, of every row and
-    writes (row, outcome) row-major into the children, so branches stay in
-    lexicographic outcome order; a correction raises each row to its own
-    exponent, the dot product of the step's row with that branch's outcome
-    vector.  A batch is taken in row ranges of at most _CHUNK_AMPS // d**n
-    rows, n the qudits live at the next measurement, the rest staying on
-    the stack as a view, so a chunk stays within _CHUNK_AMPS amplitudes and
-    each measurement level keeps at most one parent batch alive.  A child
-    whose squared norm is below IMPOSSIBLE_TOL of its parent's is dropped.
-    The walk interprets the same step program as `_run`, with `embed` as
-    there.  Its callers check the live register first (see _check_peak),
-    and one that drains the whole tree its branch count too (see _survey).
+    array (see _Program), and the walk interprets the program of `_run`,
+    `embed` as there.  Node steps act on the whole batch; a measurement's
+    kernel writes the d children of every row (row, outcome) row-major, so
+    branches stay in lexicographic outcome order, and a child whose squared
+    norm is below IMPOSSIBLE_TOL of its parent's is dropped; a correction
+    raises each row to its own exponent, the dot product of the step's row
+    with that branch's outcome vector.  A batch is taken in row ranges of
+    at most _CHUNK_AMPS // d**n rows, d**n the amplitudes of a row's
+    children at the next measurement, the rest staying on the stack as a
+    view.  Callers check the register first (_check_peak), and one that
+    drains the tree its branch count too (_survey).
 
-    The steps write into reusable work buffers (see _work): one children
-    array per measurement level, and two scratch arrays that a chunk's node
-    steps and corrections take in turn.  Depth first, a level's children
-    are all consumed before the level measures again, so no buffer is
-    written while its contents are still needed.  The walk borrows the
-    module's spare set of buffers and gives it back when it ends or is
-    closed; a walk that finds none makes its own.
+    The steps write into reusable work buffers (_work): one children array
+    per measurement level, and two scratch arrays that a chunk's node steps
+    and corrections take in turn.  Depth first, a level's children are all
+    consumed before the level measures again, so no buffer is written while
+    still needed.  The walk borrows the module's spare buffer set and gives
+    it back when it ends or is closed; a walk that finds none makes its own.
 
-    Yields batches (R, a, nrm2): the simulated outcome vectors r' in
-    physical measurement order as the rows of R, the output tensors with
-    the final corrections applied, outputs in declaration order, as the rows
-    of a, and their squared norms; `a` may be a view of a work buffer, valid
-    until the walk moves on.  The raw outcomes are T r' mod d, the
-    program's first rows (see _outcome_map).
+    Yields batches (R, a, nrm2): the simulated outcome vectors r' as the
+    rows of R (raw outcomes T r' mod d, the program's first rows), the
+    corrected output tensors, outputs in declaration order, as the rows of
+    a, and their squared norms; `a` may be a view of a work buffer, valid
+    until the walk moves on.
     """
     _validate_input(plan.geometry, input_state)
     d = plan.geometry.d
     prog = _program(plan, embed)
     # The program as segments: the node and correction steps up to a
-    # measurement, each with the qudits live after it, that measurement
-    # (None for the last segment) and the rows of a chunk, whose amplitudes
-    # stay within _CHUNK_AMPS at the most qudits the segment keeps live,
-    # those live just before its measurement.
+    # measurement, each with the axes live after it, that measurement (None
+    # last) with the axes of a child, and the rows of a chunk.
     segments, steps = [], []
-    for step, before, after in zip(prog.steps, prog.live, prog.live[1:]):
+    for step, after in zip(prog.steps, prog.live[1:]):
         if step[0] == "measure":
-            segments.append((steps, step, max(1, _CHUNK_AMPS // d**before)))
+            segments.append((steps, step, after, max(1, _CHUNK_AMPS // d**(after + 1))))
             steps = []
         else:
             steps.append((step, after))
-    segments.append((steps, None, max(1, _CHUNK_AMPS // d**prog.live[-1])))
+    segments.append((steps, None, None, max(1, _CHUNK_AMPS // d**prog.live[-1])))
 
     bufs = _SPARE.pop() if _SPARE else {}
     try:
@@ -1026,7 +989,7 @@ def _branches(plan, input_state, embed=None):
         stack = [(0, input_state._tensor().transpose(prog.perm)[None], outcomes, np.ones(1))]
         while stack:
             s, arr, R, nrm2 = stack.pop()
-            steps, measure, rows = segments[s]
+            steps, measure, child, rows = segments[s]
             if len(arr) > rows:
                 stack.append((s, arr[rows:], R[rows:], nrm2[rows:]))
                 arr, R, nrm2 = arr[:rows], R[:rows], nrm2[:rows]
@@ -1045,9 +1008,9 @@ def _branches(plan, input_state, embed=None):
                     free = "b" if free == "a" else "a"
                 yield R, arr, nrm2
                 continue
-            i = measure[2]
-            children = _work(bufs, s, (len(arr) * d,) + arr.shape[2:])
-            child_nrm2 = _fourier_rows(arr, d, children)
+            _, _label, i, kernel = measure
+            children = _work(bufs, s, (len(arr) * d,) + (d,) * child)
+            child_nrm2 = kernel(arr, d, children)
             R = np.repeat(R, d, axis=0)
             R[:, i] = np.tile(np.arange(d), len(arr))
             keep = child_nrm2 >= np.repeat(nrm2, d) * IMPOSSIBLE_TOL
@@ -1061,27 +1024,23 @@ def _branches(plan, input_state, embed=None):
 
 def _check_peak(d, prog):
     """Refuse a walk whose live register would exceed _AMP_LIMIT amplitudes."""
-    peak = max(prog.live)
-    if d**peak > _AMP_LIMIT:
+    if d**prog.peak > _AMP_LIMIT:
         raise MemoryError(
-            f"live register would need {d}^{peak} amplitudes, above the enumeration limit"
+            f"live register would need {d}^{prog.peak} amplitudes, above the enumeration limit"
         )
 
 
 def _exhaustive(plan, input_state, embed=None):
-    """(outcome dict, normalized output QuditState) for every branch.  A
-    batch is normalized out of the walk's work buffers in one product and
-    each state copied out of that one branch at a time, so every state keeps
-    only its own amplitudes."""
+    """(outcome dict, normalized output QuditState) for every branch, each
+    state one fresh array scaled out of the walk's work buffers."""
     prog = _program(plan, embed)
-    d = plan.geometry.d
+    d, n_out = plan.geometry.d, len(plan.geometry.outputs)
     _check_peak(d, prog)
-    n_out = len(plan.geometry.outputs)
     for R, a, nrm2 in _branches(plan, input_state, embed):
         raws = ((R @ prog.rows[:len(prog.order)].T) % d).tolist()
-        for raw, amps in zip(raws, a.reshape(len(a), -1) / np.sqrt(nrm2)[:, None]):
-            yield dict(zip(prog.order, raw)), QuditState(n_out, d, amps.copy(),
-                                                         normalize_check=False)
+        scales = (1 / np.sqrt(nrm2)).astype(np.complex128)  # complex: no cast per branch
+        for raw, amps, scale in zip(raws, a.reshape(len(a), -1), scales):
+            yield dict(zip(prog.order, raw)), QuditState._of(n_out, d, np.multiply(amps, scale))
 
 
 def exhaustive_mbqc(
@@ -1092,14 +1051,12 @@ def exhaustive_mbqc(
 ):
     """Iterate (outcome dict, output QuditState) over every measurement branch.
 
-    Branches share prefix work and are swept in batches: the walk introduces
-    each node's qudits in protocol order and splits every branch of a batch
-    into its d collapsed children at each measurement, so memory follows the
-    live frontier within a fixed amplitude budget per batch.  Branches come
-    in lexicographic order of the simulated outcomes; those whose
-    probability underflows the impossible-outcome tolerance are skipped.
-    Raises MemoryError up front when the live register would exceed
-    _AMP_LIMIT amplitudes.  The walk is lazy, so it takes any tree: the
+    Branches share prefix work and are swept in batches, each split into
+    its d collapsed children at each measurement, within a fixed amplitude
+    budget per batch.  They come in lexicographic order of the simulated
+    outcomes; those whose probability underflows the impossible-outcome
+    tolerance are skipped.  Raises MemoryError up front when the live
+    register would exceed _AMP_LIMIT amplitudes.  The walk is lazy: the
     caller decides how many branches to draw.
     """
     plan = _plan_for(geometry, mode, local_aux)
@@ -1115,13 +1072,11 @@ def branch_survey(
 ):
     """Fidelity of every measurement branch against a reference state.
 
-    Walks the same branch tree as exhaustive_mbqc without building a state
-    object per branch: a batch takes one product with the conjugate
-    reference, which keeps the per-branch cost small enough to sweep
-    millions of branches.  Returns (branch_count, min_fidelity);
-    `reference` defaults to the oracle image of the input state.  Raises
-    MemoryError up front when the live register would exceed _AMP_LIMIT
-    amplitudes or the tree _BRANCH_LIMIT branches.
+    Walks the tree of exhaustive_mbqc without a state object per branch: a
+    batch takes one product with the conjugate reference.  Returns
+    (branch_count, min_fidelity); `reference` defaults to the oracle image
+    of the input state.  Raises MemoryError up front when the live register
+    would exceed _AMP_LIMIT amplitudes or the tree _BRANCH_LIMIT branches.
     """
     _validate_input(geometry, input_state)
     return _survey(_plan_for(geometry, mode, local_aux), input_state, reference)
@@ -1130,8 +1085,8 @@ def branch_survey(
 def _survey(plan, input_state, reference=None, embed=None):
     """(branch count, min fidelity) over the whole branch tree of a path,
     `embed` as in _run, behind branch_survey and the CLI's --exhaustive on
-    either path.  Raises MemoryError up front for a live register of more
-    than _AMP_LIMIT amplitudes, and for a tree of more than _BRANCH_LIMIT
+    either path.  Raises MemoryError up front for a register of more than
+    _AMP_LIMIT amplitudes, and for a tree of more than _BRANCH_LIMIT
     branches."""
     d = plan.geometry.d
     prog = _program(plan, embed)
@@ -1199,6 +1154,11 @@ def _fourier_rows(arr, d, children):
     else:
         np.matmul(_table("fourier", d), arr.reshape(rows, d, after),
                   out=children.reshape(rows, d, after))
+    return _sq_norms(children)
+
+
+def _sq_norms(children):
+    """The squared norm of each row of `children`."""
     flat = children.reshape(len(children), -1).view(np.float64)  # (re, im) pairs
     return np.einsum("ij,ij->i", flat, flat)
 

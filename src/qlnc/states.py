@@ -86,6 +86,13 @@ class QuditState:
     # -- constructors ------------------------------------------------
 
     @classmethod
+    def _of(cls, n, d, psi):
+        """A state on `psi`, d**n flat complex128 amplitudes, unchecked."""
+        state = cls.__new__(cls)
+        state.n, state.d, state.psi = n, d, psi
+        return state
+
+    @classmethod
     def basis(cls, d, digits):
         """Computational basis state |digits[0] digits[1] ...>."""
         digits = [int(x) % d for x in digits]

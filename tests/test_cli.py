@@ -374,8 +374,9 @@ def test_exhaustive_beyond_branch_limit_exits_4(capsys):
 
 
 def test_coherent_exhaustive_beyond_branch_limit_exits_4(tmp_path, capsys):
-    # coherently, swap over Z_5 measures 9 qudits at a peak of 5^5
-    # amplitudes: its 5^9 branches, one output state each, are beyond reach
+    # coherently, swap over Z_5 measures 9 qudits at a peak of 5^3
+    # amplitudes, the 5 children of its 5^2 input values: its 5^9 branches,
+    # one output state each, are beyond reach
     t0 = time.perf_counter()
     assert run_cli("run-coherent", "--network", _swap(tmp_path, 5), "--exhaustive") == 4
     err = capsys.readouterr().err
@@ -583,10 +584,11 @@ def test_amplitude_norm_beyond_the_float_range_renormalizes(tmp_path, capsys):
     assert [w.category for w in caught] == [UserWarning]
     assert state.norm() == pytest.approx(1.0)
     assert np.allclose(state.psi, np.array([1 + 1j, 1, 0, 1e-308]) / 3**0.5)
-    with pytest.warns(UserWarning, match="renormalized") as caught:
-        code = run_cli("compare", "--network", BUTTERFLY, "--input-state", str(path))
-    assert code == 0 and [w.category for w in caught] == [UserWarning]
-    assert json.loads(capsys.readouterr().out)["fidelities"]["mbqc_vs_oracle"] > 1 - 1e-9
+    # the CLI prints the warning as its one line of stderr
+    code = run_cli("compare", "--network", BUTTERFLY, "--input-state", str(path))
+    out, err = capsys.readouterr()
+    assert code == 0 and err == "warning: input state norm 1.7320508e+308 renormalized to 1\n"
+    assert json.loads(out)["fidelities"]["mbqc_vs_oracle"] > 1 - 1e-9
 
 
 @pytest.mark.parametrize("command", ["run-coherent", "run-mbqc", "compare"])
@@ -595,3 +597,44 @@ def test_basis_and_amplitude_inputs_exclude_each_other(capsys, command):
     assert run_cli(*argv) == 64
     out, err = capsys.readouterr()
     assert out == "" and "argument --input-state: not allowed with argument --input" in err
+
+
+@pytest.mark.parametrize("command", ["run-mbqc", "run-coherent", "compare"])
+def test_amplitude_file_off_by_a_little_warns_on_one_line(tmp_path, capsys, command):
+    # under the tests' warnings-as-errors filter too: the CLI catches the
+    # renormalization warning and prints it with its own prefix
+    path = tmp_path / "off.json"
+    path.write_text(json.dumps({"version": 1, "amplitudes": [[1.001, 0], [0, 0]]}))
+    assert run_cli(command, "--network", WIRE, "--input-state", str(path)) == 0
+    out, err = capsys.readouterr()
+    assert err == "warning: input state norm 1.001 renormalized to 1\n"
+    assert json.loads(out)["d"] == 2
+
+
+def test_compare_refuses_before_the_classical_loop(tmp_path, capsys, monkeypatch):
+    # a wire over Z_2003 with 1 GiB of memory: the coherent run (2 x 2003^2
+    # amplitudes) would fit, the one-way run (2003^3) would not.  Both are
+    # checked before the classical loop over all 2003 inputs and before the
+    # coherent run, which took 1.6 s before the one-way run was refused
+    doc = {"version": 1, "d": 2003, "nodes": [{"id": "A", "matrix": [[1]]}], "links": [],
+           "inputs": [["A", 0]], "outputs": [["A", 0]]}
+    path = tmp_path / "wide_wire.json"
+    path.write_text(json.dumps(doc))
+    monkeypatch.setattr("qlnc.mbqc.os.sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**18}.get)
+    t0 = time.perf_counter()
+    assert run_cli("compare", "--network", str(path), "--input", "5") == 4
+    assert time.perf_counter() - t0 < 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: the live register peaks at 3 qudits")
+
+
+def test_coherent_run_reaches_swap_over_z101(tmp_path, capsys):
+    # coherently a register holds the 101^2 amplitudes over the inputs (the
+    # dense register held 101^5); the one-way run keeps 101^6 live
+    path = _swap(tmp_path, 101)
+    t0 = time.perf_counter()
+    assert run_cli("run-coherent", "--network", path, "--input", "7,93") == 0
+    assert time.perf_counter() - t0 < 5
+    assert json.loads(capsys.readouterr().out)["fidelity_vs_oracle"] >= 1 - 1e-9
+    if os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") < 2 * 16 * 101**6:
+        assert run_cli("run-mbqc", "--network", path) == 4

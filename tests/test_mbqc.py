@@ -13,7 +13,7 @@ import pytest
 from qlnc.bundled import butterfly_multicast, butterfly_swap, identity_wire
 from qlnc.coherent import exhaustive_coherent, run_coherent
 from qlnc.geometry import compile_network, label_sort_key
-from qlnc.coherent import _embed, _embed_array, embed_node
+from qlnc.coherent import _embed, _geometry_of, embed_node
 from qlnc.mbqc import (
     Correct,
     Measure,
@@ -21,6 +21,7 @@ from qlnc.mbqc import (
     _check_memory,
     _exhaustive,
     _introduce,
+    _plan_for,
     _program,
     _run,
     _steps,
@@ -369,9 +370,11 @@ def test_exhaustive_respects_amplitude_limit(monkeypatch):
 
 
 def test_every_walker_respects_amplitude_limit(monkeypatch):
-    # swap over Z_2 keeps 6 qudits live on the one-way path and 5 coherently
+    # swap over Z_2 keeps 6 qudits live on the one-way path; coherently a
+    # measurement writes the 2 children of a register over the 2 inputs,
+    # 2^3 amplitudes
     psi = QuditState.basis(2, [0, 0])
-    monkeypatch.setattr("qlnc.mbqc._AMP_LIMIT", 2**4)
+    monkeypatch.setattr("qlnc.mbqc._AMP_LIMIT", 2**2)
     with pytest.raises(MemoryError, match="enumeration limit"):
         list(exhaustive_coherent(butterfly_swap(2), psi))
     monkeypatch.setattr("qlnc.mbqc._AMP_LIMIT", 2**5)
@@ -443,14 +446,28 @@ def test_chunked_swap_survey_matches_unchunked(monkeypatch):
         assert abs(got_worst - worst) <= 1e-12
 
 
+def _copies(d, n):
+    """One input copied onto n outputs at one node."""
+    return CodingNetwork(d, [NodeSpec("S", RingMatrix([[1]] * n, d))], [], [("S", 0)],
+                         [("S", j) for j in range(n)])
+
+
+def _sum_node(d, p):
+    """A sum node with p in-ports, fed by one input copied onto p links."""
+    nodes = [NodeSpec("S", RingMatrix([[1]] * p, d)), NodeSpec("T", RingMatrix([[1] * p], d))]
+    return CodingNetwork(d, nodes, [("S", j, "T", j) for j in range(p)], [("S", 0)], [("T", 0)])
+
+
 def test_single_runs_refuse_registers_beyond_physical_memory():
     # both modes simulate in frontier order: swap over Z_101 keeps 6 qudits
-    # live on the one-way path (101^6 amplitudes, 34 TB of working memory)
-    # and 5 on the coherent path (101^5, 0.34 TB)
+    # live on the one-way path (101^6 amplitudes, 34 TB of working memory).
+    # Coherently a register holds the amplitudes over the inputs, or the
+    # outputs: one input copied onto 6 outputs over Z_101 needs 101^6
     plan = build_schedule(compile_network(butterfly_swap(101)), "constrained")
     mbqc_peak = max(_program(plan).live)
-    coh_peak = max(_program(plan, _embed).live)
-    assert (mbqc_peak, coh_peak) == (6, 5)
+    copies = _copies(101, 6)
+    coh_peak = _program(build_schedule(compile_network(copies), "constrained"), _embed).peak
+    assert (mbqc_peak, coh_peak, _program(plan, _embed).peak) == (6, 6, 3)
     need = 2 * 16 * min(101**mbqc_peak, 101**coh_peak)
     if os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") >= need:
         pytest.skip("this machine could hold the register")
@@ -459,51 +476,59 @@ def test_single_runs_refuse_registers_beyond_physical_memory():
         run_mbqc(compile_network(butterfly_swap(101)), QuditState.basis(101, [0, 0]),
                  mode="constrained", seed=0)
     with pytest.raises(MemoryError, match="physical memory"):
-        run_coherent(butterfly_swap(101), QuditState.basis(101, [0, 0]),
-                     mode="constrained", seed=0)
+        run_coherent(copies, QuditState.basis(101, [0]), mode="constrained", seed=0)
     assert time.perf_counter() - t0 < 5
 
 
 def test_coherent_node_step_tables_wait_for_the_memory_check(monkeypatch):
     # a sum node with 13 in-ports, fed by one input copied onto 13 links, at
-    # d=2: its coherent step moves amplitudes by 2^13 pairs of index tuples,
-    # megabytes of tables, while the 14 live qudits count half a MiB
+    # d=2: the dense coherent step moved 2^13 amplitude pairs by an index
+    # table.  The input-basis program keeps no node step and no node table:
+    # one phase kernel for the one form every measured qudit holds, the
+    # output's Z correction on the input axis, and the scatter's index over
+    # the 2 input values, all waiting for the check
     p = 13
-    nodes = [NodeSpec("S", RingMatrix([[1]] * p, 2)), NodeSpec("T", RingMatrix([[1] * p], 2))]
-    net = CodingNetwork(2, nodes, [("S", j, "T", j) for j in range(p)], [("S", 0)], [("T", 0)])
-    live = max(_program(build_schedule(compile_network(net), "free"), _embed).live)
-    assert live == p + 1
-    monkeypatch.setattr("qlnc.mbqc.os.sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1}.get)
+    net = _sum_node(2, p)
+    geo = compile_network(net)
+    prog = _program(build_schedule(geo, "free"), _embed)
+    assert [step[0] for step in prog.steps] == ["measure"] * (p + 1) + ["corr", "node"]
+    assert len({step[3] for step in prog.steps if step[0] == "measure"}) == 1
+    assert not [key for key in geo._memo if key[0] == "node"]
+    assert (prog.peak, prog.table_bytes) == (2, 16 * 2 * 2 + 8 * 2)
+    monkeypatch.setattr("qlnc.mbqc.os.sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 0}.get)
     tracemalloc.start()
     try:
         with pytest.raises(MemoryError, match="physical memory"):
-            run_coherent(net, QuditState.basis(2, [1]), seed=0)
+            run_coherent(net, QuditState.basis(2, [1]), forced=[0] * (p + 1))
         _now, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2 * 16 * 2**live
+    assert peak < 2 * 16 * 2**(p + 1)
 
 
 def test_memory_check_counts_every_table_a_program_keeps(monkeypatch):
     # a sum node with 19 in-ports at d=2, fed by one input copied onto 19
-    # links.  Coherently 20 qudits are live and the sum step keeps one int64
-    # target per amplitude of its 19 inputs; on the one-way path 21 are live
-    # and the sum node's one port step keeps a table over its 19 cZ edges
-    # and its pair.  Sizes are computed here, not allocated.
+    # links: on the one-way path 21 are live and the sum node's one port
+    # step keeps a table over its 19 cZ edges and its pair.  Coherently the
+    # same network over Z_1024 holds a register over the 1024 input values
+    # and its 1024 children, one phase table of 1024 x 1024 entries for the
+    # one form its measured qudits hold, and the scatter's 1024 indices.
+    # Sizes are computed here, not allocated.
     p = 19
-    nodes = [NodeSpec("S", RingMatrix([[1]] * p, 2)), NodeSpec("T", RingMatrix([[1] * p], 2))]
-    net = CodingNetwork(2, nodes, [("S", j, "T", j) for j in range(p)], [("S", 0)], [("T", 0)])
+    net, wide = _sum_node(2, p), _sum_node(1024, p)
     geo = compile_network(net)
-    plan = build_schedule(geo, "free")
     psi = QuditState.basis(2, [1])
-    cases = ((_embed, 20, 8 * 2**1 + 8 * 2**p, lambda: run_coherent(net, psi, seed=0)),
-             (None, 21, p * 16 * 2**3 + 16 * 2**(p + 2), lambda: run_mbqc(geo, psi, seed=0)))
-    for embed, live, tables, run in cases:
-        prog = _program(plan, embed)
-        assert (max(prog.live), prog.table_bytes) == (live, tables)
-        need = 2 * 16 * 2**live + tables
+    coh = _program(build_schedule(_geometry_of(wide), "free"), _embed)
+    one = _program(build_schedule(geo, "free"))
+    cases = ((coh.peak, coh.table_bytes, 1024, 2, 16 * 1024**2 + 8 * 1024,
+              lambda: run_coherent(wide, QuditState.basis(1024, [1]), seed=0)),
+             (max(one.live), one.table_bytes, 2, 21, p * 16 * 2**3 + 16 * 2**(p + 2),
+              lambda: run_mbqc(geo, psi, seed=0)))
+    for peak_axes, table_bytes, d, live, tables, run in cases:
+        assert (peak_axes, table_bytes) == (live, tables)
+        need = 2 * 16 * d**live + tables
         monkeypatch.setattr("qlnc.mbqc.os.sysconf", {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": need}.get)
-        _check_memory(2, live, tables)  # fits exactly
+        _check_memory(d, live, tables)  # fits exactly
         monkeypatch.setattr("qlnc.mbqc.os.sysconf",
                             {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": need - 1}.get)
         tracemalloc.start()
@@ -517,19 +542,23 @@ def test_memory_check_counts_every_table_a_program_keeps(monkeypatch):
 
 
 def test_single_run_peaks_within_what_the_memory_check_counts():
-    # the sum node above, run for real: a measurement keeps its child as a
-    # view of its transform, so a run's traced peak is the two registers and
-    # the tables the check counts, not a renormalized copy on top of them
+    # a measurement keeps its child as a view of its transform, so a run's
+    # traced peak is the two registers and the tables the check counts, not
+    # a renormalized copy on top of them.  One-way: the sum node above.
+    # Coherently: 16 inputs through an identity node at d=2, where the d
+    # children of the 2^16 input-basis amplitudes dominate; it is planned,
+    # and its outcomes forced, before the trace, which then holds the run alone
     p = 19
-    nodes = [NodeSpec("S", RingMatrix([[1]] * p, 2)), NodeSpec("T", RingMatrix([[1] * p], 2))]
-    net = CodingNetwork(2, nodes, [("S", j, "T", j) for j in range(p)], [("S", 0)], [("T", 0)])
-    geo = compile_network(net)
-    plan = build_schedule(geo, "free")
-    psi = QuditState.basis(2, [1])
-    for embed, run in ((_embed, lambda: run_coherent(net, psi, seed=0)),
-                       (None, lambda: run_mbqc(geo, psi, seed=0))):
-        prog = _program(plan, embed)
-        counted = 2 * 16 * 2**max(prog.live) + prog.table_bytes
+    ident = CodingNetwork(2, [NodeSpec("A", RingMatrix.identity(16, 2))], [],
+                          [("A", j) for j in range(16)], [("A", j) for j in range(16)])
+    geo = compile_network(_sum_node(2, p))
+    psi, wide_psi = QuditState.basis(2, [1]), QuditState.basis(2, [1, 0] * 8)
+    cases = ((_program(_plan_for(_geometry_of(ident), "free"), _embed), 17,
+              lambda: run_coherent(ident, wide_psi, forced=[0] * 16)),
+             (_program(build_schedule(geo, "free")), None, lambda: run_mbqc(geo, psi, seed=0)))
+    for prog, peak_qudits, run in cases:
+        assert peak_qudits in (None, prog.peak)
+        counted = 2 * 16 * 2**max([prog.peak] if peak_qudits else prog.live) + prog.table_bytes
         tracemalloc.start()
         try:
             _out, rep = run()
@@ -537,7 +566,7 @@ def test_single_run_peaks_within_what_the_memory_check_counts():
         finally:
             tracemalloc.stop()
         assert rep.fidelity_vs_oracle >= 1 - 1e-9
-        assert peak <= 1.05 * counted, (embed, peak, counted)
+        assert peak <= 1.05 * counted, (peak, counted)
 
 
 def test_interleaved_walks_yield_what_they_yield_alone(monkeypatch):
@@ -838,6 +867,55 @@ def _reverse_topological_reference(geo, psi, forced, local_aux, coherent):
     return reg.extract(geo.outputs), outcomes.ledger, corrections, messages
 
 
+def _free_gate_reference(geo, psi, forced):
+    """A free coherent run at the gate level: each node's cX embedding on a
+    labelled register with its inputs then measured, as forced, and the
+    output Z corrections last."""
+    plan = build_schedule(geo, "free")
+    reg, outcomes = LabeledRegister(psi, geo.inputs), _Outcomes(plan)
+    for gadget in geo.gadgets:
+        _cx_embed(reg, gadget)
+        for lab in sorted(gadget.in_labels, key=label_sort_key):
+            outcomes.record(lab, reg.measure(lab, force=forced[lab]), "measure")
+    for correct, stage in plan.final_corrections:
+        if not any(lab.endswith("'") for lab, _c, _u in correct.terms):
+            _apply_correction(reg, outcomes, correct, stage, [])
+    return reg.extract(geo.outputs)
+
+
+@pytest.mark.parametrize("d,branches", [(4, 256), (6, 36), (12, 144), (30, 30)])
+def test_coherent_branches_match_the_gate_level_reference(d, branches):
+    # every branch of the input-basis walk against a dense gate-level replay
+    # of its outcomes (free: node by node; constrained: the logical schedule
+    # in reverse topological order), and forced runs against the branch
+    # their outcome dict names.  Trees are kept small since each branch is
+    # replayed alone: with links below d = 30, with two inputs at d = 4
+    rng = np.random.default_rng(1700 + d)
+    nets = []
+    while len(nets) < 2:
+        net = random_network(rng, d, require_injective=True, max_nodes=4, max_links=3,
+                             size_cap={4: 6, 30: 3}.get(d, 5))
+        k, m = net.num_inputs, len(net.links)
+        if d**(k + m) <= branches and (m or d == 30) and (nets or d > 4 or k > 1):
+            nets.append(net)
+    for net in nets:
+        geo = compile_network(net)
+        psi = QuditState.haar_random(d, net.num_inputs, rng)
+        for mode in ("free", "constrained"):
+            tree = list(exhaustive_coherent(net, psi, mode=mode))
+            assert len(tree) == d ** (net.num_inputs + len(net.links))
+            for outcomes, state in tree:
+                if mode == "free":
+                    ref = _free_gate_reference(geo, psi, outcomes)
+                else:
+                    ref = _reverse_topological_reference(geo, psi, outcomes, False, True)[0]
+                assert np.abs(state.psi - ref.psi).max() <= 1e-12
+            for i in rng.choice(len(tree), size=3, replace=False):
+                outcomes, state = tree[i]
+                out, _rep = run_coherent(net, psi, mode=mode, forced=outcomes)
+                assert np.abs(out.psi - state.psi).max() <= 1e-12
+
+
 def _diamond(d):
     """The source duplicates, the target sums: composite [[2]]."""
     nodes = [NodeSpec("S", RingMatrix([[1], [1]], d)), NodeSpec("T", RingMatrix([[1, 1]], d))]
@@ -939,7 +1017,7 @@ def test_exhaustive_outcomes_label_the_simulated_branch(monkeypatch):
         geo = compile_network(net)
         psi = QuditState.haar_random(net.d, net.num_inputs, rng)
         for embed, node_step, local_aux in ((None, None, False), (None, None, True),
-                                            (_embed_array, _embed, False)):
+                                            (_embed, _embed, False)):
             plan = build_schedule(geo, "constrained", local_aux=local_aux)
             plan.final_corrections = []
             assert plan.shifts

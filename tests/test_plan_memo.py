@@ -219,7 +219,7 @@ def test_memory_check_runs_on_every_run_of_a_kept_plan(monkeypatch):
     for seed in range(3):
         run_mbqc(geo, psi, mode="constrained", seed=seed)
         run_coherent(net, psi, mode="constrained", seed=seed)
-    assert checked == [(3, 6), (3, 5)] * 3
+    assert checked == [(3, 6), (3, 3)] * 3
 
 
 def test_networks_and_geometries_pickle_after_runs():
