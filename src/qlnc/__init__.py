@@ -7,31 +7,31 @@ The layers, bottom to top:
                inverses, block-diagonal solutions of M^T B M = 1)
     network    DAG coding networks: validation, classical execution,
                composite map extraction
-    states     dense n-qudit state vectors with the X/Z/F/cX/cZ gate set
-               and Fourier-basis measurement
-    weyl       symbolic Weyl-operator transport through teleportation
-               gadgets, checked against dense conjugation
+    states     dense n-qudit state vectors and the shared read-only phase
+               and Fourier tables of the execution kernels
     geometry   compilation into a weighted graph-state geometry
-    mbqc       one-way execution: the plan, byproduct adjustment,
-               correction routing, the single-run driver and the
-               branch walker
+    mbqc       one-way execution: the plan, correction routing, the
+               single-run driver, the branch walker and the kernels
+               they share
     coherent   classically assisted coherent simulation of a network
                code: the one-way plan without its auxiliary qudits, run
                on amplitudes over the network inputs
-    cli       the qlnc command-line tool and its file formats
+    cli        the qlnc command-line tool and its file formats
+
+`import qlnc` loads only the modules a run needs.  `qlnc.weyl`, the
+symbolic transport of Weyl operators through the teleportation gadget
+with dense cross-checks, is imported on its own.
 """
 
 from .bundled import butterfly_multicast, butterfly_swap, identity_wire
-from .coherent import embed_node, exhaustive_coherent, run_coherent
+from .coherent import exhaustive_coherent, run_coherent
 from .geometry import MbqcGeometry, ResourceCounts, compile_network, resource_counts
 from .mbqc import (
     Schedule,
-    adjust_outcome,
     branch_survey,
     build_schedule,
     exhaustive_mbqc,
     oracle_output_state,
-    prepare_graph_state,
     run_mbqc,
 )
 from .network import (
@@ -52,8 +52,7 @@ from .ring import (
     left_inverse,
     solve_modular,
 )
-from .states import ImpossibleOutcomeError, LabeledRegister, QuditState, fidelity
-from .weyl import WeylLabel, conjugate_weyl_through, fdagger_gadget, weyl_matrix
+from .states import ImpossibleOutcomeError, QuditState, fidelity
 
 __version__ = "0.1.0"
 
@@ -72,14 +71,8 @@ __all__ = [
     "InvalidNetworkError",
     "UnsupportedNetworkError",
     "QuditState",
-    "LabeledRegister",
     "fidelity",
     "ImpossibleOutcomeError",
-    "WeylLabel",
-    "weyl_matrix",
-    "conjugate_weyl_through",
-    "fdagger_gadget",
-    "embed_node",
     "run_coherent",
     "exhaustive_coherent",
     "MbqcGeometry",
@@ -88,8 +81,6 @@ __all__ = [
     "resource_counts",
     "Schedule",
     "build_schedule",
-    "prepare_graph_state",
-    "adjust_outcome",
     "run_mbqc",
     "exhaustive_mbqc",
     "branch_survey",

@@ -1,9 +1,9 @@
 """Coherent simulation of a linear coding network with classical assistance.
 
 Each node's map V becomes the embedding |x>|0> -> |x>|Vx>, a product of
-controlled shifts cX^(V[j,k]) onto fresh |0> outputs (embed_node).  Input
-qudits are then decoupled by Fourier measurements, whose phases are erased
-at the targets (free mode, exponents r * kappa_u with kappa_u = A^T
+controlled shifts cX^(V[j,k]) onto fresh |0> outputs.  Input qudits are
+then decoupled by Fourier measurements, whose phases are erased at the
+targets (free mode, exponents r * kappa_u with kappa_u = A^T
 lambda_u) or inside the network (constrained mode: Z^tau with tau = V^T r at
 the producing node, against the network's direction, then a block-diagonal
 correction for the sources routed as a classical network code).  This is
@@ -29,33 +29,13 @@ import numpy as np
 from .geometry import compile_network
 from .mbqc import _exhaustive, _plan_for, _run, _sq_norms
 from .network import CodingNetwork, UnsupportedNetworkError
-from .ring import RingMatrix, _matmul_mod
+from .ring import _matmul_mod
 from .states import QuditState, _table
 
 __all__ = [
-    "embed_node",
     "run_coherent",
     "exhaustive_coherent",
 ]
-
-
-def embed_node(state: QuditState, matrix: RingMatrix, in_axes, out_axes) -> QuditState:
-    """Coherently apply |x>|0> -> |x>|Vx> via controlled shifts.
-
-    The out axes must hold freshly prepared |0> qudits; each nonzero V[j, k]
-    contributes one cX^(V[j,k]) with control in_axes[k] and target out_axes[j].
-    """
-    if len(in_axes) != matrix.cols or len(out_axes) != matrix.rows:
-        raise ValueError(
-            f"matrix is {matrix.rows}x{matrix.cols} but got {len(out_axes)} outputs "
-            f"and {len(in_axes)} inputs"
-        )
-    for j in range(matrix.rows):
-        for k in range(matrix.cols):
-            w = int(matrix.a[j, k])
-            if w:
-                state = state.apply_cx(in_axes[k], out_axes[j], w)
-    return state
 
 
 def _embed(geometry, order, rows, finals):

@@ -80,14 +80,7 @@ from .geometry import MbqcGeometry, _tally
 from .network import UnsupportedNetworkError
 from .report import CorrectionRecord, MessageRecord, OutcomeRecord, RunReport
 from .ring import RingMatrix, _matmul_mod, find_block_diagonal_B, left_inverse
-from .states import (
-    IMPOSSIBLE_TOL,
-    ImpossibleOutcomeError,
-    LabeledRegister,
-    QuditState,
-    _table,
-    fidelity,
-)
+from .states import IMPOSSIBLE_TOL, ImpossibleOutcomeError, QuditState, _table, fidelity
 
 __all__ = [
     "Measure",
@@ -97,8 +90,6 @@ __all__ = [
     "Stage",
     "Schedule",
     "build_schedule",
-    "prepare_graph_state",
-    "adjust_outcome",
     "run_mbqc",
     "exhaustive_mbqc",
     "branch_survey",
@@ -211,23 +202,6 @@ def _geometry_tables(geometry: MbqcGeometry):
 def composite_of_geometry(geometry: MbqcGeometry) -> RingMatrix:
     rows = np.asarray([geometry.depends[t] for t in geometry.outputs], dtype=np.int64)
     return RingMatrix(rows.reshape(len(geometry.outputs), len(geometry.inputs)), geometry.d)
-
-
-def adjust_outcome(ledger, qudit, raw, upstream, terms, d, stage="adjust"):
-    """Adjusted outcome raw - sum coeff*upstream mod d, recorded with provenance.
-
-    `upstream` maps qudit labels to their (already adjusted) outcomes and
-    `terms` is a sequence of (label, coeff).
-    """
-    acc = int(raw)
-    for label, coeff in terms:
-        acc -= int(coeff) * int(upstream[label])
-    adjusted = acc % d
-    ledger.append(
-        OutcomeRecord(qudit=qudit, raw=int(raw) % d, adjusted=adjusted, stage=stage,
-                      provenance=tuple((lab, int(c) % d) for lab, c in terms))
-    )
-    return adjusted
 
 
 def _aux_adjust_terms(geometry: MbqcGeometry, local_aux: bool):
@@ -497,35 +471,6 @@ def _plan_for(geometry: MbqcGeometry, mode, local_aux=False):
 # execution
 # ----------------------------------------------------------------------
 
-def prepare_graph_state(geometry: MbqcGeometry, input_state: QuditState) -> QuditState:
-    """Entangle the input state into the full graph state (all qudits live).
-
-    Non-input qudits start in |+> and every edge contributes one cZ^weight.
-    The returned register is ordered like geometry.qudits.
-    """
-    _validate_input(geometry, input_state)
-    reg = LabeledRegister(input_state, geometry.inputs)
-    for gadget in geometry.gadgets:
-        _introduce(reg, gadget)
-    return reg.extract([lab for lab, _ in geometry.qudits])
-
-
-def _introduce(reg, gadget):
-    """The one-way node step: add the node's auxiliary and outgoing message
-    qudits in |+> and entangle them with its inputs."""
-    fresh = []
-    for j, out in enumerate(gadget.out_labels):
-        fresh.append(gadget.aux_labels[j])
-        fresh.append(out)
-    reg.add(fresh, fill="plus")
-    V = gadget.matrix.a
-    for j, aux in enumerate(gadget.aux_labels):
-        for k_, in_lab in enumerate(gadget.in_labels):
-            if V[j, k_]:
-                reg.apply_cz(in_lab, aux, int(V[j, k_]))
-        reg.apply_cz(aux, gadget.out_labels[j], reg.d - 1)
-
-
 def _is_aux(label):
     return label.endswith("'")
 
@@ -691,11 +636,10 @@ def _run(plan, input_state, seed, forced, embed=None):
             arr /= np.sqrt(p[r])
         else:
             _, op, q, i = step
-            arr = _weyl_rows(arr, op, q, np.array([(prog.rows[i] @ simulated) % d]), d)
+            e = (prog.rows[i] @ simulated) % d
+            if e:
+                arr = _weyl_rows(arr, op, q, np.array([e]), d)
     values = ((prog.rows @ simulated) % d).tolist()
-    for op, q, i in prog.finals:
-        if values[i]:
-            arr = _weyl_rows(arr, op, q, np.array([values[i]]), d)
     # a copy, so the state does not keep a whole transform alive as its base
     output_state = QuditState(len(geometry.outputs), d, arr[0].copy(), normalize_check=False)
 
@@ -767,8 +711,8 @@ class _Program:
             scatter; ("measure", label, position in `order`, kernel), where
             kernel(array, d, children) writes each row's d children (row,
             outcome) row-major and returns their squared norms; ("corr",
-            op, axis, row), an --local-aux X step or a coherent Z step, with
-            exponent rows[row] . r'
+            op, axis, row), an --local-aux X step or a final correction,
+            with exponent rows[row] . r'
     order:  the simulated measurement order
     forced_order: the schedule measurement order forced sequences follow
     perm:   the axes of the input register in the layout of the first step
@@ -778,8 +722,7 @@ class _Program:
             the raw outcomes, r = T r' mod d (see _outcome_map)
     ledger, corrections, messages: the record templates of a report, in
             report order, naming the rows that fill them (see _records)
-    finals: per final correction (op, its output's axis, row); one-way only
-    table_bytes: the bytes of the tables the steps keep"""
+    table_bytes: the bytes of the tables the steps keep or read"""
 
     steps: list
     order: list
@@ -791,7 +734,6 @@ class _Program:
     ledger: list
     corrections: list
     messages: list
-    finals: list
     table_bytes: int
 
 
@@ -809,16 +751,19 @@ def _program(plan, embed=None):
     rows, ledger, corrections, messages, row_of = _records(
         plan, order, T, report_ops + [("corr", c, stage) for c, stage in finals])
 
-    if embed is not None:  # its final corrections become steps
+    # the tables of states._TABLES that the steps read: the phase table (cZ,
+    # Z and the coherent measurement kernels), and one-way the Fourier
+    # table of each kron width that _fourier_rows takes
+    shared = 16 * d * d
+    if embed is not None:
         perm, steps, live, table_bytes, rows = embed(
             geometry, order, rows, [(c.qudit, row_of[c]) for c, _stage in finals])
-        finals = []
     else:
         rank = {lab: i for i, lab in enumerate(order + list(geometry.outputs))}
         layout = tuple(sorted(geometry.inputs, key=rank.get))
         perm = [geometry.inputs.index(lab) for lab in layout]
-        steps, live, table_bytes = [], [len(layout)], 0
-        for op in ops:
+        steps, live, table_bytes, widths = [], [len(layout)], 0, set()
+        for op in ops + [("corr", c, stage) for c, stage in finals]:
             if op[0] == "intro":
                 gadget = geometry.gadgets[op[1]]
                 after = tuple(sorted(layout + (gadget.aux_labels[op[2]], gadget.out_labels[op[2]]),
@@ -835,9 +780,12 @@ def _program(plan, embed=None):
             elif op[0] == "measure":
                 layout = layout[1:]  # no live qudit is measured before op[1]: it leads
                 steps.append(("measure", op[1], order.index(op[1]), _fourier_rows))
+                after = d**len(layout)
+                widths.add(after if d * after <= _KRON_AMPS else 1)
             else:
                 steps.append(("corr", op[1].op, 1 + layout.index(op[1].qudit), row_of[op[1]]))
             live.append(len(layout))
+        shared += sum(16 * (d * w)**2 for w in widths)
     prog = plan.programs[embed] = _Program(
         steps=steps,
         order=order,
@@ -849,8 +797,7 @@ def _program(plan, embed=None):
         ledger=ledger,
         corrections=corrections,
         messages=messages,
-        finals=[(c.op, 1 + geometry.outputs.index(c.qudit), row_of[c]) for c, _stage in finals],
-        table_bytes=table_bytes,
+        table_bytes=table_bytes + shared,
     )
     return prog
 
@@ -1002,10 +949,6 @@ def _branches(plan, input_state, embed=None):
                     arr = _weyl_rows(arr, step[1], step[2], (R @ prog.rows[step[3]]) % d, d, out)
                 free = "b" if free == "a" else "a"
             if measure is None:
-                for op, q, i in prog.finals:
-                    arr = _weyl_rows(arr, op, q, (R @ prog.rows[i]) % d, d,
-                                     _work(bufs, free, arr.shape))
-                    free = "b" if free == "a" else "a"
                 yield R, arr, nrm2
                 continue
             _, _label, i, kernel = measure
@@ -1122,6 +1065,10 @@ _BRANCH_LIMIT = 2**20
 # without buffers, 0 with them.  The bound keeps a buffer set to 2 MiB per
 # measurement level.
 _BUF_MAX = 2**17
+# A Fourier measurement whose trailing block, d * after amplitudes, is at
+# most this takes one product with the table F^dagger kron I_after
+# (_fourier_rows); a longer one one product with F^dagger per row.
+_KRON_AMPS = 64
 # The spare buffer set, at most one, that a walk borrows and gives back so
 # that repeated walks reuse their pages: buffer key (a measurement level or
 # a scratch name) -> flat complex128 array.
@@ -1144,11 +1091,11 @@ def _work(bufs, key, shape):
 def _fourier_rows(arr, d, children):
     """Fourier-measure axis 1 of every row of a batch: F^dagger on that
     axis, written into `children` as (row, outcome) row-major with the axis
-    dropped.  A short trailing block (d * after <= 64) takes one product
-    with F^dagger kron I_after, a long one one product with F^dagger per
-    row.  Returns the children's squared norms."""
+    dropped.  A short trailing block (d * after <= _KRON_AMPS) takes one
+    product with F^dagger kron I_after, a long one one product with
+    F^dagger per row.  Returns the children's squared norms."""
     rows, after = len(arr), math.prod(arr.shape[2:])
-    if d * after <= 64:
+    if d * after <= _KRON_AMPS:
         np.matmul(arr.reshape(rows, d * after), _table("fourier", d, after),
                   out=children.reshape(rows, d * after))
     else:
@@ -1191,8 +1138,7 @@ def _intro_step(gadget, j, after, d):
     in |+> at their axes in `after` and entangle them, in one multiply by
     its amplitude table.  Returns the step and the table's size in bytes.
     The table is built on the step's first call, so after the run's memory
-    check.  Its |+> amplitude 1/d and the (1/sqrt(d))**2 of `_introduce`,
-    the labelled-register step, differ in the last bit."""
+    check."""
     axis = {lab: 1 + i for i, lab in enumerate(after)}
     aux, msg = gadget.aux_labels[j], gadget.out_labels[j]
     edges = [(axis[lab], int(w)) for lab, w in zip(gadget.in_labels, gadget.matrix.a[j]) if w]

@@ -1,9 +1,10 @@
 """Shared test utilities: brute-force oracles, a Python-int reference
-propagation and a random network generator.
+propagation, dense gate matrices with a labelled dense register built on
+them, and a random network generator.
 
 The brute-force, rank-mod-p and propagation routines deliberately avoid the
-library's ring solvers and wiring so they can serve as independent
-cross-checks.
+library's ring solvers and wiring, and the dense register its kernels and
+their cached tables, so they can serve as independent cross-checks.
 """
 
 from __future__ import annotations
@@ -12,9 +13,9 @@ import itertools
 
 import numpy as np
 
-from qlnc.network import CodingNetwork, NodeSpec, validate
+from qlnc.network import CodingNetwork, NodeSpec, composite_map, validate
 from qlnc.ring import RingMatrix, is_injective
-from qlnc.network import composite_map
+from qlnc.states import QuditState
 
 
 def brute_kernel(m: RingMatrix):
@@ -137,6 +138,80 @@ def dense_cx(d, power=1):
 def dense_cz(d, power=1):
     diag = [np.exp(2j * np.pi * power * a * b / d) for a in range(d) for b in range(d)]
     return np.diag(diag)
+
+
+class DenseRegister:
+    """Labelled qudits as one amplitude tensor, an axis per live label.  A
+    gate contracts a dense_* matrix onto the named axes; a Fourier
+    measurement is dense_f(d, inverse=True) on its axis, then the forced
+    outcome's slice, renormalized, and the axis is gone."""
+
+    def __init__(self, state, labels):
+        self.d, self.labels = state.d, list(labels)
+        assert len(self.labels) == state.n
+        self.t = state.psi.reshape((state.d,) * state.n)
+
+    def gate(self, matrix, *labels):
+        k, axes = len(labels), [self.labels.index(lab) for lab in labels]
+        m = matrix.reshape((self.d,) * (2 * k))
+        self.t = np.moveaxis(np.tensordot(m, self.t, (list(range(k, 2 * k)), axes)),
+                             range(k), axes)
+
+    def add(self, labels, fill):
+        """Fresh qudits in |0> (fill "zero") or |+> (fill "plus"), last."""
+        fresh = dense_f(self.d)[:, 0] if fill == "plus" else np.eye(self.d)[0]
+        for lab in labels:
+            assert lab not in self.labels, lab
+            self.t = np.multiply.outer(self.t, fresh)
+            self.labels.append(lab)
+
+    def measure(self, label, force):
+        self.gate(dense_f(self.d, inverse=True), label)
+        q, r = self.labels.index(label), force % self.d
+        kept = np.take(self.t, r, axis=q)
+        p = np.vdot(kept, kept).real
+        assert p > 1e-12, (label, r, p)
+        self.t = kept / np.sqrt(p)
+        del self.labels[q]
+        return r
+
+    def state(self, labels):
+        """The register over `labels`, exactly the live ones, in that order."""
+        assert sorted(labels) == sorted(self.labels), (labels, self.labels)
+        t = np.moveaxis(self.t, [self.labels.index(lab) for lab in labels], range(len(labels)))
+        return QuditState(len(labels), self.d, t.reshape(-1), normalize_check=False)
+
+
+def port_step(reg, gadget, j):
+    """The one-way step of out-port j of a node: its auxiliary and message
+    qudits in |+>, cZ^V[j,k] from in-port k to the auxiliary and cZ^-1 from
+    the auxiliary to the message."""
+    aux, msg = gadget.aux_labels[j], gadget.out_labels[j]
+    reg.add([aux, msg], "plus")
+    for lab, w in zip(gadget.in_labels, gadget.matrix.a[j].tolist()):
+        if w:
+            reg.gate(dense_cz(reg.d, w), lab, aux)
+    reg.gate(dense_cz(reg.d, reg.d - 1), aux, msg)
+
+
+def cx_embed(reg, gadget):
+    """The coherent node step |x>|0> -> |x>|Vx>: fresh |0> outputs and
+    cX^V[j,k] from in-port k onto out-port j."""
+    reg.add(gadget.out_labels, "zero")
+    for out, row in zip(gadget.out_labels, gadget.matrix.a.tolist()):
+        for lab, w in zip(gadget.in_labels, row):
+            if w:
+                reg.gate(dense_cx(reg.d, w), lab, out)
+
+
+def graph_state(geometry, psi):
+    """The full graph state of `geometry` on the input state `psi`: every
+    other qudit in |+>, then cZ^w for each edge (a, b, w)."""
+    reg = DenseRegister(psi, geometry.inputs)
+    reg.add([lab for lab, _kind in geometry.qudits if lab not in geometry.inputs], "plus")
+    for a, b, w in geometry.edges:
+        reg.gate(dense_cz(reg.d, w), a, b)
+    return reg
 
 
 def random_ring_matrix(rng, rows, cols, d):

@@ -26,7 +26,7 @@ from qlnc.weyl import (
 )
 import qlnc.cli as cli
 
-from helpers import dense_cx, dense_cz, dense_f, random_network
+from helpers import DenseRegister, dense_cx, dense_cz, dense_f, dense_x, random_network
 from test_coherent import bell_pair, no_block_network
 
 FID_TOL = 1 - 1e-9
@@ -123,12 +123,14 @@ def test_criterion_4_gadget_law():
     for d in (2, 3, 4, 5):
         for _ in range(200):
             psi = QuditState.haar_random(d, 1, rng)
-            expected = psi.apply_f(0, inverse=True)
+            expected = QuditState(1, d, dense_f(d, inverse=True) @ psi.psi)
             for r in range(d):
-                joint = psi.tensor(QuditState.plus(d)).apply_cz(0, 1, d - 1)
-                _r, post = joint.measure_fourier(0, force=r)
-                post = post.apply_x(0, r)
-                f = fidelity(post, expected)
+                reg = DenseRegister(psi, ["v"])
+                reg.add(["w"], "plus")
+                reg.gate(dense_cz(d, d - 1), "v", "w")
+                reg.measure("v", force=r)
+                reg.gate(dense_x(d, r), "w")
+                f = fidelity(reg.state(["w"]), expected)
                 assert f >= FID_TOL, (d, r, f)
                 worst = min(worst, f)
     max_err = 0.0

@@ -240,6 +240,9 @@ _BAD_FILES_AND_FLAGS = [
      False, 64),
     ("NaN amplitude", None, {"version": 1, "amplitudes": [[float("nan"), 0], [1, 0]] + [[0, 0]] * 2},
      False, 64),
+    ("three amplitudes for four", None, {"version": 1, "amplitudes": [[1, 0]] + [[0, 0]] * 2},
+     False, 64),
+    ("all-zero amplitudes", None, {"version": 1, "amplitudes": [[0, 0]] * 4}, False, 64),
     ("string link port", _swap_edited("links", 0, "x", field=1), None, False, 1),
     ("float input port", _swap_edited("inputs", 0, 0.7, field=1), None, False, 1),
     ("string output port", _swap_edited("outputs", 0, "0", field=1), None, False, 1),
@@ -295,6 +298,11 @@ def test_usage_error_exits_64(capsys):
     capsys.readouterr()
 
 
+def test_unparsable_vector_exits_64(capsys):
+    assert run_cli("run-classical", "--network", WIRE, "--input", "1,x") == 64
+    assert capsys.readouterr().err.startswith("error: cannot parse vector")
+
+
 def test_library_value_error_exits_64(capsys):
     # 9 qudits are measured on the coherent swap; --local-aux needs constrained
     assert run_cli("run-coherent", "--network", BUTTERFLY, "--force-outcomes", "0,0,0") == 64
@@ -315,7 +323,7 @@ def test_amplitude_file_normalization_warns(tmp_path):
     path.write_text(json.dumps({"version": 1, "amplitudes": [[2.0, 0.0], [0.0, 0.0]]}))
     with pytest.warns(UserWarning):
         state = load_input_state(str(path), 2, 1)
-    assert state.norm() == pytest.approx(1.0)
+    assert np.linalg.norm(state.psi) == pytest.approx(1.0)
 
 
 def test_network_file_reduces_entries_mod_d(tmp_path):
@@ -582,7 +590,7 @@ def test_amplitude_norm_beyond_the_float_range_renormalizes(tmp_path, capsys):
     with pytest.warns(UserWarning, match="norm 1.7320508e[+]308 renormalized") as caught:
         state = load_input_state(str(path), 2, 2)
     assert [w.category for w in caught] == [UserWarning]
-    assert state.norm() == pytest.approx(1.0)
+    assert np.linalg.norm(state.psi) == pytest.approx(1.0)
     assert np.allclose(state.psi, np.array([1 + 1j, 1, 0, 1e-308]) / 3**0.5)
     # the CLI prints the warning as its one line of stderr
     code = run_cli("compare", "--network", BUTTERFLY, "--input-state", str(path))

@@ -4,18 +4,14 @@ import numpy as np
 import pytest
 
 from qlnc.bundled import butterfly_multicast, butterfly_swap, identity_wire
-from qlnc.coherent import (
-    embed_node,
-    exhaustive_coherent,
-    run_coherent,
-)
-from qlnc.geometry import compile_network
+from qlnc.coherent import exhaustive_coherent, run_coherent
+from qlnc.geometry import NodeGadget, compile_network
 from qlnc.mbqc import oracle_output_state
 from qlnc.network import CodingNetwork, NodeSpec, UnsupportedNetworkError, composite_map
 from qlnc.ring import RingMatrix
-from qlnc.states import LabeledRegister, QuditState, fidelity
+from qlnc.states import QuditState, fidelity
 
-from helpers import random_network
+from helpers import DenseRegister, cx_embed, random_network
 
 
 def bell_pair(d=2):
@@ -25,32 +21,29 @@ def bell_pair(d=2):
     return QuditState(2, d, psi)
 
 
-# -- embed_node ------------------------------------------------------
+# -- the cX embedding of the reference replays ----------------------------
+
+def _embed_basis(V, digits, ins, outs):
+    """|digits> on the in-port qudits `ins` through the dense register's cX
+    embedding of V onto fresh |0> qudits `outs`, read back in that order."""
+    reg = DenseRegister(QuditState.basis(V.d, digits), ins)
+    cx_embed(reg, NodeGadget("N", tuple(ins), (), tuple(outs), V))
+    return reg.state(list(ins) + list(outs))
+
 
 def test_embed_sum_mod_3():
-    V = RingMatrix([[1, 1]], 3)
-    state = QuditState.basis(3, [1, 2, 0])
-    out = embed_node(state, V, in_axes=[0, 1], out_axes=[2])
+    out = _embed_basis(RingMatrix([[1, 1]], 3), [1, 2], ["a", "b"], ["c"])
     assert fidelity(out, QuditState.basis(3, [1, 2, 0])) == pytest.approx(1.0)
 
 
 def test_embed_identity_copies_basis():
-    V = RingMatrix.identity(2, 5)
-    state = QuditState.basis(5, [3, 4, 0, 0])
-    out = embed_node(state, V, in_axes=[0, 1], out_axes=[2, 3])
+    out = _embed_basis(RingMatrix.identity(2, 5), [3, 4], ["a", "b"], ["c", "e"])
     assert fidelity(out, QuditState.basis(5, [3, 4, 3, 4])) == pytest.approx(1.0)
 
 
 def test_embed_parity_node_d2():
-    V = RingMatrix([[-1, -1]], 2)
-    state = QuditState.basis(2, [1, 1, 0])
-    out = embed_node(state, V, in_axes=[0, 1], out_axes=[2])
+    out = _embed_basis(RingMatrix([[-1, -1]], 2), [1, 1], ["a", "b"], ["c"])
     assert fidelity(out, QuditState.basis(2, [1, 1, 0])) == pytest.approx(1.0)
-
-
-def test_embed_shape_mismatch():
-    with pytest.raises(ValueError):
-        embed_node(QuditState.basis(2, [0, 0]), RingMatrix([[1, 1]], 2), [0], [1])
 
 
 def test_basis_values_track_dependence_rows():
@@ -61,20 +54,12 @@ def test_basis_values_track_dependence_rows():
         net = random_network(rng, 3, max_nodes=4, max_links=5)
         geo = compile_network(net)
         x = rng.integers(0, 3, size=net.num_inputs)
-        reg = LabeledRegister(QuditState.basis(3, list(x)), geo.inputs)
+        reg = DenseRegister(QuditState.basis(3, list(x)), geo.inputs)
         for gadget in geo.gadgets:
-            reg.add(list(gadget.out_labels), fill="zero")
-            reg.state = embed_node(
-                reg.state,
-                gadget.matrix,
-                [reg.axis[l] for l in gadget.in_labels],
-                [reg.axis[l] for l in gadget.out_labels],
-            )
-        idx = int(np.argmax(np.abs(reg.state.psi)))
-        digits = np.base_repr(idx, 3).zfill(reg.state.n)
-        for lab, ax in reg.axis.items():
-            if lab.endswith("'"):
-                continue
+            cx_embed(reg, gadget)
+        idx = int(np.argmax(np.abs(reg.t)))
+        digits = np.base_repr(idx, 3).zfill(len(reg.labels))
+        for ax, lab in enumerate(reg.labels):
             expect = int(np.dot(geo.depends[lab], x) % 3)
             assert int(digits[ax]) == expect, lab
 

@@ -8,12 +8,20 @@ import pytest
 from qlnc.bundled import butterfly_multicast, butterfly_swap, identity_wire
 from qlnc.files import dump_json
 from qlnc.geometry import compile_network, resource_counts
-from qlnc.mbqc import composite_of_geometry, prepare_graph_state
+from qlnc.mbqc import composite_of_geometry
 from qlnc.network import composite_map
 from qlnc.ring import RingMatrix
 from qlnc.states import QuditState, fidelity
 
-from helpers import random_network
+from helpers import (
+    DenseRegister,
+    dense_cz,
+    dense_x,
+    dense_z,
+    graph_state,
+    port_step,
+    random_network,
+)
 
 
 def test_butterfly_roster_matches_figure():
@@ -143,9 +151,14 @@ def test_resource_count_laws_random():
         assert rc.classical_messages_extra == 2 * (m + ell)
 
 
+def _graph_state(geo, psi):
+    """The dense graph state of `geo` on `psi`, ordered like geo.qudits."""
+    return graph_state(geo, psi).state([lab for lab, _kind in geo.qudits])
+
+
 def test_prepare_graph_state_identity_wire_amplitudes():
     geo = compile_network(identity_wire(2))
-    state = prepare_graph_state(geo, QuditState.basis(2, [0]))
+    state = _graph_state(geo, QuditState.basis(2, [0]))
     order = [lab for lab, _ in geo.qudits]
     amps = {}
     for idx in range(8):
@@ -177,14 +190,14 @@ def test_prepare_graph_state_edgeless_is_product():
     geo = compile_network(net)
     assert geo.edges == []
     psi = QuditState.basis(2, [1, 0])
-    state = prepare_graph_state(geo, psi)
+    state = _graph_state(geo, psi)
     assert fidelity(state, psi) == pytest.approx(1.0)
 
 
 def test_prepare_graph_state_norm_butterfly():
     geo = compile_network(butterfly_swap(2))
-    state = prepare_graph_state(geo, QuditState.basis(2, [1, 0]))
-    assert state.norm() == pytest.approx(1.0, abs=1e-9)
+    state = _graph_state(geo, QuditState.basis(2, [1, 0]))
+    assert np.linalg.norm(state.psi) == pytest.approx(1.0, abs=1e-9)
     assert state.n == 20
     assert len(geo.edges) == 21
 
@@ -195,8 +208,6 @@ def test_hand_reduced_swap_geometry_fixture():
     # its six measurements leaves the swap up to local shift/phase byproducts.
     import itertools
 
-    from qlnc.states import LabeledRegister
-
     edges = [
         ("s1", "m4'"), ("s2", "m4'"), ("s1", "t1'"), ("s2", "t2'"),
         ("m4'", "m4"), ("m4", "t1'"), ("m4", "t2'"), ("t1'", "t1"), ("t2'", "t2"),
@@ -204,18 +215,18 @@ def test_hand_reduced_swap_geometry_fixture():
     measured = ["s1", "s2", "m4'", "m4", "t1'", "t2'"]
 
     def run_reduced(psi, forced):
-        reg = LabeledRegister(psi, ["s1", "s2"])
-        reg.add(["m4", "m4'", "t1", "t1'", "t2", "t2'"], fill="plus")
+        reg = DenseRegister(psi, ["s1", "s2"])
+        reg.add(["m4", "m4'", "t1", "t1'", "t2", "t2'"], "plus")
         for a, b in edges:
-            reg.apply_cz(a, b, 1)
+            reg.gate(dense_cz(2), a, b)
         for lab in measured:
             reg.measure(lab, force=forced[lab])
-        return reg.extract(["t1", "t2"])
+        return reg.state(["t1", "t2"])
 
     def pauli_equivalent(out, target):
         for dx1, dx2, dz1, dz2 in itertools.product(range(2), repeat=4):
-            c = out.apply_x(0, dx1).apply_x(1, dx2).apply_z(0, dz1).apply_z(1, dz2)
-            if fidelity(c, target) >= 1 - 1e-9:
+            byproduct = np.kron(dense_z(2, dz1) @ dense_x(2, dx1), dense_z(2, dz2) @ dense_x(2, dx2))
+            if abs(np.vdot(target.psi, byproduct @ out.psi)) >= 1 - 1e-9:
                 return True
         return False
 
@@ -230,16 +241,24 @@ def test_hand_reduced_swap_geometry_fixture():
 
 
 def test_prepare_graph_state_entangling_call_count(monkeypatch):
-    from qlnc.states import LabeledRegister
-
+    # each one-way port step entangles with one cZ per edge of its
+    # auxiliary, so the node steps of all gadgets make len(geo.edges) cZ and
+    # build the graph state of the edge list
     calls = {"n": 0}
-    original = LabeledRegister.apply_cz
+    original = DenseRegister.gate
 
-    def counting(self, a, b, power=1):
+    def counting(self, matrix, *labels):
         calls["n"] += 1
-        return original(self, a, b, power)
+        return original(self, matrix, *labels)
 
-    monkeypatch.setattr(LabeledRegister, "apply_cz", counting)
     geo = compile_network(butterfly_swap(2))
-    prepare_graph_state(geo, QuditState.basis(2, [0, 0]))
+    psi = QuditState.basis(2, [1, 0])
+    reg = DenseRegister(psi, geo.inputs)
+    monkeypatch.setattr(DenseRegister, "gate", counting)
+    for gadget in geo.gadgets:
+        for j in range(len(gadget.aux_labels)):
+            port_step(reg, gadget, j)
+    monkeypatch.undo()
     assert calls["n"] == len(geo.edges) == 21
+    order = [lab for lab, _kind in geo.qudits]
+    assert np.allclose(reg.state(order).psi, _graph_state(geo, psi).psi)

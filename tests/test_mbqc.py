@@ -13,19 +13,17 @@ import pytest
 from qlnc.bundled import butterfly_multicast, butterfly_swap, identity_wire
 from qlnc.coherent import exhaustive_coherent, run_coherent
 from qlnc.geometry import compile_network, label_sort_key
-from qlnc.coherent import _embed, _geometry_of, embed_node
+from qlnc.coherent import _embed, _geometry_of
 from qlnc.mbqc import (
     Correct,
     Measure,
     Send,
     _check_memory,
     _exhaustive,
-    _introduce,
     _plan_for,
     _program,
     _run,
     _steps,
-    adjust_outcome,
     branch_survey,
     build_schedule,
     exhaustive_mbqc,
@@ -33,34 +31,62 @@ from qlnc.mbqc import (
     run_mbqc,
 )
 from qlnc.network import CodingNetwork, NodeSpec, UnsupportedNetworkError, composite_map
-from qlnc.report import CorrectionRecord, MessageRecord, OutcomeRecord
+from qlnc.report import CorrectionRecord, MessageRecord, OutcomeRecord, RunReport
 from qlnc.ring import RingMatrix
-from qlnc.states import ImpossibleOutcomeError, LabeledRegister, QuditState, fidelity
+from qlnc.states import ImpossibleOutcomeError, QuditState, fidelity
 
-from helpers import random_network
+from helpers import (
+    DenseRegister,
+    cx_embed,
+    dense_x,
+    dense_z,
+    graph_state,
+    port_step,
+    random_network,
+)
 from test_coherent import bell_pair, no_block_network
 
 
 # -- outcome adjustment and phase corrections -------------------------
 
+def _replays(d, upstream, raw, terms, adjusted):
+    """Whether a ledger of the `upstream` adjusted outcomes, then one
+    outcome raw -> adjusted with provenance `terms`, replays consistently:
+    adjusted = raw - sum coeff * adjusted(upstream) mod d."""
+    ledger = [OutcomeRecord(lab, v, v, "adjust") for lab, v in upstream.items()]
+    ledger.append(OutcomeRecord("c'", raw, adjusted, "adjust", terms))
+    return RunReport("mbqc", d, outcomes=ledger).ledger_replay_consistent()
+
+
 def test_adjust_outcome_no_upstream():
-    ledger = []
-    assert adjust_outcome(ledger, "a'", 2, {}, (), 5) == 2
-    assert ledger[0].adjusted == 2 and ledger[0].provenance == ()
+    assert _replays(5, {}, 2, (), 2)
+    assert not _replays(5, {}, 2, (), 3)
 
 
 def test_adjust_outcome_subtracts_row_d2():
-    ledger = []
     upstream = {"u1'": 1, "u2'": 0}
-    got = adjust_outcome(ledger, "c'", 1, upstream, (("u1'", 1), ("u2'", 1)), 2)
-    assert got == 0
+    assert _replays(2, upstream, 1, (("u1'", 1), ("u2'", 1)), 0)
+    assert not _replays(2, upstream, 1, (("u1'", 1), ("u2'", 1)), 1)
 
 
 def test_adjust_outcome_subtracts_row_d5():
-    ledger = []
-    upstream = {"u1'": 1, "u2'": 1}
-    got = adjust_outcome(ledger, "c'", 2, upstream, (("u1'", 3), ("u2'", 4)), 5)
-    assert got == (2 - 7) % 5 == 0
+    upstream = {"u1'": 1, "u2'": 1}  # 2 - (3 + 4) = 0 mod 5
+    assert _replays(5, upstream, 2, (("u1'", 3), ("u2'", 4)), 0)
+    assert not any(_replays(5, upstream, 2, (("u1'", 3), ("u2'", 4)), a) for a in range(1, 5))
+
+
+def test_ledger_replay_catches_one_changed_adjusted_outcome():
+    geo = compile_network(butterfly_swap(3))
+    _out, rep = run_mbqc(geo, QuditState.basis(3, [1, 2]), mode="constrained", seed=4)
+    assert rep.ledger_replay_consistent()
+    cascaded = [rec for rec in rep.outcomes if rec.provenance]
+    assert cascaded
+    for rec in (rep.outcomes[0], cascaded[-1]):
+        kept = rec.adjusted
+        rec.adjusted = (kept + 1) % 3
+        assert not rep.ledger_replay_consistent()
+        rec.adjusted = kept
+    assert rep.ledger_replay_consistent()
 
 
 # -- schedule structure ------------------------------------------------
@@ -486,7 +512,8 @@ def test_coherent_node_step_tables_wait_for_the_memory_check(monkeypatch):
     # table.  The input-basis program keeps no node step and no node table:
     # one phase kernel for the one form every measured qudit holds, the
     # output's Z correction on the input axis, and the scatter's index over
-    # the 2 input values, all waiting for the check
+    # the 2 input values, all waiting for the check, which also counts the
+    # shared 2 x 2 phase table the kernels read
     p = 13
     net = _sum_node(2, p)
     geo = compile_network(net)
@@ -494,7 +521,7 @@ def test_coherent_node_step_tables_wait_for_the_memory_check(monkeypatch):
     assert [step[0] for step in prog.steps] == ["measure"] * (p + 1) + ["corr", "node"]
     assert len({step[3] for step in prog.steps if step[0] == "measure"}) == 1
     assert not [key for key in geo._memo if key[0] == "node"]
-    assert (prog.peak, prog.table_bytes) == (2, 16 * 2 * 2 + 8 * 2)
+    assert (prog.peak, prog.table_bytes) == (2, 16 * 2 * 2 + 8 * 2 + 16 * 2**2)
     monkeypatch.setattr("qlnc.mbqc.os.sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 0}.get)
     tracemalloc.start()
     try:
@@ -513,6 +540,9 @@ def test_memory_check_counts_every_table_a_program_keeps(monkeypatch):
     # same network over Z_1024 holds a register over the 1024 input values
     # and its 1024 children, one phase table of 1024 x 1024 entries for the
     # one form its measured qudits hold, and the scatter's 1024 indices.
+    # Both count the shared phase table, and the one-way path the Fourier
+    # table of each kron width its measurements take: F^dagger kron I_w
+    # for w = 2^n up to 32, the 2^n after a measurement, and F^dagger alone.
     # Sizes are computed here, not allocated.
     p = 19
     net, wide = _sum_node(2, p), _sum_node(1024, p)
@@ -520,9 +550,11 @@ def test_memory_check_counts_every_table_a_program_keeps(monkeypatch):
     psi = QuditState.basis(2, [1])
     coh = _program(build_schedule(_geometry_of(wide), "free"), _embed)
     one = _program(build_schedule(geo, "free"))
-    cases = ((coh.peak, coh.table_bytes, 1024, 2, 16 * 1024**2 + 8 * 1024,
+    fourier = sum(16 * (2 * w)**2 for w in (1, 2, 4, 8, 16, 32))
+    cases = ((coh.peak, coh.table_bytes, 1024, 2, 16 * 1024**2 + 8 * 1024 + 16 * 1024**2,
               lambda: run_coherent(wide, QuditState.basis(1024, [1]), seed=0)),
-             (max(one.live), one.table_bytes, 2, 21, p * 16 * 2**3 + 16 * 2**(p + 2),
+             (max(one.live), one.table_bytes, 2, 21,
+              p * 16 * 2**3 + 16 * 2**(p + 2) + 16 * 2**2 + fourier,
               lambda: run_mbqc(geo, psi, seed=0)))
     for peak_axes, table_bytes, d, live, tables, run in cases:
         assert (peak_axes, table_bytes) == (live, tables)
@@ -539,6 +571,36 @@ def test_memory_check_counts_every_table_a_program_keeps(monkeypatch):
         finally:
             tracemalloc.stop()
         assert peak < need
+
+
+def test_memory_check_counts_the_shared_tables_a_run_reads(monkeypatch):
+    # a run fills the process-wide table cache (states._TABLES) with the
+    # phase table and, one-way, the Fourier tables its measurements take,
+    # and its program counts them: on an empty cache they fit in its
+    # table_bytes, and after a warm-up the run leaves no more allocated
+    # than table_bytes and 64 KiB of records.  The first bound alone holds
+    # even with the cache uncounted; the second then fails by 4 MB (d = 503,
+    # coherent) and 326 KB (d = 101, one-way)
+    wide, geo = identity_wire(503), compile_network(identity_wire(101))
+    run_coherent(identity_wire(3), QuditState.basis(3, [1]), seed=0)
+    run_mbqc(compile_network(identity_wire(3)), QuditState.basis(3, [1]), seed=0)
+    cases = ((lambda: run_coherent(wide, QuditState.basis(503, [7]), seed=0),
+              lambda: _program(_plan_for(_geometry_of(wide), "free"), _embed)),
+             (lambda: run_mbqc(geo, QuditState.basis(101, [7]), seed=0),
+              lambda: _program(_plan_for(geo, "free"))))
+    for run, program in cases:
+        tables = {}
+        monkeypatch.setattr("qlnc.states._TABLES", tables)
+        tracemalloc.start()
+        try:
+            _out, rep = run()
+            left, _peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        held = sum(table.nbytes for table in tables.values())
+        assert rep.fidelity_vs_oracle >= 1 - 1e-9
+        assert 0 < held <= program().table_bytes
+        assert left <= program().table_bytes + 2**16, (left, program().table_bytes)
 
 
 def test_single_run_peaks_within_what_the_memory_check_counts():
@@ -774,9 +836,10 @@ class _Outcomes:
             self.adjusted[label] = r
             self.ledger.append(OutcomeRecord(label, r, r, stage))
         else:
-            self.adjusted[label] = adjust_outcome(
-                self.ledger, label, r, self.adjusted, terms, d, stage
-            )
+            adjusted = (r - sum(c * self.adjusted[lab] for lab, c in terms)) % d
+            self.adjusted[label] = adjusted
+            self.ledger.append(OutcomeRecord(label, r % d, adjusted, stage,
+                                             tuple((lab, c % d) for lab, c in terms)))
 
     def exponent(self, correct: Correct):
         return sum(c * (self.raw if use == "raw" else self.adjusted)[lab]
@@ -820,22 +883,20 @@ def _classical_link_values(plan, s_values):
 
 
 def _apply_correction(reg, outcomes, correct, stage, corrections):
-    """A correction applied to a labelled register, with its record."""
-    exp = outcomes.exponent(correct)
-    if exp:
-        if correct.op == "X":
-            reg.apply_x(correct.qudit, exp)
-        else:
-            reg.apply_z(correct.qudit, exp)
-    corrections.append(CorrectionRecord(correct.op, correct.qudit, int(exp), stage))
+    """A correction applied to the dense register, with its record."""
+    exp = int(outcomes.exponent(correct))
+    gate = dense_x if correct.op == "X" else dense_z
+    reg.gate(gate(reg.d, exp), correct.qudit)
+    corrections.append(CorrectionRecord(correct.op, correct.qudit, exp, stage))
 
 
-def _cx_embed(reg, gadget):
-    """The coherent node step as a product of cX gates on fresh |0> outputs."""
-    reg.add(list(gadget.out_labels), fill="zero")
-    reg.state = embed_node(reg.state, gadget.matrix,
-                           [reg.axis[lab] for lab in gadget.in_labels],
-                           [reg.axis[lab] for lab in gadget.out_labels])
+def _node_step(reg, gadget, coherent):
+    """A node's step: its cX embedding, or its one-way port steps."""
+    if coherent:
+        cx_embed(reg, gadget)
+    else:
+        for j in range(len(gadget.out_labels)):
+            port_step(reg, gadget, j)
 
 
 def _reverse_topological_reference(geo, psi, forced, local_aux, coherent):
@@ -845,13 +906,13 @@ def _reverse_topological_reference(geo, psi, forced, local_aux, coherent):
     plan = build_schedule(geo, "constrained", local_aux=local_aux)
     skip = (lambda q: q.endswith("'")) if coherent else (lambda q: False)
     gadgets = {g.node_id: g for g in geo.gadgets}
-    reg = LabeledRegister(psi, geo.inputs)
+    reg = DenseRegister(psi, geo.inputs)
     finals = [(c, stage) for c, stage in plan.final_corrections
               if not any(skip(lab) for lab, _c, _u in c.terms)]
     outcomes, corrections = _Outcomes(plan), []
     for stage in plan.schedule.stages:
         if stage.name.startswith("aux-measure "):
-            (_cx_embed if coherent else _introduce)(reg, gadgets[stage.name.split()[1]])
+            _node_step(reg, gadgets[stage.name.split()[1]], coherent)
         for step in stage.steps:
             if isinstance(step, Measure) and not skip(step.qudit):
                 r = reg.measure(step.qudit, force=forced[step.qudit])
@@ -864,23 +925,23 @@ def _reverse_topological_reference(geo, psi, forced, local_aux, coherent):
         _apply_correction(reg, outcomes, correct, stage, corrections)
     links = _classical_link_values(plan, outcomes.raw) if plan.block_B is not None else {}
     messages = _materialize_messages(plan, outcomes, links, coherent)
-    return reg.extract(geo.outputs), outcomes.ledger, corrections, messages
+    return reg.state(geo.outputs), outcomes.ledger, corrections, messages
 
 
 def _free_gate_reference(geo, psi, forced):
-    """A free coherent run at the gate level: each node's cX embedding on a
-    labelled register with its inputs then measured, as forced, and the
+    """A free coherent run at the gate level: each node's cX embedding on
+    the dense register with its inputs then measured, as forced, and the
     output Z corrections last."""
     plan = build_schedule(geo, "free")
-    reg, outcomes = LabeledRegister(psi, geo.inputs), _Outcomes(plan)
+    reg, outcomes = DenseRegister(psi, geo.inputs), _Outcomes(plan)
     for gadget in geo.gadgets:
-        _cx_embed(reg, gadget)
+        cx_embed(reg, gadget)
         for lab in sorted(gadget.in_labels, key=label_sort_key):
             outcomes.record(lab, reg.measure(lab, force=forced[lab]), "measure")
     for correct, stage in plan.final_corrections:
         if not any(lab.endswith("'") for lab, _c, _u in correct.terms):
             _apply_correction(reg, outcomes, correct, stage, [])
-    return reg.extract(geo.outputs)
+    return reg.state(geo.outputs)
 
 
 @pytest.mark.parametrize("d,branches", [(4, 256), (6, 36), (12, 144), (30, 30)])
@@ -1105,9 +1166,6 @@ def test_deferred_full_preparation_equals_eager_driver():
     # the runtime interleaves commuting projections with preparation to keep
     # the live register small; preparing the whole graph state first and
     # measuring in logical schedule order must give the same branch states
-    from qlnc.mbqc import build_schedule, prepare_graph_state
-    from qlnc.states import LabeledRegister
-
     nodes = [NodeSpec("S", RingMatrix([[1], [1]], 3)), NodeSpec("T", RingMatrix([[1, 1]], 3))]
     net = CodingNetwork(3, nodes, [("S", 0, "T", 0), ("S", 1, "T", 1)], [("S", 0)], [("T", 0)])
     geo = compile_network(net)
@@ -1119,16 +1177,37 @@ def test_deferred_full_preparation_equals_eager_driver():
         forced = {lab: int(rng.integers(0, 3)) for lab in order}
         eager, _ = run_mbqc(geo, psi, mode="free", forced=forced)
 
-        full = prepare_graph_state(geo, psi)
-        reg = LabeledRegister(full, [lab for lab, _k in geo.qudits])
+        reg = graph_state(geo, psi)
         outcomes = _Outcomes(plan)
         for lab in order:
             outcomes.record(lab, reg.measure(lab, force=forced[lab]), "measure")
         corrections = []
         for correct, stage in plan.final_corrections:
             _apply_correction(reg, outcomes, correct, stage, corrections)
-        deferred = reg.extract(geo.outputs)
+        deferred = reg.state(geo.outputs)
         assert fidelity(eager, deferred) >= 1 - 1e-9
+
+
+def test_entry_points_refuse_an_input_of_the_wrong_shape():
+    net = butterfly_swap(3)
+    geo = compile_network(net)
+    entry_points = (
+        lambda psi: run_mbqc(geo, psi, seed=0),
+        lambda psi: run_coherent(net, psi, seed=0),
+        lambda psi: branch_survey(geo, psi),
+        lambda psi: next(exhaustive_mbqc(geo, psi)),
+        lambda psi: next(exhaustive_coherent(net, psi)),
+    )
+    for psi in (QuditState.basis(2, [0, 0]), QuditState.basis(3, [0]),
+                QuditState.basis(3, [0, 0, 0])):
+        for enter in entry_points:
+            with pytest.raises(ValueError, match="must have 2 qudits of dimension 3"):
+                enter(psi)
+
+
+def test_build_schedule_refuses_an_unknown_mode():
+    with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+        build_schedule(compile_network(identity_wire(2)), "bogus")
 
 
 def test_source_also_target_node_runs():

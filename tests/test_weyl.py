@@ -14,7 +14,7 @@ from qlnc.weyl import (
     weyl_matrix,
 )
 
-from helpers import dense_f
+from helpers import DenseRegister, dense_cz, dense_f, dense_x
 
 
 def test_weyl_matrix_basics():
@@ -43,13 +43,14 @@ def test_gadget_teleports_states():
     for d in (2, 3, 4, 5):
         for _ in range(20):
             psi = QuditState.haar_random(d, 1, rng)
-            expected = psi.apply_f(0, inverse=True)
+            expected = QuditState(1, d, dense_f(d, inverse=True) @ psi.psi)
             for r in range(d):
-                joint = psi.tensor(QuditState.plus(d)).apply_cz(0, 1, d - 1)
-                out, post = joint.measure_fourier(0, force=r)
-                assert out == r
-                post = post.apply_x(0, r)
-                assert fidelity(post, expected) >= 1 - 1e-9
+                reg = DenseRegister(psi, ["v"])
+                reg.add(["w"], "plus")
+                reg.gate(dense_cz(d, d - 1), "v", "w")
+                assert reg.measure("v", force=r) == r
+                reg.gate(dense_x(d, r), "w")
+                assert fidelity(reg.state(["w"]), expected) >= 1 - 1e-9
 
 
 def test_gadget_x_to_z_dagger():
