@@ -62,10 +62,10 @@ class MbqcGeometry:
     origin: dict  # label -> human-readable back-reference into the network
     gadgets: list = field(default_factory=list)  # NodeGadget in topological order
     num_links: int = 0
-    # what mbqc keeps for this geometry: ("plan", mode, local_aux) -> its
-    # plan (mbqc._plan_for), ("node", gadget index, out-port, live layouts
-    # before and after) -> a one-way port step and the bytes of its table
-    # (mbqc._program)
+    # what mbqc keeps: ("plan", mode, local_aux) -> its plan (_plan_for),
+    # ("node", gadget index, out-port, live layouts before and after) -> a
+    # port step and its table's bytes (_program), ("weyl", correction run,
+    # live axes) -> its fused walker step (_fuse)
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __getstate__(self):

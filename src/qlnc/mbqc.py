@@ -70,6 +70,7 @@ subtracting the negated matrix row.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass, field
@@ -152,12 +153,8 @@ class Schedule:
     stages: list
 
     def measurement_order(self):
-        order = []
-        for stage in self.stages:
-            for step in stage.steps:
-                if isinstance(step, Measure):
-                    order.append(step.qudit)
-        return order
+        return [step.qudit for stage in self.stages for step in stage.steps
+                if isinstance(step, Measure)]
 
 
 # ----------------------------------------------------------------------
@@ -712,7 +709,7 @@ class _Program:
             kernel(array, d, children) writes each row's d children (row,
             outcome) row-major and returns their squared norms; ("corr",
             op, axis, row), an --local-aux X step or a final correction,
-            with exponent rows[row] . r'
+            with exponent rows[row] . r' (the walker fuses runs of them)
     order:  the simulated measurement order
     forced_order: the schedule measurement order forced sequences follow
     perm:   the axes of the input register in the layout of the first step
@@ -902,12 +899,21 @@ def _branches(plan, input_state, embed=None):
     view.  Callers check the register first (_check_peak), and one that
     drains the tree its branch count too (_survey).
 
+    A run of corrections that holds an X is one step (_fuse): as Weyl
+    operators compose exactly mod d, it is out[x] = w^(g.x - c) in[x - s]
+    per row, s and g its X and Z exponents summed per axis and c = sum_k f_k
+    L_k over its Z steps k, f_k the exponent and L_k the X exponents applied
+    later on k's axis (X^e turns w^(f x) into w^(f x - f e)).  Runs of Z
+    alone (the coherent path's), runs over the table bound (_weyl_run) and
+    single runs (_run), one row, go step by step (_weyl_rows).
+
     The steps write into reusable work buffers (_work): one children array
-    per measurement level, and two scratch arrays that a chunk's node steps
-    and corrections take in turn.  Depth first, a level's children are all
-    consumed before the level measures again, so no buffer is written while
-    still needed.  The walk borrows the module's spare buffer set and gives
-    it back when it ends or is closed; a walk that finds none makes its own.
+    per measurement level, two scratch arrays that a chunk's node steps and
+    corrections take in turn, and a fused run's index and phase scratch.
+    Depth first, a level's children are all consumed before the level
+    measures again, so no buffer is written while still needed.  The walk
+    borrows the module's spare buffer set and gives it back when it ends or
+    is closed; a walk that finds none makes its own.
 
     Yields batches (R, a, nrm2): the simulated outcome vectors r' as the
     rows of R (raw outcomes T r' mod d, the program's first rows), the
@@ -922,7 +928,7 @@ def _branches(plan, input_state, embed=None):
     # measurement, each with the axes live after it, that measurement (None
     # last) with the axes of a child, and the rows of a chunk.
     segments, steps = [], []
-    for step, after in zip(prog.steps, prog.live[1:]):
+    for step, after in _fuse(zip(prog.steps, prog.live[1:]), prog, plan.geometry):
         if step[0] == "measure":
             segments.append((steps, step, after, max(1, _CHUNK_AMPS // d**(after + 1))))
             steps = []
@@ -945,6 +951,8 @@ def _branches(plan, input_state, embed=None):
                 out = _work(bufs, free, (len(arr),) + (d,) * live)
                 if step[0] == "node":
                     arr = step[1](arr, out)
+                elif step[0] == "weyl":
+                    arr = step[1](arr, (R @ step[2]) % d, out, bufs)
                 else:
                     arr = _weyl_rows(arr, step[1], step[2], (R @ prog.rows[step[3]]) % d, d, out)
                 free = "b" if free == "a" else "a"
@@ -1017,20 +1025,21 @@ def branch_survey(
 
     Walks the tree of exhaustive_mbqc without a state object per branch: a
     batch takes one product with the conjugate reference.  Returns
-    (branch_count, min_fidelity); `reference` defaults to the oracle image
-    of the input state.  Raises MemoryError up front when the live register
-    would exceed _AMP_LIMIT amplitudes or the tree _BRANCH_LIMIT branches.
+    (branch_count, min_fidelity); `reference` (ValueError if not on the
+    outputs' register) defaults to the oracle image of the input state.
+    Raises MemoryError up front when the live register would exceed
+    _AMP_LIMIT amplitudes or the tree _BRANCH_LIMIT branches.
     """
     _validate_input(geometry, input_state)
+    outputs = len(geometry.outputs)
+    if reference is not None and (reference.n, reference.d) != (outputs, geometry.d):
+        raise ValueError(f"reference state must have {outputs} qudits of dimension {geometry.d}")
     return _survey(_plan_for(geometry, mode, local_aux), input_state, reference)
 
 
 def _survey(plan, input_state, reference=None, embed=None):
-    """(branch count, min fidelity) over the whole branch tree of a path,
-    `embed` as in _run, behind branch_survey and the CLI's --exhaustive on
-    either path.  Raises MemoryError up front for a register of more than
-    _AMP_LIMIT amplitudes, and for a tree of more than _BRANCH_LIMIT
-    branches."""
+    """(branch count, min fidelity) of a path's whole tree, `embed` as in
+    _run, for branch_survey and --exhaustive; raises as branch_survey does."""
     d = plan.geometry.d
     prog = _program(plan, embed)
     _check_peak(d, prog)
@@ -1075,16 +1084,15 @@ _KRON_AMPS = 64
 _SPARE = []
 
 
-def _work(bufs, key, shape):
-    """A complex128 work array of `shape`: a view of the buffer `key` of the
-    set `bufs`, grown on demand, when it holds at most _BUF_MAX amplitudes,
-    else a fresh array."""
+def _work(bufs, key, shape, dtype=np.complex128):
+    """A work array: a view of the buffer `key` (grown on demand, one dtype
+    a key) of the set `bufs` up to _BUF_MAX entries, else a fresh array."""
     n = math.prod(shape)
     if n > _BUF_MAX:
-        return np.empty(shape, dtype=np.complex128)
+        return np.empty(shape, dtype=dtype)
     buf = bufs.get(key)
     if buf is None or len(buf) < n:
-        buf = bufs[key] = np.empty(n, dtype=np.complex128)
+        buf = bufs[key] = np.empty(n, dtype=dtype)
     return buf[:n].reshape(shape)
 
 
@@ -1130,6 +1138,58 @@ def _weyl_rows(arr, op, axis, exps, d, out=None):
     shape = [1] * arr.ndim
     shape[0], shape[axis] = len(exps), d
     return np.multiply(arr, _table("phase", d)[exps].reshape(shape), out=out)
+
+
+def _fuse(steps, prog, geometry):
+    """The walker's (step, axes after it) with each run of corrections that
+    holds an X as one ("weyl", _weyl_run step kept on the geometry, rows)."""
+    for corr, group in itertools.groupby(steps, lambda item: item[0][0] == "corr"):
+        group = list(group)
+        run, live = tuple(step[1:3] for step, _live in group), group[0][1]
+        key = ("weyl", run, live)
+        step = corr and (geometry._memo.get(key) or _weyl_run(run, live, geometry.d))
+        if step:
+            geometry._memo[key] = step
+            group = [(("weyl", step, prog.rows[[item[0][3] for item in group]].T), live)]
+        yield from group
+
+
+def _weyl_run(run, live, d):
+    """The fused step of a run of steps (op, axis) on `live` axes (see
+    _branches), or None without an X or with a table over _BUF_MAX entries:
+    step(arr, exps, out, bufs), exps[b, k] the exponent of step k on row b,
+    gathers through source indices per shift code (d^#X-axes x d^live) and
+    multiplies by phases per (Z code, c) (d^(#Z-axes + 1) x d^live)."""
+    xs, zs = (sorted({a for op, a in run if op == kind}) for kind in "XZ")
+    n, m = d**live, len(xs)
+    if not xs or n * d**max(m, len(zs) + 1) > _BUF_MAX:
+        return None
+    # exps @ W: s and g per axis, then per step k L_k if it is a Z, else 0
+    cols = [("X", a) for a in xs] + [("Z", a) for a in zs]
+    W = np.array([[(op, a) == col for col in cols] + [op == "Z" and j > k and step == ("X", a)
+                  for j, step in enumerate(run)] for k, (op, a) in enumerate(run)], dtype=np.int64)
+    weights = d ** np.r_[np.arange(m)[::-1], np.arange(1, len(zs) + 1)[::-1]]
+    x = np.indices((1,) + (d,) * live)  # the axes of a row of the batch
+    sources = np.array([np.roll(np.arange(n).reshape(x.shape[1:]), s, xs).ravel()
+                        for s in itertools.product(range(d), repeat=m)])
+    phases = zs and _table("phase", d)[1][[(np.tensordot(g, x[zs], 1) - c).ravel() % d for *g, c
+                                           in itertools.product(range(d), repeat=len(zs) + 1)]]
+
+    def step(arr, exps, out, bufs):
+        rows, v = len(arr), exps @ W
+        s = v[:, :len(cols)] % d
+        index = _work(bufs, "index", (rows, n), np.int64)
+        np.take(sources, s[:, :m] @ weights[:m], axis=0, out=index, mode="clip")
+        index += np.arange(0, rows * n, n)[:, None]
+        np.take(arr.reshape(-1), index, out=out.reshape(rows, n), mode="clip")
+        if zs:
+            codes = s[:, m:] @ weights[m:] + (v[:, len(cols):] * exps).sum(1) % d
+            phase = _work(bufs, "phase", (rows, n))
+            np.take(phases, codes, axis=0, out=phase, mode="clip")
+            out *= phase.reshape(out.shape)
+        return out
+
+    return step
 
 
 def _intro_step(gadget, j, after, d):

@@ -408,6 +408,15 @@ def test_every_walker_respects_amplitude_limit(monkeypatch):
         branch_survey(compile_network(butterfly_swap(2)), psi)
 
 
+def test_branch_survey_refuses_a_reference_off_the_output_register():
+    # butterfly_swap(2) delivers two qudits of dimension 2: one d=4 qudit
+    # has as many amplitudes, and three qudits do not fit the product
+    geo, psi = compile_network(butterfly_swap(2)), QuditState.basis(2, [0, 1])
+    for reference in (QuditState.basis(4, [1]), QuditState.basis(2, [0, 1, 0])):
+        with pytest.raises(ValueError, match="reference state must have 2 qudits of dimension 2"):
+            branch_survey(geo, psi, reference=reference)
+
+
 def _generated(net, psi, mode, local_aux, limit=None):
     """The first `limit` branches of both exhaustive generators, as ordered
     outcome dicts and amplitude vectors."""

@@ -16,6 +16,7 @@ from qlnc.files import dump_json
 from qlnc.geometry import compile_network
 from qlnc.mbqc import (
     _run,
+    _weyl_run,
     _weyl_rows,
     branch_survey,
     build_schedule,
@@ -297,6 +298,46 @@ def test_weyl_rows_match_a_per_row_reference():
                     assert np.array_equal(got, want)
                 else:
                     assert np.allclose(got, want, atol=1e-14)
+
+
+def test_fused_weyl_runs_match_their_steps_one_by_one(monkeypatch):
+    # a run of X and Z steps that holds an X is one gather and one phase
+    # multiply; X then Z and Z then X on one axis included, since a Z's
+    # exponent times the X exponents after it on its axis is the constant c
+    rng = np.random.default_rng(21)
+    fixed = [(("X", 1), ("Z", 1)), (("Z", 1), ("X", 1)), (("Z", 1), ("X", 1), ("Z", 1), ("X", 1))]
+    for d in (2, 3, 4, 6, 10):
+        live = 2 if d >= 6 else 3  # d^(Z axes + 1) x d^live phases stay within _BUF_MAX
+        runs = fixed + [tuple((str(rng.choice(["X", "Z"])), int(rng.integers(1, live + 1)))
+                              for _ in range(rng.integers(1, 6))) for _ in range(12)]
+        runs = [run for run in runs if any(op == "X" for op, _axis in run)]
+        for run, rows in itertools.product(runs, (1, 7, 512)):
+            step = _weyl_run(run, live, d)
+            assert step is not None
+            shape = (rows,) + (d,) * live
+            arr = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            exps = rng.integers(0, d, (rows, len(run)))
+            want = arr
+            for k, (op, axis) in enumerate(run):
+                want = _weyl_rows(want, op, axis, exps[:, k], d)
+            got = step(arr, exps, np.empty_like(arr), {})
+            if all(op == "X" for op, _axis in run):
+                assert np.array_equal(got, want)
+            else:
+                assert np.allclose(got, want, atol=1e-14)
+    # above the table bound a run is not fused, and the walker applies its
+    # steps one by one: the branches of a fresh geometry do not change
+    net, psi = butterfly_swap(3), QuditState.haar_random(3, 2, rng)
+    fused_geo, stepwise_geo = compile_network(net), compile_network(net)
+    fused = list(itertools.islice(exhaustive_mbqc(fused_geo, psi, mode="constrained"), 400))
+    monkeypatch.setattr("qlnc.mbqc._BUF_MAX", 8)
+    assert _weyl_run((("X", 1), ("Z", 1)), 2, 3) is None
+    stepwise = list(itertools.islice(exhaustive_mbqc(stepwise_geo, psi, mode="constrained"), 400))
+    assert [key[0] for key in fused_geo._memo].count("weyl") == 1
+    assert "weyl" not in [key[0] for key in stepwise_geo._memo]
+    assert [outs for outs, _state in stepwise] == [outs for outs, _state in fused]
+    for (_, got), (_, want) in zip(stepwise, fused):
+        assert np.allclose(got.psi, want.psi, atol=1e-14)
 
 
 def _oracle_reference(M, psi):
