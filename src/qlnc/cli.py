@@ -22,6 +22,7 @@ flag combination, an unreadable or malformed --input-state file, or an
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import sys
 import time
@@ -57,6 +58,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+@functools.cache  # parsing keeps no state on the parser, so in-process callers share one
 def _build_parser():
     parser = _Parser(prog="qlnc", description=__doc__.strip().splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

@@ -118,9 +118,9 @@ def _scatter(rows, d):
 def _geometry_of(net: CodingNetwork):
     """The geometry of `net` for the coherent entry points, compiled on first
     use and kept on the network, so its plans stay on it too (_plan_for)."""
-    if net._geometry is None:
-        object.__setattr__(net, "_geometry", compile_network(net))
-    return net._geometry
+    if "geometry" not in net._memo:
+        net._memo["geometry"] = compile_network(net)
+    return net._memo["geometry"]
 
 
 def run_coherent(

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .network import CodingNetwork, _propagate, wiring
+from .network import CodingNetwork, _rows, wiring
 
 __all__ = ["MbqcGeometry", "NodeGadget", "ResourceCounts", "compile_network", "resource_counts"]
 
@@ -62,10 +62,12 @@ class MbqcGeometry:
     origin: dict  # label -> human-readable back-reference into the network
     gadgets: list = field(default_factory=list)  # NodeGadget in topological order
     num_links: int = 0
-    # what mbqc keeps: ("plan", mode, local_aux) -> its plan (_plan_for),
-    # ("node", gadget index, out-port, live layouts before and after) -> a
-    # port step and its table's bytes (_program), ("weyl", correction run,
-    # live axes) -> its fused walker step (_fuse)
+    # what mbqc keeps: ("tables",) -> the mode-independent planning inputs
+    # that every plan of the geometry shares (_tables), ("plan", mode,
+    # local_aux) -> its plan (_plan_for), ("node", gadget index, out-port,
+    # live layouts before and after) -> a port step and its table's bytes
+    # (_program), ("weyl", correction run, live axes) -> its fused walker
+    # step (_fuse)
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __getstate__(self):
@@ -108,12 +110,11 @@ def label_sort_key(label):
 
 def compile_network(net: CodingNetwork) -> MbqcGeometry:
     """Build the one-way geometry realizing the same transformation as net."""
-    w = wiring(net)
-    _in_rows, out_rows = _propagate(net, w)
-    k = net.num_inputs
+    w, rows = wiring(net), _rows(net)
+    k, m = net.num_inputs, len(net.links)
 
     input_labels = [f"s{j + 1}" for j in range(k)]
-    link_labels = [f"m{i + 1}" for i in range(len(net.links))]
+    link_labels = [f"m{i + 1}" for i in range(m)]
     output_labels = [f"t{j + 1}" for j in range(net.num_outputs)]
 
     # the qudit arriving at each in-port and leaving each out-port
@@ -138,13 +139,13 @@ def compile_network(net: CodingNetwork) -> MbqcGeometry:
         origin[lab] = f"network input {j} at in-port {port} of node {node}"
     for i, lab in enumerate(link_labels):
         link = net.links[i]
-        depends[lab] = out_rows[(link.from_node, link.from_port)]
+        depends[lab] = rows[i]
         origin[lab] = f"link {i}: {link.from_node}:{link.from_port} -> {link.to_node}:{link.to_port}"
         origin[lab + "'"] = f"auxiliary for {origin[lab]}"
         depends[lab + "'"] = depends[lab]
     for j, lab in enumerate(output_labels):
         node, port = net.target_outputs[j]
-        depends[lab] = out_rows[(node, port)]
+        depends[lab] = rows[m + j]
         origin[lab] = f"network output {j} at out-port {port} of node {node}"
         origin[lab + "'"] = f"auxiliary for {origin[lab]}"
         depends[lab + "'"] = depends[lab]
@@ -173,7 +174,7 @@ def compile_network(net: CodingNetwork) -> MbqcGeometry:
         depends=depends,
         origin=origin,
         gadgets=gadgets,
-        num_links=len(net.links),
+        num_links=m,
     )
 
 

@@ -180,20 +180,30 @@ class _Plan:
     programs: dict = field(default_factory=dict, repr=False, compare=False)
 
 
-def _geometry_tables(geometry: MbqcGeometry):
-    producer_node = {}
-    consumer_node = {}
-    source_node = {}
-    inputs = set(geometry.inputs)
-    for gadget in geometry.gadgets:
-        for lab in gadget.out_labels:
-            producer_node[lab] = gadget.node_id
-        for lab in gadget.in_labels:
-            if lab in inputs:
-                source_node[lab] = gadget.node_id
-            else:
-                consumer_node[lab] = gadget.node_id
-    return producer_node, consumer_node, source_node
+def _tables(geometry: MbqcGeometry):
+    """The mode-independent planning inputs of `geometry`, built on first use
+    and kept in its memo, so that its free and constrained plans share them:
+    the node tables, M, the qudit ranks, the link labels and the target
+    nodes.  build_schedule adds the cascade terms per local_aux and the left
+    inverse A when a plan first asks.  All are read-only."""
+    tables = geometry._memo.get(("tables",))
+    if tables is None:
+        producer_node, consumer_node, source_node = {}, {}, {}
+        inputs = set(geometry.inputs)
+        for gadget in geometry.gadgets:
+            for lab in gadget.out_labels:
+                producer_node[lab] = gadget.node_id
+            for lab in gadget.in_labels:
+                (source_node if lab in inputs else consumer_node)[lab] = gadget.node_id
+        tables = geometry._memo[("tables",)] = {
+            "nodes": (producer_node, consumer_node, source_node),
+            "M": composite_of_geometry(geometry),
+            # geometry.qudits is in natural label order (label_sort_key)
+            "rank": {lab: i for i, (lab, _kind) in enumerate(geometry.qudits)},
+            "links": {f"m{i + 1}": i for i in range(geometry.num_links)},
+            "targets": list(dict.fromkeys(producer_node[t] for t in geometry.outputs)),
+        }
+    return tables
 
 
 def composite_of_geometry(geometry: MbqcGeometry) -> RingMatrix:
@@ -201,10 +211,9 @@ def composite_of_geometry(geometry: MbqcGeometry) -> RingMatrix:
     return RingMatrix(rows.reshape(len(geometry.outputs), len(geometry.inputs)), geometry.d)
 
 
-def _aux_adjust_terms(geometry: MbqcGeometry, local_aux: bool):
+def _aux_adjust_terms(geometry: MbqcGeometry, local_aux: bool, link_labels):
     """Cascade coefficients: adjusted = raw - sum(-V[j,k]) * adjusted(producer aux)."""
     terms = {}
-    link_labels = {f"m{i + 1}" for i in range(geometry.num_links)}
     for gadget in geometry.gadgets:
         for aux, row in zip(gadget.aux_labels, gadget.matrix.a.tolist()):
             terms[aux] = () if local_aux else tuple([
@@ -221,26 +230,23 @@ def build_schedule(geometry: MbqcGeometry, mode, local_aux=False):
     The step records in both are read-only by contract (they hash by value
     but are not frozen): the entry points keep the plan they run on the
     geometry, so a record changed by a caller would change every later run.
+    Each call builds a new plan with new records; its matrix and adjust
+    terms are the geometry's kept tables (_tables), read-only as well.
     """
     if mode not in ("free", "constrained"):
         raise ValueError(f"unknown mode {mode!r}")
     if local_aux and mode == "free":
         raise ValueError("local auxiliary corrections only exist in constrained mode")
     d = geometry.d
-    producer_node, consumer_node, source_node = _geometry_tables(geometry)
-    link_labels = [f"m{i + 1}" for i in range(geometry.num_links)]
-    link_of_message = {lab: i for i, lab in enumerate(link_labels)}
-
-    target_nodes = []
-    for t in geometry.outputs:
-        nid = producer_node[t]
-        if nid not in target_nodes:
-            target_nodes.append(nid)
+    tables = _tables(geometry)
+    producer_node, consumer_node, source_node = tables["nodes"]
+    M, rank, link_of_message, target_nodes = (
+        tables[key] for key in ("M", "rank", "links", "targets"))
 
     # A constrained plan looks for the block-diagonal B first: Mᵀ B M = 1
     # already proves M injective, and the left inverse A is read only by
-    # free mode and by the out-of-network fallback when no B exists
-    M = composite_of_geometry(geometry)
+    # free mode and by the out-of-network fallback when no B exists; it is
+    # computed at most once per geometry, whichever mode asks first
     block_B = A = None
     if mode == "constrained":
         by_node = {}
@@ -248,16 +254,19 @@ def build_schedule(geometry: MbqcGeometry, mode, local_aux=False):
             by_node.setdefault(producer_node[t], []).append(h)
         block_B = find_block_diagonal_B(M, [by_node[nid] for nid in target_nodes])
     if block_B is None:
-        A = left_inverse(M)
+        if "A" not in tables:
+            tables["A"] = left_inverse(M)
+        A = tables["A"]
         if A is None:
             raise UnsupportedNetworkError(
                 f"composite map is not injective over Z_{d}; "
                 "neither the coherent nor the one-way protocol is defined"
             )
 
-    adjust_terms = _aux_adjust_terms(geometry, local_aux)
-    # geometry.qudits is in natural label order (label_sort_key)
-    rank = {lab: i for i, (lab, _kind) in enumerate(geometry.qudits)}
+    key = ("adjust", bool(local_aux))
+    if key not in tables:
+        tables[key] = _aux_adjust_terms(geometry, local_aux, link_of_message)
+    adjust_terms = tables[key]
 
     stages = []
     report_order = []
@@ -386,7 +395,7 @@ def build_schedule(geometry: MbqcGeometry, mode, local_aux=False):
             sends = [
                 Send(producer_node[lab], consumer_node[lab], ("sigma-link", lab),
                      over_network=True)
-                for lab in link_labels
+                for lab in link_of_message
             ]
             stages.append(Stage("sigma-route", sends))
         else:

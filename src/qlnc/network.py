@@ -73,16 +73,20 @@ class CodingNetwork:
     links: tuple[Link, ...]
     source_inputs: tuple[tuple[str, int], ...]
     target_outputs: tuple[tuple[str, int], ...]
-    # the geometry the coherent entry points compile and keep (coherent._geometry_of)
-    _geometry: object = field(default=None, init=False, repr=False, compare=False)
+    # what is derived from the network once and kept, which its frozen
+    # fields and read-only node matrices keep valid: "inspect" -> _inspect's
+    # (violations, Wiring) (_analysis), "rows" -> the read-only port rows
+    # (_rows), "geometry" -> the geometry the coherent entry points compile
+    # (coherent._geometry_of)
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __init__(self, d, nodes, links, source_inputs, target_outputs):
-        object.__setattr__(self, "_geometry", None)
+        object.__setattr__(self, "_memo", {})
         object.__setattr__(self, "d", _integer(d))
         object.__setattr__(self, "nodes", tuple(nodes))
         links = [l if isinstance(l, Link) else Link(*l) for l in links]
         object.__setattr__(self, "links", tuple(
-            Link(l.from_node, _integer(l.from_port), l.to_node, _integer(l.to_port))
+            Link(str(l.from_node), _integer(l.from_port), str(l.to_node), _integer(l.to_port))
             for l in links
         ))
         object.__setattr__(
@@ -93,8 +97,8 @@ class CodingNetwork:
         )
 
     def __getstate__(self):
-        # a copy or an unpickled network compiles its own geometry
-        return {**self.__dict__, "_geometry": None}
+        # a copy or an unpickled network analyses itself anew
+        return {**self.__dict__, "_memo": {}}
 
     @property
     def num_inputs(self):
@@ -123,7 +127,14 @@ class Wiring:
 
 def validate(net: CodingNetwork) -> list[str]:
     """All structural violations, as human-readable strings (empty if valid)."""
-    return _inspect(net)[0]
+    return list(_analysis(net)[0])
+
+
+def _analysis(net: CodingNetwork):
+    """_inspect(net), run on first use and kept on the network."""
+    if "inspect" not in net._memo:
+        net._memo["inspect"] = _inspect(net)
+    return net._memo["inspect"]
 
 
 def _inspect(net: CodingNetwork):
@@ -230,8 +241,9 @@ def _topological_order(net: CodingNetwork):
 
 
 def wiring(net: CodingNetwork) -> Wiring:
-    """Port resolution tables and a topological node order (network must be valid)."""
-    violations, w = _inspect(net)
+    """Port resolution tables and a topological node order (network must be
+    valid); the Wiring is kept on the network and is read-only."""
+    violations, w = _analysis(net)
     if violations:
         raise InvalidNetworkError(violations)
     return w
@@ -240,44 +252,46 @@ def wiring(net: CodingNetwork) -> Wiring:
 def port_dependence(net: CodingNetwork):
     """Dependence row for every port value as a linear function of the inputs.
 
-    Returns (in_rows, out_rows): dicts keyed by (node, port) holding int64
-    rows lambda with value = lambda . s for network input vector s.  Built by
-    forward propagation in topological order, which is exactly the product
-    of the per-layer block maps.
+    Returns (in_rows, out_rows): new dicts keyed by (node, port) holding
+    read-only int64 rows lambda with value = lambda . s for network input
+    vector s, views of the rows kept on the network (_rows).
     """
-    return _propagate(net, wiring(net))
+    w, rows = wiring(net), _rows(net)
+    unit = np.eye(net.num_inputs, dtype=np.int64)
+    unit.flags.writeable = False
+    at = {"source": unit, "link": rows, "target": rows[len(net.links):]}
+    return ({key: at[kind][i] for key, (kind, i) in w.in_feed.items()},
+            {key: at[kind][i] for key, (kind, i) in w.out_feed.items()})
 
 
-def _propagate(net: CodingNetwork, w: Wiring):
-    """port_dependence of a network already wired as `w`."""
-    k = net.num_inputs
-    unit = np.eye(k, dtype=np.int64)
-    in_rows = {}
-    out_rows = {}
-    link_rows = {}
-    for nid in w.topo_order:
-        node = w.node[nid]
-        stack = []
-        for p in range(node.matrix.cols):
-            kind, idx = w.in_feed[(nid, p)]
-            row = unit[idx] if kind == "source" else link_rows[idx]
-            in_rows[(nid, p)] = row
-            stack.append(row)
-        stack = np.asarray(stack, dtype=np.int64).reshape(node.matrix.cols, k)
-        out = _matmul_mod(node.matrix.a, stack, net.d)
-        for q in range(node.matrix.rows):
-            out_rows[(nid, q)] = out[q]
-            kind, idx = w.out_feed[(nid, q)]
-            if kind == "link":
-                link_rows[idx] = out[q]
-    return in_rows, out_rows
+def _rows(net: CodingNetwork):
+    """The dependence rows of every link's value and then of every output,
+    one read-only array kept on the network.  Built by forward propagation
+    in topological order, which is exactly the product of the per-layer
+    block maps."""
+    rows = net._memo.get("rows")
+    if rows is None:
+        w = wiring(net)
+        k, m = net.num_inputs, len(net.links)
+        unit = np.eye(k, dtype=np.int64)
+        rows = np.zeros((m + net.num_outputs, k), dtype=np.int64)
+        for nid in w.topo_order:
+            node = w.node[nid]
+            feeds = [w.in_feed[nid, p] for p in range(node.matrix.cols)]
+            stack = np.asarray([(unit if kind == "source" else rows)[i] for kind, i in feeds],
+                               dtype=np.int64).reshape(len(feeds), k)
+            out = _matmul_mod(node.matrix.a, stack, net.d)
+            for q in range(node.matrix.rows):
+                kind, i = w.out_feed[nid, q]
+                rows[i if kind == "link" else m + i] = out[q]
+        rows.flags.writeable = False
+        net._memo["rows"] = rows
+    return rows
 
 
 def composite_map(net: CodingNetwork) -> RingMatrix:
     """The matrix M with run_classical(net, s) == M @ s."""
-    _, out_rows = port_dependence(net)
-    rows = [out_rows[key] for key in net.target_outputs]
-    return RingMatrix(np.asarray(rows, dtype=np.int64).reshape(len(rows), net.num_inputs), net.d)
+    return RingMatrix(_rows(net)[len(net.links):], net.d)
 
 
 def run_classical(net: CodingNetwork, s) -> np.ndarray:

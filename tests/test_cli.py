@@ -1,13 +1,19 @@
 """Command-line surface: subcommands, file formats, exit codes, determinism."""
 
+import contextlib
+import copy
+import functools
 import hashlib
+import io
 import json
+import operator
 import os
 import re
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qlnc.cli as cli
 from qlnc.bundled import bundled_path, butterfly_swap
@@ -218,6 +224,17 @@ def test_malformed_link_exits_1(tmp_path, capsys):
     assert run_cli("validate", "--network", str(path)) == 1
     assert "error: cannot load network" in capsys.readouterr().err
 
+
+@pytest.mark.parametrize("end", [{"id": "Q"}, ["Q"]], ids=["dict", "list"])
+@pytest.mark.parametrize("field", [0, 2], ids=["from", "to"])
+@pytest.mark.parametrize("command", ["validate", "run-mbqc"])
+def test_unhashable_link_end_is_an_unknown_node(tmp_path, capsys, end, field, command):
+    path = tmp_path / "network.json"
+    path.write_text(json.dumps(_swap_edited("links", 0, end, field=field)))
+    assert run_cli(command, "--network", str(path)) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert err.startswith(f"violation: link 0 references unknown node {str(end)!r}")
 
 
 def _swap_edited(key, i, value, field=None):
@@ -646,3 +663,57 @@ def test_coherent_run_reaches_swap_over_z101(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["fidelity_vs_oracle"] >= 1 - 1e-9
     if os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") < 2 * 16 * 101**6:
         assert run_cli("run-mbqc", "--network", path) == 4
+
+
+# the values a fuzzed edit puts into a network file: numbers of every JSON
+# kind, names that do and do not match a node, and nested containers
+_FUZZ_VALUES = [0, 1, -1, 2, 3, 7, 2**31, 2**64, 0.5, -2.0, float("nan"), True, False, None,
+                "", "0", "x", "S1", "V1", "T2", [], [0], [[1]], ["V1", 0], {}, {"id": "Q"}]
+_DOCUMENTED_EXITS = {0, 1, 2, 3, 4, 64}
+
+
+def _positions(doc, at=()):
+    """The key/index path of every value below the top of a JSON document."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield at + (key,)
+        yield from _positions(value, at + (key,))
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(sorted(_CLI_NETWORKS)), data=st.data())
+def test_edited_network_files_exit_with_documented_codes(tmp_path_factory, name, data):
+    # 1-3 random edits of a bundled network file: a value replaced from
+    # _FUZZ_VALUES, deleted, or duplicated (next to itself in a list, over a
+    # sibling in an object); every command exits with a documented code
+    with open(bundled_path(name), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    for _ in range(data.draw(st.integers(1, 3), label="edits")):
+        positions = list(_positions(doc))
+        if not positions:
+            break
+        *at, key = data.draw(st.sampled_from(positions), label="position")
+        parent = functools.reduce(operator.getitem, at, doc)
+        how = data.draw(st.sampled_from(["replace", "delete", "duplicate"]), label="how")
+        if how == "replace":
+            parent[key] = copy.deepcopy(data.draw(st.sampled_from(_FUZZ_VALUES), label="value"))
+        elif how == "delete":
+            del parent[key]
+        elif isinstance(parent, list):
+            parent.insert(key, copy.deepcopy(parent[key]))
+        else:
+            parent[data.draw(st.sampled_from(sorted(parent)), label="over")] = copy.deepcopy(
+                parent[key])
+    path = tmp_path_factory.mktemp("fuzz") / "network.json"
+    path.write_text(json.dumps(doc))
+    inputs = doc.get("inputs") if isinstance(doc, dict) else None
+    basis = ",".join(["1"] * len(inputs)) if isinstance(inputs, list) and inputs else "1"
+    for argv in (["validate"], ["run-classical", "--input", basis], ["counts"],
+                 ["compile-mbqc"], ["run-mbqc"],
+                 ["run-mbqc", "--mode", "constrained", "--local-aux"],
+                 ["run-coherent", "--mode", "constrained"], ["compare"]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run_cli(argv[0], "--network", str(path), *argv[1:])
+        assert code in _DOCUMENTED_EXITS, (argv, code, err.getvalue())
+        assert "Traceback" not in err.getvalue(), argv

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import qlnc.mbqc as mbqc
+import qlnc.network as network
 from qlnc.bundled import butterfly_multicast, butterfly_swap, identity_wire
 from qlnc.coherent import exhaustive_coherent, run_coherent
 from qlnc.files import dump_json
@@ -24,8 +25,18 @@ from qlnc.mbqc import (
     oracle_output_state,
     run_mbqc,
 )
-from qlnc.network import CodingNetwork, NodeSpec, UnsupportedNetworkError, composite_map
-from qlnc.ring import RingMatrix
+from qlnc.network import (
+    CodingNetwork,
+    InvalidNetworkError,
+    NodeSpec,
+    UnsupportedNetworkError,
+    composite_map,
+    port_dependence,
+    run_classical,
+    validate,
+    wiring,
+)
+from qlnc.ring import RingMatrix, left_inverse
 from qlnc.states import QuditState, fidelity
 
 from helpers import random_network
@@ -232,6 +243,97 @@ def test_networks_and_geometries_pickle_after_runs():
     assert net2 == net and geo2.to_dict() == geo.to_dict()
     assert [_text(_report(net2, geo2, psi, config, 5)) for config in CONFIGS] == want
     assert copy.deepcopy(net) == net
+
+
+def _analyses(monkeypatch):
+    """Counts of network._inspect calls and of node maps propagated."""
+    counts = {"inspect": 0, "propagate": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(network, "_inspect", counted("inspect", network._inspect))
+    monkeypatch.setattr(network, "_matmul_mod", counted("propagate", network._matmul_mod))
+    return counts
+
+
+def _analyse(net):
+    """Everything that reads a network's analysis, as a comparable value."""
+    in_rows, out_rows = port_dependence(net)
+    return (validate(net), wiring(net).topo_order, compile_network(net).to_dict(),
+            composite_map(net), {key: row.tolist() for key, row in in_rows.items()},
+            {key: row.tolist() for key, row in out_rows.items()},
+            run_classical(net, [1] * net.num_inputs).tolist())
+
+
+def test_a_network_is_analysed_once(monkeypatch):
+    counts = _analyses(monkeypatch)
+    net = butterfly_multicast(3)
+    first = _analyse(net)
+    assert _analyse(net) == first
+    run_coherent(net, QuditState.basis(3, [1, 2]), mode="constrained", seed=0)
+    # one inspection, and one propagation through each node's map
+    assert counts == {"inspect": 1, "propagate": len(net.nodes)}
+    for twin in (pickle.loads(pickle.dumps(net)), copy.deepcopy(net)):
+        assert twin == net and twin._memo == {}
+        assert _analyse(twin) == first
+    assert counts == {"inspect": 3, "propagate": 3 * len(net.nodes)}
+
+
+def test_kept_analysis_hands_out_fresh_or_read_only_containers():
+    net = butterfly_swap(2)
+    violations = validate(net)
+    violations.append("changed by a caller")
+    assert validate(net) == [] and validate(net) is not validate(net)
+    sizes = [len(rows) for rows in port_dependence(net)]
+    for rows in port_dependence(net):
+        for row in rows.values():
+            with pytest.raises(ValueError, match="read-only"):
+                row[0] = 1
+        rows.clear()
+    assert [len(rows) for rows in port_dependence(net)] == sizes == [9, 9]
+    geo = compile_network(net)
+    with pytest.raises(ValueError, match="read-only"):
+        geo.depends["t1"][0] += 1
+    assert compile_network(net) is not geo and compile_network(net).to_dict() == geo.to_dict()
+
+
+def test_an_invalid_network_raises_on_every_call():
+    net = CodingNetwork(2, [NodeSpec("A", RingMatrix([[1]], 2))], [("A", 0, "A", 0)],
+                        [("A", 0)], [("A", 0)])
+    want = validate(net)
+    assert want and validate(net) == want
+    for _ in range(2):
+        for call in (wiring, port_dependence, composite_map, compile_network,
+                     lambda n: run_classical(n, [0])):
+            with pytest.raises(InvalidNetworkError) as err:
+                call(net)
+            assert err.value.violations == want
+
+
+def test_free_and_constrained_plans_share_one_left_inverse(monkeypatch):
+    rng = np.random.default_rng(3)
+    for _ in range(100):
+        net = random_network(rng, 3, require_injective=True)
+        if build_schedule(compile_network(net), "constrained").requires_out_of_network:
+            break
+    else:
+        pytest.fail("no random network needs out-of-network messages")
+    calls = []
+    monkeypatch.setattr(mbqc, "left_inverse", lambda M: calls.append(M) or left_inverse(M))
+    for modes in (("free", "constrained"), ("constrained", "free")):
+        geo = compile_network(net)
+        plans = [build_schedule(geo, mode) for mode in modes] + [build_schedule(geo, "free")]
+        assert len(calls) == 1
+        calls.clear()
+        # each call still builds a new plan from new step records
+        free = plans[modes.index("free")]
+        assert plans[-1] is not free and plans[-1].schedule == free.schedule
+        kept = {id(step) for stage in free.schedule.stages for step in stage.steps}
+        assert not kept & {id(step) for stage in plans[-1].schedule.stages for step in stage.steps}
 
 
 def test_shuffled_measurement_order_runs_through_the_driver():
