@@ -11,9 +11,9 @@ kept on the geometry, and the coherent entry points keep the geometry they
 compile on the network (coherent._geometry_of).  On a path's first run the
 plan is resolved into one step program (_program), which decides what a
 simulated array holds: on the one-way path the live qudits in measurement
-order, the outputs last, each out-port step inserting its pair with one
-amplitude table of its cZ phases and each measurement taking the leading
-axis; on the coherent path the amplitudes over the d^k network inputs
+order, the outputs last, each measurement taking the leading axis, an
+out-port step as the kernel of its auxiliary's measurement (_port_kernel);
+on the coherent path the amplitudes over the d^k network inputs
 (coherent._embed), then the outputs.  One single-run driver and one branch
 walker interpret it for every entry point, on bare arrays with axis 0
 indexing branches, each measurement with its path's kernel; a single run
@@ -46,12 +46,13 @@ Both modes are simulated in one frontier order.  A one-way node step is
 split by out-port: an auxiliary is entangled only with the node's inputs and
 its own message qudit, and a cZ commutes with Fourier measurements on other
 qudits (the standard-form reordering of the measurement calculus), so each
-port's pair is prepared right before it is used and followed at once by its
-auxiliary's measurement and --local-aux shift correction.  The node's last
+port's pair is prepared, entangled and its auxiliary measured in one kernel
+(an entangling command followed by a measurement composes into one
+operator), followed by its --local-aux shift correction.  The node's last
 port is followed by the measurements of its inputs.  So one auxiliary pair
 is live at a time, and a qudit stays live only while a later step acts on
-it.  Fourier measurements on different qudits commute, and a
-Z^tau applied right before a Fourier measurement only relabels its outcome
+it.  Fourier measurements on different qudits commute, and a Z^tau
+applied right before a Fourier measurement only relabels its outcome
 (signal shifting in the measurement calculus of Danos, Kashefi and
 Panangaden): measuring Z^tau psi gives r exactly when measuring psi gives
 r - tau, and leaves the same state.  So the simulation drops each such Z
@@ -489,11 +490,20 @@ def _steps(plan, coherent):
     """The simulated ops, report order, final corrections and forced-outcome
     order of a path.  The coherent path drops the auxiliary measurements,
     the corrections that read them and the node steps, which change no
-    amplitude of its input-basis register (see coherent.py).
+    amplitude of its input-basis register (see coherent.py).  One-way, each
+    port step and its auxiliary's measurement are one op ("measure", aux,
+    stage, gadget index, out-port) at the port step's place: nothing acts
+    on the auxiliary in between, and Fourier measurements of distinct
+    qudits commute, so a plan shuffled within a stage runs as built.
     """
     ops, report_ops, finals = plan.physical, plan.report_order, plan.final_corrections
     order = plan.schedule.measurement_order()
-    if coherent:
+    if not coherent:
+        gadgets, stage = plan.geometry.gadgets, {op[1]: op[2] for op in ops if op[0] == "measure"}
+        port = {op: gadgets[op[1]].aux_labels[op[2]] for op in ops if op[0] == "intro"}
+        ops = [("measure", port[op], stage[port[op]], *op[1:]) if op in port else op
+               for op in ops if not (op[0] == "measure" and _is_aux(op[1]))]
+    else:
         def keep(op):
             return (op[0] == "measure" and not _is_aux(op[1])
                     or op[0] == "corr" and not _reads_aux(op[1]))
@@ -508,9 +518,9 @@ def _steps(plan, coherent):
 def _check_memory(d, live, tables):
     """Refuse, before allocating, a run whose two arrays of `live` axes
     (_Program.peak) and `tables` bytes cannot fit in physical memory.  By
-    VmHWM, one-way butterfly_swap(13) peaks at 2.25 registers; by
-    tracemalloc, the d=2 sum node with 19 in-ports at 96.1 MiB one-way
-    (96.0 counted), an identity node on 16 inputs at 4.1 MiB coherently
+    VmHWM, one-way butterfly_swap(13) peaks at 1.18 registers; by
+    tracemalloc, the d=2 sum node with 19 in-ports at 88.8 MiB one-way
+    (96.1 counted), an identity node on 16 inputs at 4.1 MiB coherently
     (4.5 counted)."""
     try:
         have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -713,12 +723,13 @@ class _Program:
     `rows` times the simulated outcomes r' mod d.
 
     steps:  ("node", step), step(array, out=None) -> array, into `out` when
-            given: an out-port's |+> pair and cZ phases, or the coherent
-            scatter; ("measure", label, position in `order`, kernel), where
-            kernel(array, d, children) writes each row's d children (row,
-            outcome) row-major and returns their squared norms; ("corr",
-            op, axis, row), an --local-aux X step or a final correction,
-            with exponent rows[row] . r' (the walker fuses runs of them)
+            given: the coherent scatter; ("measure", label, position in
+            `order`, kernel), where kernel(array, d, children) writes each
+            row's d children (row, outcome) row-major and returns their
+            squared norms (a one-way auxiliary's also makes its port step,
+            _port_kernel); ("corr", op, axis, row), an --local-aux X step
+            or a final correction, with exponent rows[row] . r' (the
+            walker fuses runs of them)
     order:  the simulated measurement order
     forced_order: the schedule measurement order forced sequences follow
     perm:   the axes of the input register in the layout of the first step
@@ -746,7 +757,8 @@ class _Program:
 def _program(plan, embed=None):
     """The step program of a path of `plan`, resolved on the path's first
     run and kept on the plan; `embed` as in _run.  A one-way layout is the
-    tuple of live labels in axis order, sorted by measurement rank."""
+    tuple of live labels in axis order, sorted by measurement rank; a port
+    step is one kernel, with no node step (_port_kernel)."""
     prog = plan.programs.get(embed)
     if prog is not None:
         return prog
@@ -759,7 +771,8 @@ def _program(plan, embed=None):
 
     # the tables of states._TABLES that the steps read: the phase table (cZ,
     # Z and the coherent measurement kernels), and one-way the Fourier
-    # table of each kron width that _fourier_rows takes
+    # table of each kron width that _fourier_rows takes, F^dagger alone
+    # for the port kernels
     shared = 16 * d * d
     if embed is not None:
         perm, steps, live, table_bytes, rows = embed(
@@ -770,19 +783,19 @@ def _program(plan, embed=None):
         perm = [geometry.inputs.index(lab) for lab in layout]
         steps, live, table_bytes, widths = [], [len(layout)], 0, set()
         for op in ops + [("corr", c, stage) for c, stage in finals]:
-            if op[0] == "intro":
-                gadget = geometry.gadgets[op[1]]
-                after = tuple(sorted(layout + (gadget.aux_labels[op[2]], gadget.out_labels[op[2]]),
-                                     key=rank.get))
+            if op[0] == "measure" and len(op) > 3:  # a port step (see _steps)
+                gadget = geometry.gadgets[op[3]]
+                after = tuple(sorted(layout + (op[1], gadget.out_labels[op[4]]), key=rank.get))
                 # the plans of a geometry that reach a port step with the
-                # same layouts share the step and its table
-                key = ("node", *op[1:], layout, after)
+                # same layouts share its kernel and table
+                key = ("port", *op[3:], layout, after)
                 if key not in geometry._memo:
-                    geometry._memo[key] = _intro_step(gadget, op[2], after, d)
-                step, nbytes = geometry._memo[key]
-                steps.append(("node", step))
+                    geometry._memo[key] = _port_kernel(gadget, op[4], after, d)
+                kernel, nbytes = geometry._memo[key]
+                steps.append(("measure", op[1], order.index(op[1]), kernel))
                 table_bytes += nbytes
-                layout = after
+                widths.add(1)  # its table is built from F^dagger
+                layout = after[1:]  # the auxiliary leads: it is measured next
             elif op[0] == "measure":
                 layout = layout[1:]  # no live qudit is measured before op[1]: it leads
                 steps.append(("measure", op[1], order.index(op[1]), _fourier_rows))
@@ -897,12 +910,13 @@ def _branches(plan, input_state, embed=None):
 
     A batch holds branches at one program position as the rows of one
     array (see _Program), and the walk interprets the program of `_run`,
-    `embed` as there.  Node steps act on the whole batch; a measurement's
-    kernel writes the d children of every row (row, outcome) row-major, so
-    branches stay in lexicographic outcome order, and a child whose squared
-    norm is below IMPOSSIBLE_TOL of its parent's is dropped; a correction
-    raises each row to its own exponent, the dot product of the step's row
-    with that branch's outcome vector.  A batch is taken in row ranges of
+    `embed` as there.  The coherent scatter acts on the whole batch; a
+    measurement's kernel, one-way an auxiliary's with its port step, writes
+    the d children of every row (row, outcome) row-major, so branches stay
+    in lexicographic outcome order, and a child whose squared norm is below
+    IMPOSSIBLE_TOL of its parent's is dropped; a correction raises each row
+    to its own exponent, the dot product of the step's row with that
+    branch's outcome vector.  A batch is taken in row ranges of
     at most _CHUNK_AMPS // d**n rows, d**n the amplitudes of a row's
     children at the next measurement, the rest staying on the stack as a
     view.  Callers check the register first (_check_peak), and one that
@@ -917,7 +931,7 @@ def _branches(plan, input_state, embed=None):
     single runs (_run), one row, go step by step (_weyl_rows).
 
     The steps write into reusable work buffers (_work): one children array
-    per measurement level, two scratch arrays that a chunk's node steps and
+    per measurement level, two scratch arrays that a chunk's scatter and
     corrections take in turn, and a fused run's index and phase scratch.
     Depth first, a level's children are all consumed before the level
     measures again, so no buffer is written while still needed.  The walk
@@ -1178,11 +1192,12 @@ def _weyl_run(run, live, d):
     W = np.array([[(op, a) == col for col in cols] + [op == "Z" and j > k and step == ("X", a)
                   for j, step in enumerate(run)] for k, (op, a) in enumerate(run)], dtype=np.int64)
     weights = d ** np.r_[np.arange(m)[::-1], np.arange(1, len(zs) + 1)[::-1]]
-    x = np.indices((1,) + (d,) * live)  # the axes of a row of the batch
-    sources = np.array([np.roll(np.arange(n).reshape(x.shape[1:]), s, xs).ravel()
-                        for s in itertools.product(range(d), repeat=m)])
-    phases = zs and _table("phase", d)[1][[(np.tensordot(g, x[zs], 1) - c).ravel() % d for *g, c
-                                           in itertools.product(range(d), repeat=len(zs) + 1)]]
+    grid = np.ix_(*[np.arange(d)] * (m + live))  # s, then y on each axis
+    sources = sum((grid[m + a - 1] - dict(zip(xs, grid)).get(a, 0)) % d * d**(live - a)
+                  for a in range(1, live + 1)).reshape(d**m, n)
+    grid = np.ix_(*[np.arange(d)] * (len(zs) + 1 + live))  # g, c, then y on each axis
+    e = (sum(g * grid[len(zs) + a] for g, a in zip(grid, zs)) - grid[len(zs)]) % d
+    phases = zs and _table("phase", d)[1][np.broadcast_to(e, (d,) * len(grid))].reshape(-1, n)
 
     def step(arr, exps, out, bufs):
         rows, v = len(arr), exps @ W
@@ -1201,36 +1216,40 @@ def _weyl_run(run, live, d):
     return step
 
 
-def _intro_step(gadget, j, after, d):
-    """The one-way step of out-port j of a node into the live layout
-    `after` (see _program): adjoin the port's auxiliary and message qudits
-    in |+> at their axes in `after` and entangle them, in one multiply by
-    its amplitude table.  Returns the step and the table's size in bytes.
-    The table is built on the step's first call, so after the run's memory
-    check."""
+def _port_kernel(gadget, j, after, d):
+    """The one-way step of out-port j of a node, fused into the measurement
+    kernel of its auxiliary (see _program), into the live layout `after`,
+    the auxiliary leading: the port's pair in |+>, its cZ phases w^(x_aux s)
+    / d, s = sum_e w_e x_e over the port's edges, and F^dagger on the
+    auxiliary compose into child (row, r) = row * H[r, s], H = F^dagger
+    Phase / d, one broadcast multiply that teleports V[j].x - r into the
+    message qudit.  Returns the kernel and its table's size in bytes; the
+    table is built on the first call, so after the run's memory check."""
     axis = {lab: 1 + i for i, lab in enumerate(after)}
-    aux, msg = gadget.aux_labels[j], gadget.out_labels[j]
+    msg = gadget.out_labels[j]
     edges = [(axis[lab], int(w)) for lab, w in zip(gadget.in_labels, gadget.matrix.a[j]) if w]
     edges.append((axis[msg], d - 1))
     table = None
 
-    def step(arr, out=None):
+    def kernel(arr, d, children):
         nonlocal table
         if table is None:
-            table = _port_table(axis[aux], edges, 1 + len(after), d) / d
-        return np.multiply(np.expand_dims(arr, (axis[aux], axis[msg])), table, out=out)
+            H = _table("fourier", d) @ _table("phase", d) / d
+            table = _port_table(1, edges, 1 + len(after), d, H)
+        np.multiply(np.expand_dims(arr, (1, axis[msg])), table,
+                    out=children.reshape((len(arr),) + (d,) * len(after)))
+        return _sq_norms(children)
 
-    return step, 16 * d ** (len(edges) + 1)
+    return kernel, 16 * d ** (len(edges) + 1)
 
 
-def _port_table(aux, edges, ndim, d):
-    """w^(x_aux * sum_e w_e x_e) over the axes of an auxiliary and its cZ
-    edges (axis, weight), w = exp(2 pi i / d), shaped to broadcast over a
-    batch of `ndim` axes: d**(edges + 1) entries."""
-    axes = sorted([aux] + [ax for ax, _w in edges])
-    grid = dict(zip(axes, np.ix_(*[np.arange(d)] * len(axes))))
-    exps = sum(w * grid[ax] for ax, w in edges) % d * grid[aux] % d
-    shape = [1] * ndim
-    for ax in axes:
-        shape[ax] = d
-    return _table("phase", d)[1][exps].reshape(shape)
+def _port_table(aux, edges, ndim, d, matrix=None):
+    """matrix[x_aux, sum_e w_e x_e mod d] over the axes of an auxiliary and
+    its cZ edges (axis, weight), shaped to broadcast over a batch of `ndim`
+    axes: d**(edges + 1) entries.  The default matrix, the phase table,
+    gives the cZ phases w^(x_aux * sum_e w_e x_e), w = exp(2 pi i / d)."""
+    def x(axis):  # the values of one axis, shaped to broadcast
+        return np.arange(d).reshape([d if a == axis else 1 for a in range(ndim)])
+
+    s = sum(w * x(ax) for ax, w in edges) % d
+    return (_table("phase", d) if matrix is None else matrix)[x(aux), s]

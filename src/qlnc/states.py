@@ -14,7 +14,8 @@ from which X |w_r> = w^(-r) |w_r>, and measuring qudit a of an entangled
 state in the Fourier basis with outcome r multiplies the branch holding
 basis value x on a by w^(-r x).  The kernels that carry them are
 mbqc._weyl_rows (X and Z), mbqc._fourier_rows (the measurement) and
-mbqc._port_table (cZ).
+mbqc._port_kernel (a one-way port step: cZ, by mbqc._port_table, and its
+auxiliary's measurement in one multiply).
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ import pytest
 
 from qlnc.bundled import butterfly_multicast, butterfly_swap, identity_wire
 from qlnc.coherent import exhaustive_coherent, run_coherent
-from qlnc.geometry import compile_network, label_sort_key
+from qlnc.geometry import NodeGadget, compile_network, label_sort_key
 from qlnc.coherent import _embed, _geometry_of
 from qlnc.mbqc import (
     Correct,
@@ -20,7 +20,9 @@ from qlnc.mbqc import (
     Send,
     _check_memory,
     _exhaustive,
+    _fourier_rows,
     _plan_for,
+    _port_kernel,
     _program,
     _run,
     _steps,
@@ -38,6 +40,7 @@ from qlnc.states import ImpossibleOutcomeError, QuditState, fidelity
 from helpers import (
     DenseRegister,
     cx_embed,
+    dense_f,
     dense_x,
     dense_z,
     graph_state,
@@ -499,7 +502,7 @@ def test_single_runs_refuse_registers_beyond_physical_memory():
     # Coherently a register holds the amplitudes over the inputs, or the
     # outputs: one input copied onto 6 outputs over Z_101 needs 101^6
     plan = build_schedule(compile_network(butterfly_swap(101)), "constrained")
-    mbqc_peak = max(_program(plan).live)
+    mbqc_peak = _program(plan).peak
     copies = _copies(101, 6)
     coh_peak = _program(build_schedule(compile_network(copies), "constrained"), _embed).peak
     assert (mbqc_peak, coh_peak, _program(plan, _embed).peak) == (6, 6, 3)
@@ -562,7 +565,7 @@ def test_memory_check_counts_every_table_a_program_keeps(monkeypatch):
     fourier = sum(16 * (2 * w)**2 for w in (1, 2, 4, 8, 16, 32))
     cases = ((coh.peak, coh.table_bytes, 1024, 2, 16 * 1024**2 + 8 * 1024 + 16 * 1024**2,
               lambda: run_coherent(wide, QuditState.basis(1024, [1]), seed=0)),
-             (max(one.live), one.table_bytes, 2, 21,
+             (one.peak, one.table_bytes, 2, 21,
               p * 16 * 2**3 + 16 * 2**(p + 2) + 16 * 2**2 + fourier,
               lambda: run_mbqc(geo, psi, seed=0)))
     for peak_axes, table_bytes, d, live, tables, run in cases:
@@ -629,7 +632,7 @@ def test_single_run_peaks_within_what_the_memory_check_counts():
              (_program(build_schedule(geo, "free")), None, lambda: run_mbqc(geo, psi, seed=0)))
     for prog, peak_qudits, run in cases:
         assert peak_qudits in (None, prog.peak)
-        counted = 2 * 16 * 2**max([prog.peak] if peak_qudits else prog.live) + prog.table_bytes
+        counted = 2 * 16 * 2**prog.peak + prog.table_bytes
         tracemalloc.start()
         try:
             _out, rep = run()
@@ -721,20 +724,21 @@ print(status_kib("VmHWM") - base)
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM and VmRSS")
-def test_single_run_peaks_below_two_and_a_half_registers():
+def test_single_run_peaks_below_one_and_a_half_registers():
     # a one-way run of butterfly_swap(13) keeps 6 qudits live: 13^6
-    # amplitudes, a 74 MiB register; a measurement holds the register and its
-    # transform.  The child reads its own peak from /proc: its ru_maxrss
-    # would start at the RSS of the process that forked it
+    # amplitudes, a 74 MiB register; the transform of a port step's kernel
+    # is one register, and a kept child is a view of its transform.  The
+    # child reads its own peak from /proc: its ru_maxrss would start at the
+    # RSS of the process that forked it
     plan = build_schedule(compile_network(butterfly_swap(13)), "free")
-    assert max(_program(plan).live) == 6
+    assert _program(plan).peak == 6
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-c", _PEAK_SCRIPT], env=env, capture_output=True,
                           text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     peak_registers = int(done.stdout) * 1024 / (16 * 13**6)
-    assert peak_registers < 2.5
+    assert peak_registers < 1.5
 
 
 # Raw outcomes in ledger order of seeded runs on a Haar input, as sampled
@@ -824,6 +828,56 @@ def test_constrained_peak_live_equals_free():
                 plan = build_schedule(geo, mode)
                 peaks.append(max(_program(plan, embed).live))
             assert peaks[0] == peaks[1]
+
+
+def test_port_kernel_matches_the_dense_port_step_and_measurement():
+    # a port step and its auxiliary's Fourier measurement are one kernel:
+    # its children and their squared norms are the dense register's after
+    # port_step, F^dagger on the auxiliary and each outcome forced, with the
+    # message qudit's axis before, among or after the other live axes (the
+    # node's inputs and a qudit the node does not read)
+    rng = np.random.default_rng(2207)
+    for d in (2, 3, 4, 6):
+        for _ in range(4):
+            n_in, n_out = int(rng.integers(1, 4)), int(rng.integers(1, 3))
+            weights = rng.integers(0, d, (n_out, n_in)) * (rng.random((n_out, n_in)) < 0.7)
+            ins = tuple(f"in{k}" for k in range(n_in))
+            gadget = NodeGadget("N", ins, tuple(f"N{j}'" for j in range(n_out)),
+                                tuple(f"N{j}" for j in range(n_out)), RingMatrix(weights, d))
+            j = int(rng.integers(n_out))
+            aux, msg = gadget.aux_labels[j], gadget.out_labels[j]
+            layout = tuple(rng.permutation(ins + ("x",)).tolist())
+            for at in (0, int(rng.integers(1, len(layout) + 1)), len(layout)):
+                after = (aux,) + layout[:at] + (msg,) + layout[at:]
+                kernel, nbytes = _port_kernel(gadget, j, after, d)
+                assert nbytes == 16 * d ** (2 + int(np.count_nonzero(weights[j])))
+                arr = rng.normal(size=(3, d**len(layout))) + 1j * rng.normal(size=(3, d**len(layout)))
+                arr /= np.linalg.norm(arr, axis=1, keepdims=True)
+                children = np.empty((3 * d,) + (d,) * len(layout) + (d,), dtype=np.complex128)
+                nrm2 = kernel(arr.reshape((3,) + (d,) * len(layout)), d, children)
+                for b in range(3):
+                    reg = DenseRegister(QuditState(len(layout), d, arr[b]), layout)
+                    port_step(reg, gadget, j)
+                    reg.gate(dense_f(d, inverse=True), aux)
+                    want = np.moveaxis(reg.t, [reg.labels.index(lab) for lab in after],
+                                       range(len(after)))
+                    for r in range(d):
+                        assert np.allclose(children[b * d + r], want[r], rtol=0, atol=1e-12)
+                        assert abs(nrm2[b * d + r] - np.vdot(want[r], want[r]).real) <= 1e-12
+    # no one-way program holds a node step: each port step is the kernel of
+    # its auxiliary's measurement, one per auxiliary
+    nets = [butterfly_swap(2), butterfly_swap(3), butterfly_multicast(2), identity_wire(3)]
+    nets += [random_network(rng, 2 + i % 5, require_injective=True, max_nodes=5, max_links=6,
+                            size_cap=7) for i in range(20)]
+    for net in nets:
+        geo = compile_network(net)
+        auxes = sorted(lab for gadget in geo.gadgets for lab in gadget.aux_labels)
+        for mode, local_aux in (("free", False), ("constrained", False), ("constrained", True)):
+            prog = _program(build_schedule(geo, mode, local_aux=local_aux))
+            assert "node" not in [step[0] for step in prog.steps]
+            ports = [step[1] for step in prog.steps
+                     if step[0] == "measure" and step[3] is not _fourier_rows]
+            assert sorted(ports) == auxes
 
 
 # -- the dict reference of the outcome algebra --------------------------

@@ -3,6 +3,7 @@ resolved step programs, and the kernels and report text they feed."""
 
 import copy
 import hashlib
+import inspect
 import itertools
 import pickle
 
@@ -37,7 +38,7 @@ from qlnc.network import (
     wiring,
 )
 from qlnc.ring import RingMatrix, left_inverse
-from qlnc.states import QuditState, fidelity
+from qlnc.states import QuditState, _table, fidelity
 
 from helpers import random_network
 from test_coherent import bell_pair
@@ -440,6 +441,47 @@ def test_fused_weyl_runs_match_their_steps_one_by_one(monkeypatch):
     assert [outs for outs, _state in stepwise] == [outs for outs, _state in fused]
     for (_, got), (_, want) in zip(stepwise, fused):
         assert np.allclose(got.psi, want.psi, atol=1e-14)
+
+
+def _weyl_tables_reference(run, live, d):
+    """A fused step's tables built one code at a time: per shift code s on
+    the X axes, the rolled flat indices; per (g on the Z axes, c), the
+    phases w^(g.x - c); codes in itertools.product order."""
+    xs, zs = (sorted({a for op, a in run if op == kind}) for kind in "XZ")
+    x = np.indices((1,) + (d,) * live)
+    sources = np.array([np.roll(np.arange(d**live).reshape(x.shape[1:]), s, xs).ravel()
+                        for s in itertools.product(range(d), repeat=len(xs))])
+    phases = zs and _table("phase", d)[1][[(np.tensordot(g, x[zs], 1) - c).ravel() % d for *g, c
+                                           in itertools.product(range(d), repeat=len(zs) + 1)]]
+    return sources, phases
+
+
+def test_fused_weyl_tables_match_a_per_code_construction():
+    # the broadcast-built tables of a fused run equal, entry for entry, the
+    # ones built by a roll and a tensordot per code
+    rng = np.random.default_rng(2208)
+    for d in (2, 3, 5, 10):
+        built = 0
+        for live in (1, 2, 3):
+            axes = range(1, live + 1)
+            runs = [tuple(("X", a) for a in axes), (("Z", live), ("X", live)),
+                    (("Z", 1), ("X", live), ("Z", live))]
+            runs += [tuple((str(rng.choice(["X", "Z"])), int(rng.integers(1, live + 1)))
+                           for _ in range(rng.integers(1, 6))) for _ in range(10)]
+            for run in runs:
+                step = _weyl_run(run, live, d)
+                if step is None:
+                    continue
+                built += 1
+                got = inspect.getclosurevars(step).nonlocals
+                sources, phases = _weyl_tables_reference(run, live, d)
+                assert got["sources"].dtype == sources.dtype
+                assert np.array_equal(got["sources"], sources)
+                if any(op == "Z" for op, _axis in run):
+                    assert np.array_equal(got["phases"], phases)
+                else:
+                    assert got["phases"] == phases == []
+        assert built >= 10, (d, built)
 
 
 def _oracle_reference(M, psi):
