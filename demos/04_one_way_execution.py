@@ -49,10 +49,10 @@ print(
 
 # %%
 # Exhaustive sweep: all 2^18 forced-outcome branches of the free-mode swap.
-# The walker carries the branches as the rows of one array, so each port step
-# (one kernel with its auxiliary's measurement), measurement and correction
-# runs once per chunk of branches; every branch must land on the swapped
-# state exactly.
+# The walker carries the branches as the rows of one array over the input
+# values, so each measurement and correction runs once per chunk of
+# branches; a port step is only a classical offset and one scale there.
+# Every branch must land on the swapped state exactly.
 count, worst = branch_survey(geo, psi, mode="free")
 print(f"swept {count} branches, worst fidelity {worst:.12f}")
 

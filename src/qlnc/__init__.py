@@ -8,14 +8,13 @@ The layers, bottom to top:
     network    DAG coding networks: validation, classical execution,
                composite map extraction
     states     dense n-qudit state vectors and the shared read-only phase
-               and Fourier tables of the execution kernels
+               table of the execution kernels
     geometry   compilation into a weighted graph-state geometry
     mbqc       one-way execution: the plan, correction routing, the
-               single-run driver, the branch walker and the kernels
-               they share
+               input-basis register both paths run on, the single-run
+               driver, the branch walker and the kernels they share
     coherent   classically assisted coherent simulation of a network
-               code: the one-way plan without its auxiliary qudits, run
-               on amplitudes over the network inputs
+               code: the one-way plan without its auxiliary qudits
     cli        the qlnc command-line tool and its file formats
 
 `import qlnc` loads only the modules a run needs.  `qlnc.weyl`, the

@@ -30,7 +30,7 @@ import warnings
 
 import numpy as np
 
-from .coherent import _embed, _geometry_of, run_coherent
+from .coherent import _geometry_of, run_coherent
 from .files import dump_json, load_input_state, load_network
 from .geometry import compile_network, resource_counts
 from .mbqc import _check_memory, _plan_for, _program, _survey, oracle_output_state, run_mbqc
@@ -255,7 +255,7 @@ def _sweep_doc(net, geometry, state, args):
     least fidelity of a branch against the oracle."""
     coherent = args.command == "run-coherent"
     plan = _plan_for(geometry, args.mode, getattr(args, "local_aux", False))
-    count, worst = _survey(plan, state, embed=_embed if coherent else None)
+    count, worst = _survey(plan, state, coherent=coherent)
     return {
         "version": 1,
         "path": "coherent-exhaustive" if coherent else "mbqc-exhaustive",
@@ -270,8 +270,8 @@ def _sweep_doc(net, geometry, state, args):
 
 def _compare_doc(net, geometry, state, args):
     plan = _plan_for(geometry, args.mode)
-    for embed in (_embed, None):  # either run is refused before the loop over all inputs
-        prog = _program(plan, embed)
+    for coherent in (True, False):  # either run is refused before the loop over all inputs
+        prog = _program(plan, coherent)
         _check_memory(net.d, prog.peak, prog.table_bytes)
     M = composite_map(net)
     classical_ok = all(np.array_equal(run_classical(net, np.asarray(s)), M.mul_vec(np.asarray(s)))

@@ -64,10 +64,8 @@ class MbqcGeometry:
     num_links: int = 0
     # what mbqc keeps: ("tables",) -> the mode-independent planning inputs
     # that every plan of the geometry shares (_tables), ("plan", mode,
-    # local_aux) -> its plan (_plan_for), ("port", gadget index, out-port,
-    # live layouts before and after) -> a port step's measurement kernel and
-    # its table's bytes (_program), ("weyl", correction run, live axes) ->
-    # its fused walker step (_fuse)
+    # local_aux) -> its plan, which keeps its resolved step programs
+    # (_plan_for)
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __getstate__(self):

@@ -9,15 +9,13 @@ path (coherent.py) skips its auxiliary qudits, their measurements, messages
 and shift corrections.  The entry points plan once (_plan_for): the plan is
 kept on the geometry, and the coherent entry points keep the geometry they
 compile on the network (coherent._geometry_of).  On a path's first run the
-plan is resolved into one step program (_program), which decides what a
-simulated array holds: on the one-way path the live qudits in measurement
-order, the outputs last, each measurement taking the leading axis, an
-out-port step as the kernel of its auxiliary's measurement (_port_kernel);
-on the coherent path the amplitudes over the d^k network inputs
-(coherent._embed), then the outputs.  One single-run driver and one branch
-walker interpret it for every entry point, on bare arrays with axis 0
-indexing branches, each measurement with its path's kernel; a single run
-is a batch of one row, and the walker steps into reusable work buffers
+plan is resolved into one step program (_program).  Both paths hold one
+register, the amplitudes c(x) over the d^k network inputs, then the outputs
+(_resolve): every live qudit holds its `depends` form of the inputs plus an
+offset over the outcomes, so the register is sum_x c(x) |live values>.  One
+single-run driver and one branch walker interpret the program for every
+entry point, on bare arrays with axis 0 indexing branches; a single run is
+a batch of one row, and the walker steps into reusable work buffers
 (_work).  Every step is Clifford over Z_d, so every number a run reports
 is a fixed linear function mod d of its outcomes: the program holds these
 as one integer matrix of rows over the simulated outcomes (_records).
@@ -46,12 +44,13 @@ Both modes are simulated in one frontier order.  A one-way node step is
 split by out-port: an auxiliary is entangled only with the node's inputs and
 its own message qudit, and a cZ commutes with Fourier measurements on other
 qudits (the standard-form reordering of the measurement calculus), so each
-port's pair is prepared, entangled and its auxiliary measured in one kernel
-(an entangling command followed by a measurement composes into one
-operator), followed by its --local-aux shift correction.  The node's last
-port is followed by the measurements of its inputs.  So one auxiliary pair
-is live at a time, and a qudit stays live only while a later step acts on
-it.  Fourier measurements on different qudits commute, and a Z^tau
+port's pair is prepared, entangled and its auxiliary measured in one step,
+followed by its --local-aux shift correction.  That step is the
+teleportation identity: with the auxiliary's outcome r it leaves the
+message qudit holding V[j] . x_in - r and scales every amplitude by
+1/sqrt(d), so on the input-basis register it is a classical offset and one
+scale.  The node's last port is followed by the measurements of its inputs.
+Fourier measurements on different qudits commute, and a Z^tau
 applied right before a Fourier measurement only relabels its outcome
 (signal shifting in the measurement calculus of Danos, Kashefi and
 Panangaden): measuring Z^tau psi gives r exactly when measuring psi gives
@@ -71,7 +70,6 @@ subtracting the negated matrix row.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from dataclasses import dataclass, field
@@ -82,7 +80,7 @@ from .geometry import MbqcGeometry, _tally
 from .network import UnsupportedNetworkError
 from .report import CorrectionRecord, MessageRecord, OutcomeRecord, RunReport
 from .ring import RingMatrix, _matmul_mod, find_block_diagonal_B, left_inverse
-from .states import IMPOSSIBLE_TOL, ImpossibleOutcomeError, QuditState, _table, fidelity
+from .states import IMPOSSIBLE_TOL, ImpossibleOutcomeError, QuditState, _phase_table, fidelity
 
 __all__ = [
     "Measure",
@@ -176,8 +174,7 @@ class _Plan:
     matrix: RingMatrix
     block_B: RingMatrix | None
     requires_out_of_network: bool
-    # path (coherent._embed, None for one-way) -> its _Program, resolved on
-    # the path's first run
+    # coherent (a bool) -> the path's _Program, resolved on its first run
     programs: dict = field(default_factory=dict, repr=False, compare=False)
 
 
@@ -518,10 +515,9 @@ def _steps(plan, coherent):
 def _check_memory(d, live, tables):
     """Refuse, before allocating, a run whose two arrays of `live` axes
     (_Program.peak) and `tables` bytes cannot fit in physical memory.  By
-    VmHWM, one-way butterfly_swap(13) peaks at 1.18 registers; by
-    tracemalloc, the d=2 sum node with 19 in-ports at 88.8 MiB one-way
-    (96.1 counted), an identity node on 16 inputs at 4.1 MiB coherently
-    (4.5 counted)."""
+    VmHWM, a one-way run of an identity node on 5 inputs over Z_13 peaks at
+    1.24 registers of 13^6 amplitudes; by tracemalloc, an identity node on
+    16 inputs at d=2 at 4.0 MiB on either path (4.5 counted)."""
     try:
         have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
@@ -600,23 +596,21 @@ def _validate_input(geometry, input_state):
         )
 
 
-def _run(plan, input_state, seed, forced, embed=None):
+def _run(plan, input_state, seed, forced, coherent=False):
     """The single-run driver behind run_mbqc and run_coherent.
 
     It interprets the path's step program (_program) on a batch of one row,
     keeping at each measurement the forced outcome or one drawn with the
     arithmetic of Generator.choice, so a seed keeps its outcomes.  The kept
-    child stays a view of the measurement's transform, renormalized in
-    place, so a run holds two of its largest arrays at most.  The ledger,
-    the corrections and the messages are filled from the program's rows.
-    Without `embed` the run is the one-way path; with `embed`, the coherent
-    step resolver (coherent._embed), the coherent path.
+    child is renormalized into a fresh row and its measurement's children
+    are freed, so a run holds a row and its d children at most, or the
+    output register and one copy of it.  The ledger, the corrections and
+    the messages are filled from the program's rows.
     """
     geometry = plan.geometry
     d = geometry.d
-    coherent = embed is not None
     _validate_input(geometry, input_state)
-    prog = _program(plan, embed)
+    prog = _program(plan, coherent)
     forced_map = _resolve_forced(prog.forced_order, forced)
     unset = [lab for lab in prog.order if lab not in (forced_map or {})]
     if seed is None and unset:
@@ -637,7 +631,7 @@ def _run(plan, input_state, seed, forced, embed=None):
                                          f"{label} has probability below {IMPOSSIBLE_TOL}")
         return r
 
-    arr = input_state._tensor().transpose(prog.perm)[None]
+    arr = input_state._tensor()[None]
     simulated = np.zeros(len(prog.order), dtype=np.int64)
     for step, live in zip(prog.steps, prog.live[1:]):
         if step[0] == "node":
@@ -647,17 +641,17 @@ def _run(plan, input_state, seed, forced, embed=None):
             children = np.empty((d,) + (d,) * live, dtype=np.complex128)
             p = kernel(arr, d, children)
             r = simulated[i] = choose(label, p)
-            arr = children[r:r + 1]  # the kept child, renormalized in place
-            del children  # the transform lives on only as the base of `arr`
-            arr /= np.sqrt(p[r])
+            arr = children[r:r + 1] / np.sqrt(p[r])
+            del children  # freed before the next measurement allocates its own
         else:
             _, op, q, i = step
             e = (prog.rows[i] @ simulated) % d
             if e:
                 arr = _weyl_rows(arr, op, q, np.array([e]), d)
+    if prog.quad is not None:  # arr is the scatter's or an X step's own array
+        _quad_phases(arr, simulated[None], prog.quad, d)
     values = ((prog.rows @ simulated) % d).tolist()
-    # a copy, so the state does not keep a whole transform alive as its base
-    output_state = QuditState(len(geometry.outputs), d, arr[0].copy(), normalize_check=False)
+    output_state = QuditState(len(geometry.outputs), d, arr.reshape(-1), normalize_check=False)
 
     oracle = oracle_output_state(plan.matrix, input_state)
     report = RunReport(
@@ -716,27 +710,26 @@ def run_mbqc(
 class _Program:
     """A plan resolved for one path, interpreted by the single-run driver
     and the branch walker.  Their arrays hold branches on axis 0 and the
-    register on the others: one-way, the live qudits in measurement order,
-    then the outputs in declaration order, so a measurement takes axis 1;
-    coherently, one axis per network input until the last step scatters
-    into the outputs (coherent.py).  Every reported number is a row of
-    `rows` times the simulated outcomes r' mod d.
+    register on the others: one axis per network input, in declaration
+    order, until the scatter puts each row on one axis per output (see
+    _resolve).  Every reported number is a row of `rows` times the
+    simulated outcomes r' mod d.
 
-    steps:  ("node", step), step(array, out=None) -> array, into `out` when
-            given: the coherent scatter; ("measure", label, position in
-            `order`, kernel), where kernel(array, d, children) writes each
-            row's d children (row, outcome) row-major and returns their
-            squared norms (a one-way auxiliary's also makes its port step,
-            _port_kernel); ("corr", op, axis, row), an --local-aux X step
-            or a final correction, with exponent rows[row] . r' (the
-            walker fuses runs of them)
+    steps:  ("measure", label, position in `order`, kernel), where
+            kernel(array, d, children) writes each row's d children (row,
+            outcome) row-major and returns their squared norms
+            (_phase_rows); ("corr", op, axis, row), op^e on an axis with
+            exponent e = rows[row] . r': Z on an input axis before the
+            scatter, X on an output axis after it; ("node", step), the
+            scatter, step(array, out=None) -> array, into `out` when given
     order:  the simulated measurement order
     forced_order: the schedule measurement order forced sequences follow
-    perm:   the axes of the input register in the layout of the first step
     live:   register axes before each step, then after the last
     peak:   the most axes an array holds, a row's d children as one more
     rows:   integer rows over r' (see _records); the first len(order) are
             the raw outcomes, r = T r' mod d (see _outcome_map)
+    quad:   the integer form Q of the branch phase w^(r' . Q r'), applied
+            after the last step, or None when it is zero mod d
     ledger, corrections, messages: the record templates of a report, in
             report order, naming the rows that fill them (see _records)
     table_bytes: the bytes of the tables the steps keep or read"""
@@ -744,81 +737,101 @@ class _Program:
     steps: list
     order: list
     forced_order: list
-    perm: list
     live: list
     peak: int
     rows: np.ndarray
+    quad: np.ndarray | None
     ledger: list
     corrections: list
     messages: list
     table_bytes: int
 
 
-def _program(plan, embed=None):
+def _program(plan, coherent=False):
     """The step program of a path of `plan`, resolved on the path's first
-    run and kept on the plan; `embed` as in _run.  A one-way layout is the
-    tuple of live labels in axis order, sorted by measurement rank; a port
-    step is one kernel, with no node step (_port_kernel)."""
-    prog = plan.programs.get(embed)
+    run and kept on the plan."""
+    prog = plan.programs.get(coherent)
     if prog is not None:
         return prog
-    geometry = plan.geometry
-    d = geometry.d
-    ops, report_ops, finals, forced_order = _steps(plan, embed is not None)
+    ops, report_ops, finals, forced_order = _steps(plan, coherent)
+    finals = [("corr", c, stage) for c, stage in finals]
     order, T = _outcome_map(plan, ops, report_ops)
-    rows, ledger, corrections, messages, row_of = _records(
-        plan, order, T, report_ops + [("corr", c, stage) for c, stage in finals])
-
-    # the tables of states._TABLES that the steps read: the phase table (cZ,
-    # Z and the coherent measurement kernels), and one-way the Fourier
-    # table of each kron width that _fourier_rows takes, F^dagger alone
-    # for the port kernels
-    shared = 16 * d * d
-    if embed is not None:
-        perm, steps, live, table_bytes, rows = embed(
-            geometry, order, rows, [(c.qudit, row_of[c]) for c, _stage in finals])
-    else:
-        rank = {lab: i for i, lab in enumerate(order + list(geometry.outputs))}
-        layout = tuple(sorted(geometry.inputs, key=rank.get))
-        perm = [geometry.inputs.index(lab) for lab in layout]
-        steps, live, table_bytes, widths = [], [len(layout)], 0, set()
-        for op in ops + [("corr", c, stage) for c, stage in finals]:
-            if op[0] == "measure" and len(op) > 3:  # a port step (see _steps)
-                gadget = geometry.gadgets[op[3]]
-                after = tuple(sorted(layout + (op[1], gadget.out_labels[op[4]]), key=rank.get))
-                # the plans of a geometry that reach a port step with the
-                # same layouts share its kernel and table
-                key = ("port", *op[3:], layout, after)
-                if key not in geometry._memo:
-                    geometry._memo[key] = _port_kernel(gadget, op[4], after, d)
-                kernel, nbytes = geometry._memo[key]
-                steps.append(("measure", op[1], order.index(op[1]), kernel))
-                table_bytes += nbytes
-                widths.add(1)  # its table is built from F^dagger
-                layout = after[1:]  # the auxiliary leads: it is measured next
-            elif op[0] == "measure":
-                layout = layout[1:]  # no live qudit is measured before op[1]: it leads
-                steps.append(("measure", op[1], order.index(op[1]), _fourier_rows))
-                after = d**len(layout)
-                widths.add(after if d * after <= _KRON_AMPS else 1)
-            else:
-                steps.append(("corr", op[1].op, 1 + layout.index(op[1].qudit), row_of[op[1]]))
-            live.append(len(layout))
-        shared += sum(16 * (d * w)**2 for w in widths)
-    prog = plan.programs[embed] = _Program(
+    rows, ledger, corrections, messages, row_of = _records(plan, order, T, report_ops + finals)
+    steps, live, rows, quad, table_bytes = _resolve(plan.geometry, ops + finals, rows, row_of)
+    prog = plan.programs[coherent] = _Program(
         steps=steps,
         order=order,
         forced_order=forced_order,
-        perm=perm,
         live=live,
         peak=max(live + [n + 1 for step, n in zip(steps, live[1:]) if step[0] == "measure"]),
         rows=rows,
+        quad=quad,
         ledger=ledger,
         corrections=corrections,
         messages=messages,
-        table_bytes=table_bytes + shared,
+        table_bytes=table_bytes,
     )
     return prog
+
+
+def _resolve(geometry, ops, rows, row_of):
+    """The input-basis steps of a path's ops (_steps, then the final
+    corrections): (steps, live, rows, quad, table bytes) for _Program.
+
+    Every live qudit q holds f_q(x) + o_q . r', f_q its `depends` form of
+    the inputs x and o_q an offset row over the simulated outcomes r', zero
+    for the inputs and on the coherent path.  No amplitudes merge: later
+    steps read only live qudits, and M is injective.  So a row keeps c(x),
+    and the ops act on it as follows:
+    - a port step with its auxiliary's measurement scales it by 1/sqrt(d)
+      (the zero form's kernel) and sets the message's offset to V[j] . (the
+      in-ports' offsets) - e_aux, the teleportation identity;
+    - measuring q with outcome r'_i multiplies c by w^(-r'_i f_q(x)) /
+      sqrt(d) (_phase_rows) and the branch by w^(-r'_i (o_q . r'));
+    - X^e on q adds e's row to o_q, with no step;
+    - Z^e on q multiplies c by w^((e . r') f_q(x)), as Z steps on the input
+      axes f_q reads, and the branch by w^((e . r') (o_q . r')).
+    The branch phases add up to one integer quadratic form Q over r'.  The
+    last steps scatter c to the outputs at the flat index of M x (_scatter)
+    and shift each output whose offset is not zero, which only a plan with
+    missing corrections leaves."""
+    d, k, n = geometry.d, len(geometry.inputs), rows.shape[1]
+    zero = np.zeros(n, dtype=np.int64)
+    offset, quad, z = {}, np.zeros((n, n), dtype=np.int64), np.zeros((k, n), dtype=np.int64)
+    kernels, steps, table_bytes, i = {}, [], 16 * d * d + 8 * d**k, 0  # phase table, scatter
+    for op in ops:
+        if op[0] == "corr":
+            corr, e = op[1], rows[row_of[op[1]]]
+            o = offset.get(corr.qudit, zero)
+            if corr.op == "X":
+                offset[corr.qudit] = (o + e) % d
+            else:
+                z = (z + np.outer(geometry.depends[corr.qudit], e)) % d
+                quad = (quad + np.outer(e, o)) % d
+            continue
+        if len(op) > 3:  # a port step and its auxiliary's measurement (_steps)
+            gadget, j = geometry.gadgets[op[3]], op[4]
+            o = sum((w * offset.get(lab, zero) for lab, w in
+                     zip(gadget.in_labels, gadget.matrix.a[j].tolist()) if w), zero) % d
+            o[i] = (o[i] - 1) % d
+            offset[gadget.out_labels[j]] = o
+            form = (0,) * k
+        else:
+            form = tuple(int(a) % d for a in geometry.depends[op[1]])
+            quad[i] = (quad[i] - offset.pop(op[1], zero)) % d
+        if form not in kernels:
+            kernels[form] = _phase_rows(form, d)
+            table_bytes += 16 * d * (d * sum(map(bool, form)) or 1)
+        steps.append(("measure", op[1], i, kernels[form]))
+        i += 1
+    zs = [(a, z[a]) for a in range(k) if z[a].any()]
+    xs = [(h, offset[t]) for h, t in enumerate(geometry.outputs) if offset.get(t, zero).any()]
+    steps += [("corr", "Z", 1 + a, len(rows) + c) for c, (a, _row) in enumerate(zs)]
+    steps.append(("node", _scatter([geometry.depends[t] for t in geometry.outputs], d)))
+    steps += [("corr", "X", 1 + h, len(rows) + len(zs) + c) for c, (h, _row) in enumerate(xs)]
+    live = [k] * (len(steps) - len(xs)) + [len(geometry.outputs)] * (len(xs) + 1)
+    rows = np.vstack([rows] + [row for _axis, row in zs + xs])
+    return steps, live, rows, quad if quad.any() else None, table_bytes
 
 
 def _records(plan, order, T, report):
@@ -905,38 +918,30 @@ def _outcome_map(plan, ops, report_ops):
     return order, T
 
 
-def _branches(plan, input_state, embed=None):
+def _branches(plan, input_state, coherent=False):
     """Walk every measurement branch of a path depth first, in batches.
 
     A batch holds branches at one program position as the rows of one
-    array (see _Program), and the walk interprets the program of `_run`,
-    `embed` as there.  The coherent scatter acts on the whole batch; a
-    measurement's kernel, one-way an auxiliary's with its port step, writes
-    the d children of every row (row, outcome) row-major, so branches stay
-    in lexicographic outcome order, and a child whose squared norm is below
+    array (see _Program), and the walk interprets the program of `_run`.
+    The scatter acts on the whole batch; a measurement's kernel writes the
+    d children of every row (row, outcome) row-major, so branches stay in
+    lexicographic outcome order, and a child whose squared norm is below
     IMPOSSIBLE_TOL of its parent's is dropped; a correction raises each row
     to its own exponent, the dot product of the step's row with that
-    branch's outcome vector.  A batch is taken in row ranges of
-    at most _CHUNK_AMPS // d**n rows, d**n the amplitudes of a row's
-    children at the next measurement, the rest staying on the stack as a
-    view.  Callers check the register first (_check_peak), and one that
-    drains the tree its branch count too (_survey).
-
-    A run of corrections that holds an X is one step (_fuse): as Weyl
-    operators compose exactly mod d, it is out[x] = w^(g.x - c) in[x - s]
-    per row, s and g its X and Z exponents summed per axis and c = sum_k f_k
-    L_k over its Z steps k, f_k the exponent and L_k the X exponents applied
-    later on k's axis (X^e turns w^(f x) into w^(f x - f e)).  Runs of Z
-    alone (the coherent path's), runs over the table bound (_weyl_run) and
-    single runs (_run), one row, go step by step (_weyl_rows).
+    branch's outcome vector, and each row takes its branch phase last.  A
+    batch is taken in row ranges of at most _CHUNK_AMPS // d**n rows, d**n
+    the amplitudes of a row's children at the next measurement, the rest
+    staying on the stack as a view.  Callers check the register first
+    (_check_peak), and one that drains the tree its branch count too
+    (_survey).
 
     The steps write into reusable work buffers (_work): one children array
-    per measurement level, two scratch arrays that a chunk's scatter and
-    corrections take in turn, and a fused run's index and phase scratch.
-    Depth first, a level's children are all consumed before the level
-    measures again, so no buffer is written while still needed.  The walk
-    borrows the module's spare buffer set and gives it back when it ends or
-    is closed; a walk that finds none makes its own.
+    per measurement level and two scratch arrays that a chunk's steps after
+    its last measurement take in turn.  Depth first, a level's children are
+    all consumed before the level measures again, so no buffer is written
+    while still needed.  The walk borrows the module's spare buffer set and
+    gives it back when it ends or is closed; a walk that finds none makes
+    its own.
 
     Yields batches (R, a, nrm2): the simulated outcome vectors r' as the
     rows of R (raw outcomes T r' mod d, the program's first rows), the
@@ -946,12 +951,12 @@ def _branches(plan, input_state, embed=None):
     """
     _validate_input(plan.geometry, input_state)
     d = plan.geometry.d
-    prog = _program(plan, embed)
-    # The program as segments: the node and correction steps up to a
+    prog = _program(plan, coherent)
+    # The program as segments: the correction and scatter steps up to a
     # measurement, each with the axes live after it, that measurement (None
     # last) with the axes of a child, and the rows of a chunk.
     segments, steps = [], []
-    for step, after in _fuse(zip(prog.steps, prog.live[1:]), prog, plan.geometry):
+    for step, after in zip(prog.steps, prog.live[1:]):
         if step[0] == "measure":
             segments.append((steps, step, after, max(1, _CHUNK_AMPS // d**(after + 1))))
             steps = []
@@ -962,7 +967,7 @@ def _branches(plan, input_state, embed=None):
     bufs = _SPARE.pop() if _SPARE else {}
     try:
         outcomes = np.zeros((1, len(prog.order)), dtype=np.int64)
-        stack = [(0, input_state._tensor().transpose(prog.perm)[None], outcomes, np.ones(1))]
+        stack = [(0, input_state._tensor()[None], outcomes, np.ones(1))]
         while stack:
             s, arr, R, nrm2 = stack.pop()
             steps, measure, child, rows = segments[s]
@@ -974,12 +979,12 @@ def _branches(plan, input_state, embed=None):
                 out = _work(bufs, free, (len(arr),) + (d,) * live)
                 if step[0] == "node":
                     arr = step[1](arr, out)
-                elif step[0] == "weyl":
-                    arr = step[1](arr, (R @ step[2]) % d, out, bufs)
                 else:
                     arr = _weyl_rows(arr, step[1], step[2], (R @ prog.rows[step[3]]) % d, d, out)
                 free = "b" if free == "a" else "a"
             if measure is None:
+                if prog.quad is not None:  # arr is a scratch buffer: the scatter's or an X's
+                    _quad_phases(arr, R, prog.quad, d)
                 yield R, arr, nrm2
                 continue
             _, _label, i, kernel = measure
@@ -1004,13 +1009,13 @@ def _check_peak(d, prog):
         )
 
 
-def _exhaustive(plan, input_state, embed=None):
+def _exhaustive(plan, input_state, coherent=False):
     """(outcome dict, normalized output QuditState) for every branch, each
     state one fresh array scaled out of the walk's work buffers."""
-    prog = _program(plan, embed)
+    prog = _program(plan, coherent)
     d, n_out = plan.geometry.d, len(plan.geometry.outputs)
     _check_peak(d, prog)
-    for R, a, nrm2 in _branches(plan, input_state, embed):
+    for R, a, nrm2 in _branches(plan, input_state, coherent):
         raws = ((R @ prog.rows[:len(prog.order)].T) % d).tolist()
         scales = (1 / np.sqrt(nrm2)).astype(np.complex128)  # complex: no cast per branch
         for raw, amps, scale in zip(raws, a.reshape(len(a), -1), scales):
@@ -1060,11 +1065,11 @@ def branch_survey(
     return _survey(_plan_for(geometry, mode, local_aux), input_state, reference)
 
 
-def _survey(plan, input_state, reference=None, embed=None):
-    """(branch count, min fidelity) of a path's whole tree, `embed` as in
-    _run, for branch_survey and --exhaustive; raises as branch_survey does."""
+def _survey(plan, input_state, reference=None, coherent=False):
+    """(branch count, min fidelity) of a path's whole tree, for
+    branch_survey and --exhaustive; raises as branch_survey does."""
     d = plan.geometry.d
-    prog = _program(plan, embed)
+    prog = _program(plan, coherent)
     _check_peak(d, prog)
     if d ** len(prog.order) > _BRANCH_LIMIT:
         raise MemoryError(
@@ -1074,7 +1079,7 @@ def _survey(plan, input_state, reference=None, embed=None):
         reference = oracle_output_state(plan.matrix, input_state)
     ref = reference.psi.conj()
     count, worst = 0, 1.0
-    for _R, a, nrm2 in _branches(plan, input_state, embed):
+    for _R, a, nrm2 in _branches(plan, input_state, coherent):
         fids = np.abs(a.reshape(len(a), -1) @ ref) / np.sqrt(nrm2)
         count += len(a)
         worst = min(worst, float(fids.min()))
@@ -1097,42 +1102,86 @@ _BRANCH_LIMIT = 2**20
 # without buffers, 0 with them.  The bound keeps a buffer set to 2 MiB per
 # measurement level.
 _BUF_MAX = 2**17
-# A Fourier measurement whose trailing block, d * after amplitudes, is at
-# most this takes one product with the table F^dagger kron I_after
-# (_fourier_rows); a longer one one product with F^dagger per row.
-_KRON_AMPS = 64
 # The spare buffer set, at most one, that a walk borrows and gives back so
 # that repeated walks reuse their pages: buffer key (a measurement level or
 # a scratch name) -> flat complex128 array.
 _SPARE = []
 
 
-def _work(bufs, key, shape, dtype=np.complex128):
-    """A work array: a view of the buffer `key` (grown on demand, one dtype
-    a key) of the set `bufs` up to _BUF_MAX entries, else a fresh array."""
+def _work(bufs, key, shape):
+    """A work array: a view of the buffer `key` (grown on demand) of the set
+    `bufs` up to _BUF_MAX entries, else a fresh array."""
     n = math.prod(shape)
     if n > _BUF_MAX:
-        return np.empty(shape, dtype=dtype)
+        return np.empty(shape, dtype=np.complex128)
     buf = bufs.get(key)
     if buf is None or len(buf) < n:
-        buf = bufs[key] = np.empty(n, dtype=dtype)
+        buf = bufs[key] = np.empty(n, dtype=np.complex128)
     return buf[:n].reshape(shape)
 
 
-def _fourier_rows(arr, d, children):
-    """Fourier-measure axis 1 of every row of a batch: F^dagger on that
-    axis, written into `children` as (row, outcome) row-major with the axis
-    dropped.  A short trailing block (d * after <= _KRON_AMPS) takes one
-    product with F^dagger kron I_after, a long one one product with
-    F^dagger per row.  Returns the children's squared norms."""
-    rows, after = len(arr), math.prod(arr.shape[2:])
-    if d * after <= _KRON_AMPS:
-        np.matmul(arr.reshape(rows, d * after), _table("fourier", d, after),
-                  out=children.reshape(rows, d * after))
-    else:
-        np.matmul(_table("fourier", d), arr.reshape(rows, d, after),
-                  out=children.reshape(rows, d, after))
-    return _sq_norms(children)
+def _terms(form, d):
+    """a * x_j mod d over x_j in [0, d), exactly, shaped along input axis j
+    of a register over len(form) inputs, per nonzero coefficient a_j."""
+    x, k = np.arange(d, dtype=np.int64)[:, None], len(form)
+    return [_matmul_mod(x, np.array([[a]]), d).reshape([d if i == j else 1 for i in range(k)])
+            for j, a in enumerate(form) if a % d]
+
+
+def _phase_rows(form, d):
+    """The measurement kernel of a qudit holding `form`: child (row, r) of
+    an input-basis row is the row times w^(-r f(x)) / sqrt(d), by one d x d
+    phase factor per input axis f reads, built on the first call, so after
+    the memory check.  The zero form, a one-way port step with its
+    auxiliary's measurement, only scales.  Returns the children's squared
+    norms."""
+    factors = None
+
+    def kernel(arr, d, children):
+        nonlocal factors
+        if factors is None:
+            factors = [_phase_table(d)[:, -v % d][None] for v in _terms(form, d)]
+            factors = factors or [np.ones((1, d) + (1,) * (arr.ndim - 1))]
+            factors[0] = factors[0] / np.sqrt(d)
+        out = children.reshape((len(arr), d) + arr.shape[1:])
+        np.multiply(arr[:, None], factors[0], out=out)
+        for factor in factors[1:]:
+            out *= factor
+        return _sq_norms(children)
+
+    return kernel
+
+
+def _scatter(rows, d):
+    """The last step before the output shifts: c(x) of each row to the flat
+    index of M x in the output register, M the forms `rows`, into `out`
+    when given.  Its d^k int64 indices are built on the first call, after
+    the memory check, and refuse a map that is not injective."""
+    target = None
+
+    def step(arr, out=None):
+        nonlocal target
+        if target is None:
+            target = np.zeros((), dtype=np.int64)
+            for row in rows:  # M x as a flat index, one output digit at a time
+                target = target * d + sum(_terms(row, d), target * 0) % d
+            target = np.broadcast_to(target, arr.shape[1:]).reshape(-1)
+            ordered = np.sort(target)
+            if (ordered[1:] == ordered[:-1]).any():
+                raise UnsupportedNetworkError(f"composite map is not injective over Z_{d}")
+        out = np.empty((len(arr),) + (d,) * len(rows), dtype=np.complex128) if out is None else out
+        out.fill(0)
+        out.reshape(len(arr), -1)[:, target] = arr.reshape(len(arr), -1)
+        return out
+
+    return step
+
+
+def _quad_phases(arr, R, quad, d):
+    """Multiply each row b of `arr`, in place, by its branch phase
+    w^(R[b] . quad R[b]), reduced mod d after each product."""
+    q = ((R @ quad) % d * R).sum(1) % d
+    arr *= _phase_table(d)[1][q].reshape((-1,) + (1,) * (arr.ndim - 1))
 
 
 def _sq_norms(children):
@@ -1160,96 +1209,4 @@ def _weyl_rows(arr, op, axis, exps, d, out=None):
         return out.reshape(arr.shape)
     shape = [1] * arr.ndim
     shape[0], shape[axis] = len(exps), d
-    return np.multiply(arr, _table("phase", d)[exps].reshape(shape), out=out)
-
-
-def _fuse(steps, prog, geometry):
-    """The walker's (step, axes after it) with each run of corrections that
-    holds an X as one ("weyl", _weyl_run step kept on the geometry, rows)."""
-    for corr, group in itertools.groupby(steps, lambda item: item[0][0] == "corr"):
-        group = list(group)
-        run, live = tuple(step[1:3] for step, _live in group), group[0][1]
-        key = ("weyl", run, live)
-        step = corr and (geometry._memo.get(key) or _weyl_run(run, live, geometry.d))
-        if step:
-            geometry._memo[key] = step
-            group = [(("weyl", step, prog.rows[[item[0][3] for item in group]].T), live)]
-        yield from group
-
-
-def _weyl_run(run, live, d):
-    """The fused step of a run of steps (op, axis) on `live` axes (see
-    _branches), or None without an X or with a table over _BUF_MAX entries:
-    step(arr, exps, out, bufs), exps[b, k] the exponent of step k on row b,
-    gathers through source indices per shift code (d^#X-axes x d^live) and
-    multiplies by phases per (Z code, c) (d^(#Z-axes + 1) x d^live)."""
-    xs, zs = (sorted({a for op, a in run if op == kind}) for kind in "XZ")
-    n, m = d**live, len(xs)
-    if not xs or n * d**max(m, len(zs) + 1) > _BUF_MAX:
-        return None
-    # exps @ W: s and g per axis, then per step k L_k if it is a Z, else 0
-    cols = [("X", a) for a in xs] + [("Z", a) for a in zs]
-    W = np.array([[(op, a) == col for col in cols] + [op == "Z" and j > k and step == ("X", a)
-                  for j, step in enumerate(run)] for k, (op, a) in enumerate(run)], dtype=np.int64)
-    weights = d ** np.r_[np.arange(m)[::-1], np.arange(1, len(zs) + 1)[::-1]]
-    grid = np.ix_(*[np.arange(d)] * (m + live))  # s, then y on each axis
-    sources = sum((grid[m + a - 1] - dict(zip(xs, grid)).get(a, 0)) % d * d**(live - a)
-                  for a in range(1, live + 1)).reshape(d**m, n)
-    grid = np.ix_(*[np.arange(d)] * (len(zs) + 1 + live))  # g, c, then y on each axis
-    e = (sum(g * grid[len(zs) + a] for g, a in zip(grid, zs)) - grid[len(zs)]) % d
-    phases = zs and _table("phase", d)[1][np.broadcast_to(e, (d,) * len(grid))].reshape(-1, n)
-
-    def step(arr, exps, out, bufs):
-        rows, v = len(arr), exps @ W
-        s = v[:, :len(cols)] % d
-        index = _work(bufs, "index", (rows, n), np.int64)
-        np.take(sources, s[:, :m] @ weights[:m], axis=0, out=index, mode="clip")
-        index += np.arange(0, rows * n, n)[:, None]
-        np.take(arr.reshape(-1), index, out=out.reshape(rows, n), mode="clip")
-        if zs:
-            codes = s[:, m:] @ weights[m:] + (v[:, len(cols):] * exps).sum(1) % d
-            phase = _work(bufs, "phase", (rows, n))
-            np.take(phases, codes, axis=0, out=phase, mode="clip")
-            out *= phase.reshape(out.shape)
-        return out
-
-    return step
-
-
-def _port_kernel(gadget, j, after, d):
-    """The one-way step of out-port j of a node, fused into the measurement
-    kernel of its auxiliary (see _program), into the live layout `after`,
-    the auxiliary leading: the port's pair in |+>, its cZ phases w^(x_aux s)
-    / d, s = sum_e w_e x_e over the port's edges, and F^dagger on the
-    auxiliary compose into child (row, r) = row * H[r, s], H = F^dagger
-    Phase / d, one broadcast multiply that teleports V[j].x - r into the
-    message qudit.  Returns the kernel and its table's size in bytes; the
-    table is built on the first call, so after the run's memory check."""
-    axis = {lab: 1 + i for i, lab in enumerate(after)}
-    msg = gadget.out_labels[j]
-    edges = [(axis[lab], int(w)) for lab, w in zip(gadget.in_labels, gadget.matrix.a[j]) if w]
-    edges.append((axis[msg], d - 1))
-    table = None
-
-    def kernel(arr, d, children):
-        nonlocal table
-        if table is None:
-            H = _table("fourier", d) @ _table("phase", d) / d
-            table = _port_table(1, edges, 1 + len(after), d, H)
-        np.multiply(np.expand_dims(arr, (1, axis[msg])), table,
-                    out=children.reshape((len(arr),) + (d,) * len(after)))
-        return _sq_norms(children)
-
-    return kernel, 16 * d ** (len(edges) + 1)
-
-
-def _port_table(aux, edges, ndim, d, matrix=None):
-    """matrix[x_aux, sum_e w_e x_e mod d] over the axes of an auxiliary and
-    its cZ edges (axis, weight), shaped to broadcast over a batch of `ndim`
-    axes: d**(edges + 1) entries.  The default matrix, the phase table,
-    gives the cZ phases w^(x_aux * sum_e w_e x_e), w = exp(2 pi i / d)."""
-    def x(axis):  # the values of one axis, shaped to broadcast
-        return np.arange(d).reshape([d if a == axis else 1 for a in range(ndim)])
-
-    s = sum(w * x(ax) for ax, w in edges) % d
-    return (_table("phase", d) if matrix is None else matrix)[x(aux), s]
+    return np.multiply(arr, _phase_table(d)[exps].reshape(shape), out=out)

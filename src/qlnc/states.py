@@ -4,18 +4,19 @@ execution kernels share.
 Amplitudes are stored as a complex vector of length d**n indexed by base-d
 digit strings with qudit 0 most significant.  A QuditState is what the
 entry points take and return; the runs themselves step bare amplitude
-arrays (mbqc.py), whose kernels read the cached read-only phase and
-Fourier tables built here (_table).
+arrays (mbqc.py), whose kernels read the cached read-only phase table
+built here (_phase_table).
 
 Conventions, fixed once for the whole package:
     X |q> = |q+1 mod d>            Z |q> = w^q |q>,  w = exp(2 pi i / d)
     F[x, r] = w^(x r) / sqrt(d)    |w_r> = F |r>,    |+> = |w_0>
 from which X |w_r> = w^(-r) |w_r>, and measuring qudit a of an entangled
 state in the Fourier basis with outcome r multiplies the branch holding
-basis value x on a by w^(-r x).  The kernels that carry them are
-mbqc._weyl_rows (X and Z), mbqc._fourier_rows (the measurement) and
-mbqc._port_kernel (a one-way port step: cZ, by mbqc._port_table, and its
-auxiliary's measurement in one multiply).
+basis value x on a by w^(-r x).  The runs keep their register in the
+input basis (mbqc._resolve), so the kernels that carry them are
+mbqc._weyl_rows (X and Z), mbqc._phase_rows (a Fourier measurement of a
+qudit holding a linear form of the inputs) and mbqc._quad_phases (the
+phase each branch collects from the outcome offsets).
 """
 
 from __future__ import annotations
@@ -47,21 +48,14 @@ def fourier_matrix(d, inverse=False):
 _TABLES = {}
 
 
-def _table(kind, d, w=1):
-    """A read-only table shared by every kernel, built once per key.
-    ("phase", d): entries exp(2 pi i a b / d), the cZ table, whose row e
-    holds the phases of Z^e.  ("fourier", d, w): F^dagger kron I_w; as F is
-    symmetric, a (before, d * w) array times it applies F^dagger to the axis
-    of length d (w = 1: F^dagger itself)."""
-    key = (kind, d, w)
-    if key not in _TABLES:
-        if kind == "phase":
-            table = np.exp(2j * np.pi * np.outer(np.arange(d), np.arange(d)) / d)
-        else:
-            table = np.kron(fourier_matrix(d, inverse=True), np.eye(w))
+def _phase_table(d):
+    """The read-only d x d table of entries exp(2 pi i a b / d) that every
+    kernel shares, built once per d: row e holds the phases of Z^e."""
+    if d not in _TABLES:
+        table = np.exp(2j * np.pi * np.outer(np.arange(d), np.arange(d)) / d)
         table.flags.writeable = False
-        _TABLES[key] = table
-    return _TABLES[key]
+        _TABLES[d] = table
+    return _TABLES[d]
 
 
 class QuditState:

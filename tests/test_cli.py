@@ -370,10 +370,19 @@ def _swap(tmp_path, d):
     return str(path)
 
 
+def _copies(tmp_path, d, n):
+    """A network file: one input copied onto n outputs at one node."""
+    path = tmp_path / f"copies{d}x{n}.json"
+    path.write_text(json.dumps({"version": 1, "d": d, "nodes": [{"id": "A", "matrix": [[1]] * n}],
+                                "links": [], "inputs": [["A", 0]],
+                                "outputs": [["A", j] for j in range(n)]}))
+    return str(path)
+
+
 def test_register_beyond_memory_exits_4(tmp_path, capsys):
-    # swap over Z_101 keeps 6 qudits live on the one-way path: 101^6
-    # amplitudes, 34 TB of working memory for one run
-    path = _swap(tmp_path, 101)
+    # one input copied onto 6 outputs over Z_101: the one-way output
+    # register holds 101^6 amplitudes, 34 TB of working memory for one run
+    path = _copies(tmp_path, 101, 6)
     if os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") >= 3 * 16 * 101**6:
         pytest.skip("this machine could hold the register")
     assert run_cli("run-mbqc", "--network", path) == 4
@@ -381,16 +390,16 @@ def test_register_beyond_memory_exits_4(tmp_path, capsys):
 
 
 def test_exhaustive_beyond_enumeration_limit_exits_4(tmp_path, capsys):
-    # swap over Z_31 keeps 6 qudits live on the one-way path: 31^6
-    # amplitudes, far above the enumeration limit
-    assert run_cli("run-mbqc", "--network", _swap(tmp_path, 31), "--exhaustive") == 4
+    # one input copied onto 6 outputs over Z_31: the one-way output
+    # register holds 31^6 amplitudes, far above the enumeration limit
+    assert run_cli("run-mbqc", "--network", _copies(tmp_path, 31, 6), "--exhaustive") == 4
     err = capsys.readouterr().err
     assert err == "error: live register would need 31^6 amplitudes, above the enumeration limit\n"
 
 
 def test_exhaustive_beyond_branch_limit_exits_4(capsys):
-    # the one-way multicast over Z_3 measures 20 qudits at a peak of 3^7
-    # amplitudes: only its 3^20 branches are beyond reach
+    # the one-way multicast over Z_3 measures 20 qudits at a peak of 3^4
+    # amplitudes, its 4 outputs: only its 3^20 branches are beyond reach
     t0 = time.perf_counter()
     assert run_cli("run-mbqc", "--network", MULTICAST, "--exhaustive") == 4
     err = capsys.readouterr().err
@@ -637,17 +646,13 @@ def test_amplitude_file_off_by_a_little_warns_on_one_line(tmp_path, capsys, comm
 
 
 def test_compare_refuses_before_the_classical_loop(tmp_path, capsys, monkeypatch):
-    # a wire over Z_2003 with 1 GiB of memory: the coherent run (2 x 2003^2
-    # amplitudes) would fit, the one-way run (2003^3) would not.  Both are
-    # checked before the classical loop over all 2003 inputs and before the
-    # coherent run, which took 1.6 s before the one-way run was refused
-    doc = {"version": 1, "d": 2003, "nodes": [{"id": "A", "matrix": [[1]]}], "links": [],
-           "inputs": [["A", 0]], "outputs": [["A", 0]]}
-    path = tmp_path / "wide_wire.json"
-    path.write_text(json.dumps(doc))
+    # one input copied onto 3 outputs over Z_2003 with 1 GiB of memory: the
+    # output register of either run (2003^3 amplitudes) would not fit.  Both
+    # runs are checked before the classical loop over all 2003 inputs
+    path = _copies(tmp_path, 2003, 3)
     monkeypatch.setattr("qlnc.mbqc.os.sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**18}.get)
     t0 = time.perf_counter()
-    assert run_cli("compare", "--network", str(path), "--input", "5") == 4
+    assert run_cli("compare", "--network", path, "--input", "5") == 4
     assert time.perf_counter() - t0 < 1
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: the live register peaks at 3 qudits")
@@ -655,14 +660,25 @@ def test_compare_refuses_before_the_classical_loop(tmp_path, capsys, monkeypatch
 
 def test_coherent_run_reaches_swap_over_z101(tmp_path, capsys):
     # coherently a register holds the 101^2 amplitudes over the inputs (the
-    # dense register held 101^5); the one-way run keeps 101^6 live
+    # dense register held 101^5)
     path = _swap(tmp_path, 101)
     t0 = time.perf_counter()
     assert run_cli("run-coherent", "--network", path, "--input", "7,93") == 0
     assert time.perf_counter() - t0 < 5
     assert json.loads(capsys.readouterr().out)["fidelity_vs_oracle"] >= 1 - 1e-9
-    if os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") < 2 * 16 * 101**6:
-        assert run_cli("run-mbqc", "--network", path) == 4
+
+
+@pytest.mark.parametrize("d", [31, 101])
+def test_one_way_run_reaches_swap_over_z31_and_z101(tmp_path, capsys, d):
+    # the one-way register holds the amplitudes over the 2 inputs, at most
+    # their d children: 101^3 amplitudes in all three one-way configs
+    path = _swap(tmp_path, d)
+    for flags in (["--mode", "free"], ["--mode", "constrained"],
+                  ["--mode", "constrained", "--local-aux"]):
+        t0 = time.perf_counter()
+        assert run_cli("run-mbqc", "--network", path, "--input", f"7,{d - 8}", *flags) == 0
+        assert time.perf_counter() - t0 < 5
+        assert json.loads(capsys.readouterr().out)["fidelity_vs_oracle"] >= 1 - 1e-9
 
 
 # the values a fuzzed edit puts into a network file: numbers of every JSON

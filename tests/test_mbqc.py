@@ -13,16 +13,15 @@ import pytest
 from qlnc.bundled import butterfly_multicast, butterfly_swap, identity_wire
 from qlnc.coherent import exhaustive_coherent, run_coherent
 from qlnc.geometry import NodeGadget, compile_network, label_sort_key
-from qlnc.coherent import _embed, _geometry_of
+from qlnc.coherent import _geometry_of
 from qlnc.mbqc import (
     Correct,
     Measure,
     Send,
     _check_memory,
     _exhaustive,
-    _fourier_rows,
+    _phase_rows,
     _plan_for,
-    _port_kernel,
     _program,
     _run,
     _steps,
@@ -392,21 +391,21 @@ def test_no_block_fallback_every_branch():
 
 
 def test_exhaustive_respects_amplitude_limit(monkeypatch):
+    # a measurement of swap over Z_2 writes the 2 children of a register
+    # over the 2 inputs, 2^3 amplitudes
     geo = compile_network(butterfly_swap(2))
-    monkeypatch.setattr("qlnc.mbqc._AMP_LIMIT", 2**4)
+    monkeypatch.setattr("qlnc.mbqc._AMP_LIMIT", 2**2)
     with pytest.raises(MemoryError):
         list(exhaustive_mbqc(geo, QuditState.basis(2, [0, 0])))
 
 
 def test_every_walker_respects_amplitude_limit(monkeypatch):
-    # swap over Z_2 keeps 6 qudits live on the one-way path; coherently a
-    # measurement writes the 2 children of a register over the 2 inputs,
-    # 2^3 amplitudes
+    # on both paths a measurement of swap over Z_2 writes the 2 children of
+    # a register over the 2 inputs, 2^3 amplitudes
     psi = QuditState.basis(2, [0, 0])
     monkeypatch.setattr("qlnc.mbqc._AMP_LIMIT", 2**2)
     with pytest.raises(MemoryError, match="enumeration limit"):
         list(exhaustive_coherent(butterfly_swap(2), psi))
-    monkeypatch.setattr("qlnc.mbqc._AMP_LIMIT", 2**5)
     with pytest.raises(MemoryError, match="enumeration limit"):
         branch_survey(compile_network(butterfly_swap(2)), psi)
 
@@ -473,11 +472,11 @@ def test_chunked_walks_keep_branch_order(monkeypatch):
 
 
 def test_chunked_swap_survey_matches_unchunked(monkeypatch):
-    # chunks of 251 rows where the one-way swap keeps its peak of 7 qudits
-    # live, so chunk boundaries there fall inside the children of one parent
+    # chunks of 251 rows of the 2 children of a register over the 2 inputs,
+    # so chunk boundaries fall inside the children of one parent
     swap, _nets = _chunk_cases()
     want = [_survey(*case) for case in swap]
-    monkeypatch.setattr("qlnc.mbqc._CHUNK_AMPS", 251 * 2**7)
+    monkeypatch.setattr("qlnc.mbqc._CHUNK_AMPS", 251 * 2**3)
     for case, (count, worst) in zip(swap, want):
         got_count, got_worst = _survey(*case)
         assert got_count == count == 2**18
@@ -497,22 +496,20 @@ def _sum_node(d, p):
 
 
 def test_single_runs_refuse_registers_beyond_physical_memory():
-    # both modes simulate in frontier order: swap over Z_101 keeps 6 qudits
-    # live on the one-way path (101^6 amplitudes, 34 TB of working memory).
-    # Coherently a register holds the amplitudes over the inputs, or the
-    # outputs: one input copied onto 6 outputs over Z_101 needs 101^6
-    plan = build_schedule(compile_network(butterfly_swap(101)), "constrained")
-    mbqc_peak = _program(plan).peak
+    # on both paths a register holds the amplitudes over the inputs, or the
+    # outputs: swap over Z_101 peaks at the 101^3 children of its 101^2
+    # input values, and one input copied onto 6 outputs over Z_101 needs
+    # 101^6 amplitudes, 34 TB of working memory
     copies = _copies(101, 6)
-    coh_peak = _program(build_schedule(compile_network(copies), "constrained"), _embed).peak
-    assert (mbqc_peak, coh_peak, _program(plan, _embed).peak) == (6, 6, 3)
-    need = 2 * 16 * min(101**mbqc_peak, 101**coh_peak)
-    if os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") >= need:
+    plan = build_schedule(compile_network(copies), "constrained")
+    swap_plan = build_schedule(compile_network(butterfly_swap(101)), "constrained")
+    peaks = [_program(p, coherent).peak for p in (plan, swap_plan) for coherent in (False, True)]
+    assert peaks == [6, 6, 3, 3]
+    if os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") >= 2 * 16 * 101**6:
         pytest.skip("this machine could hold the register")
     t0 = time.perf_counter()
     with pytest.raises(MemoryError, match="physical memory"):
-        run_mbqc(compile_network(butterfly_swap(101)), QuditState.basis(101, [0, 0]),
-                 mode="constrained", seed=0)
+        run_mbqc(compile_network(copies), QuditState.basis(101, [0]), mode="constrained", seed=0)
     with pytest.raises(MemoryError, match="physical memory"):
         run_coherent(copies, QuditState.basis(101, [0]), mode="constrained", seed=0)
     assert time.perf_counter() - t0 < 5
@@ -529,7 +526,7 @@ def test_coherent_node_step_tables_wait_for_the_memory_check(monkeypatch):
     p = 13
     net = _sum_node(2, p)
     geo = compile_network(net)
-    prog = _program(build_schedule(geo, "free"), _embed)
+    prog = _program(build_schedule(geo, "free"), coherent=True)
     assert [step[0] for step in prog.steps] == ["measure"] * (p + 1) + ["corr", "node"]
     assert len({step[3] for step in prog.steps if step[0] == "measure"}) == 1
     assert not [key for key in geo._memo if key[0] == "node"]
@@ -546,33 +543,26 @@ def test_coherent_node_step_tables_wait_for_the_memory_check(monkeypatch):
 
 
 def test_memory_check_counts_every_table_a_program_keeps(monkeypatch):
-    # a sum node with 19 in-ports at d=2, fed by one input copied onto 19
-    # links: on the one-way path 21 are live and the sum node's one port
-    # step keeps a table over its 19 cZ edges and its pair.  Coherently the
-    # same network over Z_1024 holds a register over the 1024 input values
-    # and its 1024 children, one phase table of 1024 x 1024 entries for the
-    # one form its measured qudits hold, and the scatter's 1024 indices.
-    # Both count the shared phase table, and the one-way path the Fourier
-    # table of each kron width its measurements take: F^dagger kron I_w
-    # for w = 2^n up to 32, the 2^n after a measurement, and F^dagger alone.
-    # Sizes are computed here, not allocated.
-    p = 19
-    net, wide = _sum_node(2, p), _sum_node(1024, p)
+    # a sum node with 19 in-ports over Z_1024, fed by one input copied onto
+    # 19 links: both paths hold a register over the 1024 input values and
+    # its 1024 children, one phase table of 1024 x 1024 entries for the one
+    # form its measured qudits hold, the scatter's 1024 indices and the
+    # shared phase table.  The one-way path also keeps the 1024 factors of
+    # the zero form's kernel, which its port steps take.  Sizes are computed
+    # here, not allocated.
+    p, d = 19, 1024
+    net = _sum_node(d, p)
     geo = compile_network(net)
-    psi = QuditState.basis(2, [1])
-    coh = _program(build_schedule(_geometry_of(wide), "free"), _embed)
+    coh = _program(build_schedule(_geometry_of(net), "free"), coherent=True)
     one = _program(build_schedule(geo, "free"))
-    fourier = sum(16 * (2 * w)**2 for w in (1, 2, 4, 8, 16, 32))
-    cases = ((coh.peak, coh.table_bytes, 1024, 2, 16 * 1024**2 + 8 * 1024 + 16 * 1024**2,
-              lambda: run_coherent(wide, QuditState.basis(1024, [1]), seed=0)),
-             (one.peak, one.table_bytes, 2, 21,
-              p * 16 * 2**3 + 16 * 2**(p + 2) + 16 * 2**2 + fourier,
-              lambda: run_mbqc(geo, psi, seed=0)))
-    for peak_axes, table_bytes, d, live, tables, run in cases:
-        assert (peak_axes, table_bytes) == (live, tables)
-        need = 2 * 16 * d**live + tables
+    table, psi = 16 * d**2, QuditState.basis(d, [1])
+    cases = ((coh, 2 * table + 8 * d, lambda: run_coherent(net, psi, seed=0)),
+             (one, 2 * table + 8 * d + 16 * d, lambda: run_mbqc(geo, psi, seed=0)))
+    for prog, tables, run in cases:
+        assert (prog.peak, prog.table_bytes) == (2, tables)
+        need = 2 * 16 * d**2 + tables
         monkeypatch.setattr("qlnc.mbqc.os.sysconf", {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": need}.get)
-        _check_memory(d, live, tables)  # fits exactly
+        _check_memory(d, 2, tables)  # fits exactly
         monkeypatch.setattr("qlnc.mbqc.os.sysconf",
                             {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": need - 1}.get)
         tracemalloc.start()
@@ -587,17 +577,17 @@ def test_memory_check_counts_every_table_a_program_keeps(monkeypatch):
 
 def test_memory_check_counts_the_shared_tables_a_run_reads(monkeypatch):
     # a run fills the process-wide table cache (states._TABLES) with the
-    # phase table and, one-way, the Fourier tables its measurements take,
-    # and its program counts them: on an empty cache they fit in its
-    # table_bytes, and after a warm-up the run leaves no more allocated
-    # than table_bytes and 64 KiB of records.  The first bound alone holds
-    # even with the cache uncounted; the second then fails by 4 MB (d = 503,
-    # coherent) and 326 KB (d = 101, one-way)
+    # phase table its measurements and corrections read, and its program
+    # counts it: on an empty cache it fits in its table_bytes, and after a
+    # warm-up the run leaves no more allocated than table_bytes and 64 KiB
+    # of records.  The first bound alone holds even with the cache
+    # uncounted; the second then fails by 4.0 MB (d = 503, coherent) and
+    # 106 KB (d = 101, one-way)
     wide, geo = identity_wire(503), compile_network(identity_wire(101))
     run_coherent(identity_wire(3), QuditState.basis(3, [1]), seed=0)
     run_mbqc(compile_network(identity_wire(3)), QuditState.basis(3, [1]), seed=0)
     cases = ((lambda: run_coherent(wide, QuditState.basis(503, [7]), seed=0),
-              lambda: _program(_plan_for(_geometry_of(wide), "free"), _embed)),
+              lambda: _program(_plan_for(_geometry_of(wide), "free"), coherent=True)),
              (lambda: run_mbqc(geo, QuditState.basis(101, [7]), seed=0),
               lambda: _program(_plan_for(geo, "free"))))
     for run, program in cases:
@@ -616,22 +606,22 @@ def test_memory_check_counts_the_shared_tables_a_run_reads(monkeypatch):
 
 
 def test_single_run_peaks_within_what_the_memory_check_counts():
-    # a measurement keeps its child as a view of its transform, so a run's
-    # traced peak is the two registers and the tables the check counts, not
-    # a renormalized copy on top of them.  One-way: the sum node above.
-    # Coherently: 16 inputs through an identity node at d=2, where the d
+    # a measurement renormalizes its kept child into a fresh row and frees
+    # its children, so a run's traced peak is the two registers and the
+    # tables the check counts, not a renormalized copy on top of them.  On
+    # both paths: 16 inputs through an identity node at d=2, where the d
     # children of the 2^16 input-basis amplitudes dominate; it is planned,
     # and its outcomes forced, before the trace, which then holds the run alone
-    p = 19
     ident = CodingNetwork(2, [NodeSpec("A", RingMatrix.identity(16, 2))], [],
                           [("A", j) for j in range(16)], [("A", j) for j in range(16)])
-    geo = compile_network(_sum_node(2, p))
-    psi, wide_psi = QuditState.basis(2, [1]), QuditState.basis(2, [1, 0] * 8)
-    cases = ((_program(_plan_for(_geometry_of(ident), "free"), _embed), 17,
+    geo = compile_network(ident)
+    wide_psi = QuditState.basis(2, [1, 0] * 8)
+    cases = ((_program(_plan_for(_geometry_of(ident), "free"), coherent=True), 17,
               lambda: run_coherent(ident, wide_psi, forced=[0] * 16)),
-             (_program(build_schedule(geo, "free")), None, lambda: run_mbqc(geo, psi, seed=0)))
+             (_program(_plan_for(geo, "free")), 17,
+              lambda: run_mbqc(geo, wide_psi, forced=[0] * 32)))
     for prog, peak_qudits, run in cases:
-        assert peak_qudits in (None, prog.peak)
+        assert peak_qudits == prog.peak
         counted = 2 * 16 * 2**prog.peak + prog.table_bytes
         tracemalloc.start()
         try:
@@ -706,7 +696,7 @@ def test_repeated_walks_reuse_their_pages():
 
 
 _PEAK_SCRIPT = """
-from qlnc import QuditState, butterfly_swap, compile_network, run_mbqc
+from qlnc import CodingNetwork, NodeSpec, QuditState, RingMatrix, compile_network, run_mbqc
 
 
 def status_kib(key):
@@ -714,8 +704,10 @@ def status_kib(key):
         return next(int(line.split()[1]) for line in fh if line.startswith(key + ":"))
 
 
-geo = compile_network(butterfly_swap(13))
-psi = QuditState.basis(13, [1, 2])
+ident = CodingNetwork(13, [NodeSpec("A", RingMatrix.identity(5, 13))], [],
+                      [("A", j) for j in range(5)], [("A", j) for j in range(5)])
+geo = compile_network(ident)
+psi = QuditState.basis(13, [1, 2, 3, 4, 5])
 base = status_kib("VmRSS")
 _out, rep = run_mbqc(geo, psi, mode="free", seed=0)
 assert rep.fidelity_vs_oracle >= 1 - 1e-9
@@ -725,13 +717,15 @@ print(status_kib("VmHWM") - base)
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM and VmRSS")
 def test_single_run_peaks_below_one_and_a_half_registers():
-    # a one-way run of butterfly_swap(13) keeps 6 qudits live: 13^6
-    # amplitudes, a 74 MiB register; the transform of a port step's kernel
-    # is one register, and a kept child is a view of its transform.  The
-    # child reads its own peak from /proc: its ru_maxrss would start at the
-    # RSS of the process that forked it
-    plan = build_schedule(compile_network(butterfly_swap(13)), "free")
-    assert _program(plan).peak == 6
+    # a one-way run of an identity node on 5 inputs over Z_13 peaks at the
+    # 13 children of its 13^5 input-basis amplitudes: 13^6 amplitudes, a
+    # 74 MiB register.  A kept child is renormalized into a fresh row of
+    # 1/13 of that and the children are freed before the next measurement.
+    # The child reads its own peak from /proc: its ru_maxrss would start at
+    # the RSS of the process that forked it
+    ident = CodingNetwork(13, [NodeSpec("A", RingMatrix.identity(5, 13))], [],
+                          [("A", j) for j in range(5)], [("A", j) for j in range(5)])
+    assert _program(build_schedule(compile_network(ident), "free")).peak == 6
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-c", _PEAK_SCRIPT], env=env, capture_output=True,
@@ -822,20 +816,21 @@ def test_constrained_peak_live_equals_free():
                                    max_links=6, size_cap=7))
     for net in nets:
         geo = compile_network(net)
-        for embed in (None, _embed):
+        for coherent in (False, True):
             peaks = []
             for mode in ("free", "constrained"):
                 plan = build_schedule(geo, mode)
-                peaks.append(max(_program(plan, embed).live))
+                peaks.append(max(_program(plan, coherent).live))
             assert peaks[0] == peaks[1]
 
 
-def test_port_kernel_matches_the_dense_port_step_and_measurement():
-    # a port step and its auxiliary's Fourier measurement are one kernel:
-    # its children and their squared norms are the dense register's after
-    # port_step, F^dagger on the auxiliary and each outcome forced, with the
-    # message qudit's axis before, among or after the other live axes (the
-    # node's inputs and a qudit the node does not read)
+def test_port_rule_matches_the_dense_port_step_and_measurement():
+    # a port step and its auxiliary's Fourier measurement with outcome r
+    # leave the message qudit holding V[j] . x_in - r and scale every
+    # amplitude by 1/sqrt(d): the dense register after port_step, F^dagger
+    # on the auxiliary and r forced is the input-basis row times 1/sqrt(d)
+    # at that message value and zero elsewhere, and the zero form's kernel,
+    # which the resolver gives every auxiliary, writes exactly those rows
     rng = np.random.default_rng(2207)
     for d in (2, 3, 4, 6):
         for _ in range(4):
@@ -845,39 +840,41 @@ def test_port_kernel_matches_the_dense_port_step_and_measurement():
             gadget = NodeGadget("N", ins, tuple(f"N{j}'" for j in range(n_out)),
                                 tuple(f"N{j}" for j in range(n_out)), RingMatrix(weights, d))
             j = int(rng.integers(n_out))
-            aux, msg = gadget.aux_labels[j], gadget.out_labels[j]
-            layout = tuple(rng.permutation(ins + ("x",)).tolist())
-            for at in (0, int(rng.integers(1, len(layout) + 1)), len(layout)):
-                after = (aux,) + layout[:at] + (msg,) + layout[at:]
-                kernel, nbytes = _port_kernel(gadget, j, after, d)
-                assert nbytes == 16 * d ** (2 + int(np.count_nonzero(weights[j])))
-                arr = rng.normal(size=(3, d**len(layout))) + 1j * rng.normal(size=(3, d**len(layout)))
-                arr /= np.linalg.norm(arr, axis=1, keepdims=True)
-                children = np.empty((3 * d,) + (d,) * len(layout) + (d,), dtype=np.complex128)
-                nrm2 = kernel(arr.reshape((3,) + (d,) * len(layout)), d, children)
-                for b in range(3):
-                    reg = DenseRegister(QuditState(len(layout), d, arr[b]), layout)
-                    port_step(reg, gadget, j)
-                    reg.gate(dense_f(d, inverse=True), aux)
-                    want = np.moveaxis(reg.t, [reg.labels.index(lab) for lab in after],
-                                       range(len(after)))
-                    for r in range(d):
-                        assert np.allclose(children[b * d + r], want[r], rtol=0, atol=1e-12)
-                        assert abs(nrm2[b * d + r] - np.vdot(want[r], want[r]).real) <= 1e-12
-    # no one-way program holds a node step: each port step is the kernel of
-    # its auxiliary's measurement, one per auxiliary
+            amps = rng.normal(size=d**n_in) + 1j * rng.normal(size=d**n_in)
+            amps /= np.linalg.norm(amps)
+            children = np.empty((d,) + (d,) * n_in, dtype=np.complex128)
+            nrm2 = _phase_rows((0,) * n_in, d)(amps.reshape((1,) + (d,) * n_in), d, children)
+            x = np.indices((d,) * n_in)
+            message = sum(int(w) * x[k] for k, w in enumerate(weights[j])) % d
+            for r in range(d):
+                reg = DenseRegister(QuditState(n_in, d, amps), ins)
+                port_step(reg, gadget, j)
+                reg.gate(dense_f(d, inverse=True), gadget.aux_labels[j])
+                want = np.take(reg.t, r, axis=reg.labels.index(gadget.aux_labels[j]))
+                got = np.zeros((d,) * (n_in + 1), dtype=np.complex128)
+                np.put_along_axis(got, ((message - r) % d)[..., None], children[r][..., None], -1)
+                assert np.abs(got - want).max() <= 1e-12
+                assert np.abs(children[r] - amps.reshape((d,) * n_in) / np.sqrt(d)).max() <= 1e-15
+                assert abs(nrm2[r] - np.vdot(want, want).real) <= 1e-12
+    # no one-way program holds a node step but the scatter, and every
+    # auxiliary's measurement only scales its row by 1/sqrt(d)
     nets = [butterfly_swap(2), butterfly_swap(3), butterfly_multicast(2), identity_wire(3)]
     nets += [random_network(rng, 2 + i % 5, require_injective=True, max_nodes=5, max_links=6,
                             size_cap=7) for i in range(20)]
     for net in nets:
         geo = compile_network(net)
+        d, k = geo.d, len(geo.inputs)
         auxes = sorted(lab for gadget in geo.gadgets for lab in gadget.aux_labels)
+        row = rng.normal(size=(1,) + (d,) * k) + 1j * rng.normal(size=(1,) + (d,) * k)
         for mode, local_aux in (("free", False), ("constrained", False), ("constrained", True)):
             prog = _program(build_schedule(geo, mode, local_aux=local_aux))
-            assert "node" not in [step[0] for step in prog.steps]
-            ports = [step[1] for step in prog.steps
-                     if step[0] == "measure" and step[3] is not _fourier_rows]
-            assert sorted(ports) == auxes
+            assert [step[0] for step in prog.steps].count("node") == 1
+            ports = [step for step in prog.steps if step[0] == "measure" and step[1] in auxes]
+            assert sorted(step[1] for step in ports) == auxes
+            for _, _label, _i, kernel in ports:
+                children = np.empty((d,) + (d,) * k, dtype=np.complex128)
+                kernel(row, d, children)
+                assert np.abs(children - row / np.sqrt(d)).max() <= 1e-15
 
 
 # -- the dict reference of the outcome algebra --------------------------
@@ -962,16 +959,17 @@ def _node_step(reg, gadget, coherent):
             port_step(reg, gadget, j)
 
 
-def _reverse_topological_reference(geo, psi, forced, local_aux, coherent):
+def _reverse_topological_reference(geo, psi, forced, local_aux, coherent, ops="XZ"):
     """A constrained run in the logical schedule's order: each node step at
     its auxiliary-measurement stage, each Z step applied and its qudit then
-    measured in reverse topological order, and the final corrections last."""
+    measured in reverse topological order, and the final corrections whose
+    op is in `ops` last."""
     plan = build_schedule(geo, "constrained", local_aux=local_aux)
     skip = (lambda q: q.endswith("'")) if coherent else (lambda q: False)
     gadgets = {g.node_id: g for g in geo.gadgets}
     reg = DenseRegister(psi, geo.inputs)
     finals = [(c, stage) for c, stage in plan.final_corrections
-              if not any(skip(lab) for lab, _c, _u in c.terms)]
+              if c.op in ops and not any(skip(lab) for lab, _c, _u in c.terms)]
     outcomes, corrections = _Outcomes(plan), []
     for stage in plan.schedule.stages:
         if stage.name.startswith("aux-measure "):
@@ -989,6 +987,20 @@ def _reverse_topological_reference(geo, psi, forced, local_aux, coherent):
     links = _classical_link_values(plan, outcomes.raw) if plan.block_B is not None else {}
     messages = _materialize_messages(plan, outcomes, links, coherent)
     return reg.state(geo.outputs), outcomes.ledger, corrections, messages
+
+
+def _free_graph_reference(geo, psi, forced, ops="XZ"):
+    """A free one-way run on the whole graph state: every qudit measured in
+    the schedule's order, as forced, then the final corrections whose op is
+    in `ops`."""
+    plan = build_schedule(geo, "free")
+    reg, outcomes = graph_state(geo, psi), _Outcomes(plan)
+    for lab in plan.schedule.measurement_order():
+        outcomes.record(lab, reg.measure(lab, force=forced[lab]), "measure")
+    for correct, stage in plan.final_corrections:
+        if correct.op in ops:
+            _apply_correction(reg, outcomes, correct, stage, [])
+    return reg.state(geo.outputs)
 
 
 def _free_gate_reference(geo, psi, forced):
@@ -1059,10 +1071,26 @@ def _shifted_networks(rng):
     return nets
 
 
+def _partial_run(geo, psi, forced, mode, local_aux, ops):
+    """The output amplitudes of a forced one-way run of a plan that keeps
+    only the final corrections whose op is in `ops`."""
+    plan = build_schedule(geo, mode, local_aux=local_aux)
+    plan.final_corrections = [(c, stage) for c, stage in plan.final_corrections if c.op in ops]
+    return _run(plan, psi, None, forced)[0].psi
+
+
 def test_forced_constrained_runs_match_reverse_topological_reference():
+    # forced runs against a dense replay, element-wise, global phase
+    # included: constrained runs of both paths against the logical schedule
+    # in reverse topological order, free one-way runs against the whole
+    # graph state where it holds at most 2^20 amplitudes.  The one-way runs
+    # are replayed again without their final corrections, where the outputs
+    # keep their outcome offsets and shift after the scatter, and with their
+    # final Z corrections alone, which act on outputs that hold offsets
     rng = np.random.default_rng(505)
     nets = [butterfly_swap(2), butterfly_swap(3), identity_wire(3), no_block_network(),
             _diamond(5)] + _shifted_networks(rng)
+    free_checked = 0
     for net in nets:
         geo = compile_network(net)
         psi = QuditState.haar_random(net.d, net.num_inputs, rng)
@@ -1079,7 +1107,23 @@ def test_forced_constrained_runs_match_reverse_topological_reference():
             assert rep.outcomes == ledger
             assert rep.corrections == corrections
             assert rep.messages == messages
-            assert fidelity(out, ref_out) >= 1 - 1e-12
+            assert np.abs(out.psi - ref_out.psi).max() <= 1e-12
+            for ops in ("", "Z") if not coherent else ():
+                want = _reverse_topological_reference(geo, psi, forced, local_aux, False, ops)[0]
+                got = _partial_run(geo, psi, forced, "constrained", local_aux, ops)
+                assert np.abs(got - want.psi).max() <= 1e-12
+        if net.d ** len(geo.qudits) > 2**20:
+            continue
+        free_checked += 1
+        plan = build_schedule(geo, "free")
+        forced = {lab: int(rng.integers(0, net.d)) for lab in _steps(plan, False)[3]}
+        out, _rep = run_mbqc(geo, psi, mode="free", forced=forced)
+        assert np.abs(out.psi - _free_graph_reference(geo, psi, forced).psi).max() <= 1e-12
+        for ops in ("", "Z"):
+            want = _free_graph_reference(geo, psi, forced, ops)
+            got = _partial_run(geo, psi, forced, "free", False, ops)
+            assert np.abs(got - want.psi).max() <= 1e-12
+    assert free_checked >= 5
 
 
 def _records_from_raw(plan, raw, coherent):
@@ -1140,16 +1184,15 @@ def test_exhaustive_outcomes_label_the_simulated_branch(monkeypatch):
     for net in (_diamond(3), chain):
         geo = compile_network(net)
         psi = QuditState.haar_random(net.d, net.num_inputs, rng)
-        for embed, node_step, local_aux in ((None, None, False), (None, None, True),
-                                            (_embed, _embed, False)):
+        for coherent, local_aux in ((False, False), (False, True), (True, False)):
             plan = build_schedule(geo, "constrained", local_aux=local_aux)
             plan.final_corrections = []
             assert plan.shifts
-            branches = list(_exhaustive(plan, psi, embed=embed))
+            branches = list(_exhaustive(plan, psi, coherent))
             assert len(branches) == net.d ** len(branches[0][0])
             for p in rng.choice(len(branches), size=6, replace=False):
                 outcomes, state = branches[p]
-                out, _rep = _run(plan, psi, None, outcomes, embed=node_step)
+                out, _rep = _run(plan, psi, None, outcomes, coherent)
                 assert fidelity(out, state) >= 1 - 1e-9
 
 

@@ -7,12 +7,12 @@ import pytest
 
 from qlnc.bundled import identity_wire
 from qlnc.coherent import run_coherent
-from qlnc.mbqc import _fourier_rows, _port_table, _weyl_rows
+from qlnc.mbqc import _phase_rows, _weyl_rows
 from qlnc.states import (
     IMPOSSIBLE_TOL,
     ImpossibleOutcomeError,
     QuditState,
-    _table,
+    _phase_table,
     fidelity,
     fourier_matrix,
 )
@@ -28,19 +28,29 @@ def _weyl(state, op, q, power=1):
 
 
 def _cz(state, a, b, power=1):
-    """cZ^power on qudits a and b through the one-way port step's table."""
-    d = state.d
-    table = _port_table(1 + a, [(1 + b, power % d)], 1 + state.n, d)
-    return QuditState(state.n, d, (state._tensor()[None] * table)[0], normalize_check=False)
+    """cZ^power on qudits a and b on the dense register of the reference
+    replays, whose port steps take it."""
+    reg = DenseRegister(state, list(range(state.n)))
+    reg.gate(dense_cz(state.d, power % state.d), a, b)
+    return reg.state(list(range(state.n)))
 
 
 def _measure(state, q):
-    """The Fourier measurement kernel on qudit q: the outcome probabilities
-    and the d unnormalized children, qudit q dropped."""
+    """The dense register's Fourier measurement of qudit q: the outcome
+    probabilities and the d unnormalized children, qudit q dropped."""
+    reg = DenseRegister(state, list(range(state.n)))
+    reg.gate(dense_f(state.d, inverse=True), q)
+    children = np.moveaxis(reg.t, q, 0)
+    return np.array([np.vdot(c, c).real for c in children]), children
+
+
+def _measure_form(state, form):
+    """The engine's measurement of a qudit holding `form` of the qudits of
+    `state`, an input-basis register: the outcome probabilities and the d
+    unnormalized children over the inputs."""
     d = state.d
-    arr = np.ascontiguousarray(np.moveaxis(state._tensor(), q, 0))[None]
-    children = np.empty((d,) + (d,) * (state.n - 1), dtype=np.complex128)
-    return _fourier_rows(arr, d, children), children
+    children = np.empty((d,) + (d,) * state.n, dtype=np.complex128)
+    return _phase_rows(form, d)(state._tensor()[None], d, children), children
 
 
 # -- construction -------------------------------------------------------
@@ -128,7 +138,7 @@ def test_fourier_matrix_unitary():
         assert np.allclose(F @ F.conj().T, np.eye(d))
 
 
-# -- cZ: mbqc._port_table ------------------------------------------------
+# -- cZ: the dense register's, which the reference port steps take -------
 
 def test_cz_symmetric_phase():
     s = _cz(QuditState.basis(2, [1, 1]), 0, 1)
@@ -168,9 +178,7 @@ def test_gates_match_dense_matrices(d):
         (_measure(s, 1)[1], (np.kron(eye, dense_f(d, inverse=True)) @ full).reshape(d, d).T),
         (fourier_matrix(d), dense_f(d)),
         (fourier_matrix(d, inverse=True), dense_f(d, inverse=True)),
-        (_table("phase", d), np.diag(dense_cz(d)).reshape(d, d)),
-        (_table("fourier", d), dense_f(d, inverse=True)),
-        (_table("fourier", d, 3), np.kron(dense_f(d, inverse=True), np.eye(3))),
+        (_phase_table(d), np.diag(dense_cz(d)).reshape(d, d)),
     ]
     for got, want in checks:
         assert np.allclose(got, want)
@@ -181,12 +189,12 @@ def test_gate_norm_preserved():
     s = QuditState.haar_random(3, 3, rng)
     out = _weyl(_weyl(_cz(s, 1, 2, 2), "X", 1, 2), "Z", 2, 1)
     assert np.linalg.norm(out.psi) == pytest.approx(1.0, abs=1e-9)
-    p, children = _measure(out, 0)
+    p, children = _measure_form(out, (1, 2, 0))
     assert p.sum() == pytest.approx(1.0, abs=1e-9)
     assert np.linalg.norm(children) == pytest.approx(1.0, abs=1e-9)
 
 
-# -- the Fourier measurement: mbqc._fourier_rows -------------------------
+# -- the Fourier measurement: the dense register's and mbqc._phase_rows ---
 
 def test_measure_plus_gives_zero():
     p, children = _measure(QuditState.plus(5), 0)
@@ -210,10 +218,10 @@ def test_measure_forced_impossible_rejected():
 
 
 def test_measure_residual_phase_convention():
-    # measuring the control of cX (|+>|0>) with outcome r leaves Z^-r |+>
-    for d in (2, 3, 5):
-        s = QuditState(2, d, np.eye(d).reshape(-1) / np.sqrt(d))
-        p, children = _measure(s, 0)
+    # measuring the control of cX (|+>|0>) with outcome r leaves Z^-r |+>:
+    # in the input basis, the target holds the form x of the input |+>
+    for d in (2, 3, 4, 5, 6):
+        p, children = _measure_form(QuditState.plus(d), (1,))
         for r in range(d):
             assert p[r] == pytest.approx(1 / d)
             post = QuditState(1, d, children[r] / np.sqrt(p[r]))
@@ -224,10 +232,36 @@ def test_measure_residual_phase_convention():
 def test_measure_renormalizes():
     rng = np.random.default_rng(7)
     s = QuditState.haar_random(3, 2, rng)
-    p, children = _measure(s, 0)
+    p, children = _measure_form(s, (1, 2))
     assert np.allclose(p, [np.vdot(c, c).real for c in children])
     for r in range(3):
         assert np.linalg.norm(children[r] / np.sqrt(p[r])) == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("d", [4, 6, 12])
+def test_phase_rows_match_the_dense_measurement(d):
+    # a qudit holding f(x) = sum_j a_j x_j of the inputs, zero coefficients
+    # and the zero form included: the engine's child r is c(x) w^(-r f(x)) /
+    # sqrt(d), and so is the dense register's, with the qudit embedded by
+    # cX^a_j from each input and then measured with outcome r
+    rng = np.random.default_rng(d)
+    for k in (1, 2, 3):
+        state = QuditState.haar_random(d, k, rng)
+        x = np.indices((d,) * k)
+        for form in [tuple(rng.integers(0, d, k).tolist()) for _ in range(3)] + [(0,) * k]:
+            p, children = _measure_form(state, form)
+            f = sum(a * x[j] for j, a in enumerate(form)) % d
+            reg = DenseRegister(state, list(range(k)))
+            reg.add(["q"], "zero")
+            for j, a in enumerate(form):
+                if a:
+                    reg.gate(dense_cx(d, a), j, "q")
+            reg.gate(dense_f(d, inverse=True), "q")
+            for r in range(d):
+                want = state._tensor() * np.exp(-2j * np.pi * r * f / d) / np.sqrt(d)
+                assert np.abs(children[r] - want).max() <= 1e-12
+                assert np.abs(reg.t[..., r] - want).max() <= 1e-12
+                assert p[r] == pytest.approx(1 / d, abs=1e-12)
 
 
 # -- fidelity ------------------------------------------------------------
